@@ -8,7 +8,7 @@ polynomials in v = q^(1/2).
 """
 
 from .decorated import DecRep, h1_aggregate, h1_gamma, mutate_rep, negative_simple
-from .dtseries import (ConeSeries, SignSeqResult, conjugate, dt_product,
+from .dtseries import (ConeSeries, SignSeqResult, conjugate, dt_product_pair,
                        factorization_check, framed_extract, g_of_lambda,
                        initial_class_map, lemma52_step, pochhammer,
                        sign_sequence)
@@ -16,23 +16,23 @@ from .grassmannian import (CountTable, FqRep, coefficient_crosscheck, gr_count,
                            serre_interpolate, to_fq)
 from .qlaurent import QLaurent, lefschetz_decompose
 from .quiver import (Potential, QPData, Quiver, cyclic_derivative, euler_form,
-                     from_btilde, jacobi_dims, mutate_qp, premutate,
-                     quiver_mutate, reduce)
+                     from_btilde, jacobi_dims, mutate_qp, premutate_with_maps,
+                     quiver_mutate, reduce_with_trail)
 from .seed import (ClusterMonomialResult, QuantumSeed, cluster_monomial,
                    f_polynomial, frame_monomial, g_vector, initial_seed,
                    mutate, mutate_sequence)
-from .torus import SkewForm, TorusElement, add, exact_right_divide, is_positive, mul
+from .torus import SkewForm, TorusElement, exact_right_divide, is_positive
 
 __all__ = [
     "QLaurent", "lefschetz_decompose",
-    "SkewForm", "TorusElement", "mul", "add", "exact_right_divide", "is_positive",
+    "SkewForm", "TorusElement", "exact_right_divide", "is_positive",
     "QuantumSeed", "ClusterMonomialResult", "initial_seed", "frame_monomial",
     "mutate", "mutate_sequence", "cluster_monomial", "g_vector", "f_polynomial",
     "Quiver", "Potential", "QPData", "from_btilde", "quiver_mutate",
-    "cyclic_derivative", "premutate", "reduce", "mutate_qp", "euler_form",
-    "jacobi_dims",
+    "cyclic_derivative", "premutate_with_maps", "reduce_with_trail", "mutate_qp",
+    "euler_form", "jacobi_dims",
     "DecRep", "negative_simple", "mutate_rep", "h1_gamma", "h1_aggregate",
-    "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_product",
+    "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_product_pair",
     "conjugate", "lemma52_step", "framed_extract", "factorization_check",
     "g_of_lambda", "initial_class_map",
     "FqRep", "CountTable", "to_fq", "gr_count", "serre_interpolate",

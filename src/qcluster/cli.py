@@ -26,6 +26,9 @@ from .seed import (cluster_monomial, f_polynomial, g_vector, initial_seed,
 from .torus import SkewForm, is_positive
 
 
+ROUTES = ("mutation", "dt", "both")
+
+
 class SessionSpec:
     """Parsed and validated session document."""
 
@@ -46,10 +49,14 @@ class SessionSpec:
         if len(self.lam) != self.m:
             raise QClusterError("lam must have length m")
         opts = doc.get("options", {})
+        if not isinstance(opts, dict):
+            raise QClusterError("options must be an object")
         self.degree_cap = int(opts.get("degree_cap", 12))
         self.cone_bound = opts.get("cone_bound")
         self.primes = [int(p) for p in opts.get("primes", [2, 3, 4, 5, 7, 8, 9])]
         self.route = opts.get("route", "mutation")
+        if self.route not in ROUTES:
+            raise QClusterError(f"options.route must be one of {', '.join(ROUTES)}")
         self.budget = int(opts.get("budget", 500000))
         self.quiver_doc = doc.get("quiver")
         self.potential_doc = doc.get("potential")
@@ -272,11 +279,13 @@ def main(argv=None) -> int:
     for name in ("mutate", "expand", "count"):
         p = sub.add_parser(name)
         p.add_argument("spec", help="session JSON document")
-        p.add_argument("--route", choices=["mutation", "dt", "both"])
+        p.add_argument("--route", choices=ROUTES)
         p.add_argument("--degree-cap", type=int)
         p.add_argument("--cone-bound", type=int)
         p.add_argument("--primes", help="comma-separated prime powers")
-        p.add_argument("--jobs", type=int, default=1)
+        if name == "count":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for the per-(stratum, q) counts")
         p.add_argument("--golden", help="golden-file directory")
         p.add_argument("--json", action="store_true", dest="as_json")
     p = sub.add_parser("identity-check")

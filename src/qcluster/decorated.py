@@ -14,8 +14,8 @@ from fractions import Fraction
 from .errors import LoopAtVertex, RelationViolation
 from .linalg import (Mat, column_space_basis, extend_basis, hstack, invert,
                      kernel_basis, solve_matrix, vstack)
-from .quiver import (Potential, QPData, Quiver, cyclic_derivative,
-                     premutate_with_maps, reduce_with_trail)
+from .quiver import (Potential, QPData, cyclic_derivative, premutate_with_maps,
+                     reduce_with_trail)
 
 
 @dataclass
@@ -262,16 +262,14 @@ def _apply_trail(rep: DecRep, reduced_qp: QPData, trail) -> DecRep:
     arrow pairs are dropped.
     """
     mats = dict(rep.mats)
-    quiver = rep.qp.quiver
     for kind, payload in trail:
         if kind == "subst":
             updated = dict(mats)
             for x, corr in payload.items():
                 new_x = mats[x]
                 for _ in range(rep.total_dim() + 2):
-                    trial = dict(updated)
-                    trial[x] = new_x
-                    delta = _eval_combination(quiver, trial, corr, rep.dims)
+                    trial = DecRep(rep.qp, rep.dims, {**updated, x: new_x}, rep.vdims)
+                    delta = combination_action(trial, corr)
                     candidate = mats[x] - delta
                     if candidate == new_x:
                         break
@@ -285,22 +283,6 @@ def _apply_trail(rep: DecRep, reduced_qp: QPData, trail) -> DecRep:
     keep = set(reduced_qp.quiver.arrows)
     mats = {aid: m for aid, m in mats.items() if aid in keep}
     return DecRep(reduced_qp, rep.dims, mats, rep.vdims)
-
-
-def _eval_combination(quiver: Quiver, mats: dict, comb: dict, dims) -> Mat:
-    first = next(iter(comb))
-    src, tgt = quiver.word_endpoints(first)
-
-    def act(word):
-        m = Mat.identity(dims[tgt - 1])
-        for letter in word:
-            m = mats[letter] * m
-        return m
-
-    total = act(first).scale(comb[first])
-    for w, c in list(comb.items())[1:]:
-        total = total + act(w).scale(c)
-    return total
 
 
 def h1_gamma(qp0: QPData, ks, j: int, reverse_pivots: bool = False) -> DecRep:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (BoundTooSmall, CommutationMismatch, DimensionMismatch,
                      SignAmbiguous, TailNotVanishing)
 from .qlaurent import PochhammerFraction, QLaurent
+from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
 
 
@@ -26,21 +27,6 @@ class SignSeqResult:
     s_classes: tuple[tuple[int, ...], ...]
     c_matrix_trace: tuple[tuple[tuple[int, ...], ...], ...]
     b_trace: tuple[tuple[tuple[int, ...], ...], ...] = field(default=())
-
-
-def _mutate_rect(mat, n, k):
-    """FZ matrix mutation of a rectangular (rows x n) matrix at k (1-based)."""
-    rows = len(mat)
-    k -= 1
-    out = [[0] * n for _ in range(rows)]
-    for i in range(rows):
-        for j in range(n):
-            if i == k or j == k:
-                out[i][j] = -mat[i][j]
-            else:
-                b_ik, b_kj = mat[i][k], mat[k][j]
-                out[i][j] = mat[i][j] + (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2
-    return out
 
 
 def sign_sequence(btilde, ks) -> SignSeqResult:
@@ -72,7 +58,7 @@ def sign_sequence(btilde, ks) -> SignSeqResult:
             raise SignAmbiguous(f"c-vector {col} at direction {k} has mixed signs")
         signs.append("+" if nonneg else "-")
         classes.append(tuple(abs(x) for x in col))
-        ext = _mutate_rect(ext, n, k)
+        ext = _matrix_mutation(ext, m + n, n, k)
         ctrace.append(tuple(tuple(ext[m + i][j] for j in range(n)) for i in range(n)))
         btrace.append(tuple(tuple(ext[i][j] for j in range(n)) for i in range(m)))
     return SignSeqResult(tuple(signs), tuple(classes), tuple(ctrace), tuple(btrace))
@@ -204,13 +190,6 @@ class ConeSeries:
             out = out + power
         return out
 
-    def to_torus_element(self) -> TorusElement:
-        """Materialize as a TorusElement; all coefficients must be Laurent."""
-        terms = {}
-        for g, c in self.coeffs.items():
-            terms[self.exponent_of(g)] = c.as_laurent()
-        return TorusElement(self.form, terms)
-
     def __repr__(self):
         body = ", ".join(f"{g}: {c!r}" for g, c in sorted(self.coeffs.items()))
         return f"ConeSeries(base={self.base}, {{{body}}})"
@@ -245,21 +224,6 @@ def pochhammer(form: SkewForm, btilde, bound, cls, sign: int) -> ConeSeries:
     for nn, c in enumerate(_pochhammer_coefficients(depth, sign)):
         coeffs[tuple(nn * x for x in cls)] = c
     return ConeSeries(form, btilde, bound, None, coeffs)
-
-
-def dt_factors(form: SkewForm, btilde, ks, bound):
-    """The ordered Pochhammer factors of the sector series above phi_r."""
-    res = sign_sequence(btilde, ks)
-    return [pochhammer(form, btilde, bound, cls, +1 if sign == "+" else -1)
-            for sign, cls in zip(res.signs, res.s_classes)]
-
-
-def dt_product(form: SkewForm, btilde, ks, bound) -> ConeSeries:
-    """Ordered product of Pochhammer factors for the sector above phi_r."""
-    out = ConeSeries.unit(form, btilde, bound)
-    for f in dt_factors(form, btilde, ks, bound):
-        out = out * f
-    return out
 
 
 def dt_product_pair(form: SkewForm, btilde, ks, bound):

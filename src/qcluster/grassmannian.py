@@ -8,6 +8,7 @@ by exact Lagrange interpolation with a held-out consistency point.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ _IRREDUCIBLE = {
 
 
 def _factor_prime_power(q: int):
+    if q < 2:
+        raise QClusterError(f"{q} is not a prime power")
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -42,82 +45,53 @@ def _factor_prime_power(q: int):
     return q, 1
 
 
+# add/mul tables hold q^2 entries each; counts are only feasible for tiny q
+_MAX_Q = 256
+
+
 class GF:
     """The field with q = p^k elements; elements are ints 0..q-1.
 
-    Extension-field elements encode coefficient vectors base p; add/mul/inv
-    tables are precomputed (fields here are tiny).
+    An element encodes its coefficient vector over GF(p) base p (for k = 1
+    that is the residue itself).  Addition, negation, multiplication and
+    inversion are lookup tables built once at construction, for every q up
+    to 256.
     """
 
     def __init__(self, q: int):
+        if q > _MAX_Q:
+            raise QClusterError(f"GF({q}) exceeds the largest supported field GF({_MAX_Q})")
         p, k = _factor_prime_power(q)
+        modulus = _IRREDUCIBLE.get((p, k))
+        if modulus is None and k > 1:
+            raise QClusterError(f"no irreducible polynomial stored for GF({q})")
         self.q = q
         self.p = p
         self.k = k
-        if k == 1:
-            self._mul = None
-            self._inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-        else:
-            if (p, k) not in _IRREDUCIBLE:
-                raise QClusterError(f"no irreducible polynomial stored for GF({q})")
-            modulus = _IRREDUCIBLE[(p, k)]
-            self._mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(q):
-                    self._mul[a][b] = self._poly_mul(a, b, modulus)
-            self._inv = [0] * q
-            for a in range(1, q):
-                for b in range(1, q):
-                    if self._mul[a][b] == 1:
-                        self._inv[a] = b
-                        break
+        digits = [[a // p ** i % p for i in range(k)] for a in range(q)]
 
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        def undigits(ds):
+            return sum(d * p ** i for i, d in enumerate(ds))
 
-    def _undigits(self, ds):
-        val = 0
-        for d in reversed(ds):
-            val = val * self.p + d
-        return val
-
-    def _poly_mul(self, a, b, modulus):
-        p, k = self.p, self.k
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for top in range(2 * k - 2, k - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for j in range(k):
-                    prod[top - k + j] = (prod[top - k + j] - c * modulus[j]) % p
-        return self._undigits(prod[:k])
+        self._add = [[undigits((x + y) % p for x, y in zip(da, db)) for db in digits]
+                     for da in digits]
+        self._neg = [undigits(-x % p for x in da) for da in digits]
+        self._mul = [[undigits(_poly_mul_mod(da, db, modulus, p)) for db in digits]
+                     for da in digits]
+        self._inv = [0] * q
+        for a in range(1, q):
+            self._inv[a] = self._mul[a].index(1)
 
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return self._add[a][b]
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._add[a][self._neg[b]]
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
         return self._mul[a][b]
 
     def inv(self, a):
@@ -133,31 +107,22 @@ class GF:
         return self.mul(num, self.inv(den))
 
 
-def _rref_gf(field: GF, rows):
-    """Reduced row echelon form over GF; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _poly_mul_mod(da, db, modulus, p):
+    """Product of two GF(p) coefficient vectors of length k, reduced mod the
+    monic degree-k `modulus` (never read for k = 1)."""
+    k = len(da)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(da):
+        if x:
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        if c:
+            prod[top] = 0
+            for j in range(k):
+                prod[top - k + j] = (prod[top - k + j] - c * modulus[j]) % p
+    return prod[:k]
 
 
 def _reduce_against(field: GF, basis_rows, pivots, vec):
@@ -230,7 +195,6 @@ def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
     A tuple (U_v) is a submodule when the arrow a: i -> j (acting
     M_j -> M_i) satisfies  a(U_j) <= U_i.
     """
-    m = len(rep.dims)
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return 0
     sub_dims = [d - g for d, g in zip(rep.dims, gamma)]
@@ -241,14 +205,16 @@ def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
             raise BudgetExceeded(f"enumeration size {total} exceeds budget {budget}")
     field = rep.field
     per_vertex = [list(subspaces(field, d, k)) for d, k in zip(rep.dims, sub_dims)]
-    rref_cache = [[(_rref_gf(field, rows)) for rows in vert] for vert in per_vertex]
+    # subspaces() rows are already in RREF: each row's pivot is its first nonzero
+    pivots = [[[row.index(1) for row in rows] for rows in vert] for vert in per_vertex]
     count = 0
     for choice in itertools.product(*[range(len(v)) for v in per_vertex]):
         ok = True
         for aid, src, tgt in rep.arrows:
             mat = rep.mats[aid]
             rows_tgt = per_vertex[tgt - 1][choice[tgt - 1]]
-            basis_src, piv_src = rref_cache[src - 1][choice[src - 1]]
+            basis_src = per_vertex[src - 1][choice[src - 1]]
+            piv_src = pivots[src - 1][choice[src - 1]]
             for u in rows_tgt:
                 img = tuple(_dot_row(field, mat_row, u) for mat_row in mat)
                 if any(_reduce_against(field, basis_src, piv_src, img)):
@@ -374,6 +340,9 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
     is asserted, with gamma = gamma_map(delta) when available (falling back
     to degree alignment otherwise); in report mode only Euler
     characteristics at T = 1 and the purity pattern are compared.
+
+    The counts run in min(jobs, task count, CPU count) worker processes, or
+    in this process when that is 1.
     """
     n = len(next(iter(f_coefficients)))
     mutable = range(1, n + 1)
@@ -386,17 +355,19 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
         full = tuple(delta) + (0,) * (len(h1.dims) - n)
         for q in primes:
             tasks.append((delta, full, q))
+    fq_reps = {q: to_fq(h1, q) for q in primes}
     results = {}
-    if jobs > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(_count_task, h1, full, q, budget): (delta, q)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futs = {pool.submit(_count_task, fq_reps[q], full, budget): (delta, q)
                     for delta, full, q in tasks}
             for fut in concurrent.futures.as_completed(futs):
                 results[futs[fut]] = fut.result()
     else:
         for delta, full, q in tasks:
-            results[(delta, q)] = _count_task(h1, full, q, budget)
+            results[(delta, q)] = _count_task(fq_reps[q], full, budget)
 
     for delta in sorted(f_coefficients):
         f_coeff = f_coefficients[delta]
@@ -441,8 +412,8 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
     return CrosscheckReport("hard" if hard else "report", rows)
 
 
-def _count_task(h1: DecRep, gamma_full, q: int, budget: int):
+def _count_task(rep: FqRep, gamma_full, budget: int):
     try:
-        return gr_count(to_fq(h1, q), gamma_full, budget)
+        return gr_count(rep, gamma_full, budget)
     except BudgetExceeded:
         return None

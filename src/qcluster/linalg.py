@@ -39,9 +39,6 @@ class Mat:
     def column(self, j: int) -> tuple:
         return tuple(self.a[i][j] for i in range(self.rows))
 
-    def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.a for x in r)
 
@@ -88,10 +85,6 @@ class Mat:
         assert len(v) == self.cols
         return tuple(sum(self.a[i][j] * v[j] for j in range(self.cols))
                      for i in range(self.rows))
-
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {[list(r) for r in self.a]})"

@@ -125,10 +125,6 @@ class QLaurent:
         """Specialize v = 1 (hence q = 1)."""
         return sum(self.terms.values())
 
-    def eval_at_int(self, x: "int | object"):
-        """Evaluate at a numeric value of v (exact; Fraction-friendly)."""
-        return sum(c * x**k for k, c in self.terms.items())
-
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
 

@@ -40,9 +40,6 @@ class Quiver:
             amap[a.id] = a
         self.arrows = dict(sorted(amap.items()))
 
-    def arrow(self, aid: str) -> Arrow:
-        return self.arrows[aid]
-
     def arrows_from(self, v: int):
         return [a for a in self.arrows.values() if a.source == v]
 
@@ -256,13 +253,9 @@ def _fresh_id(base: str, taken) -> str:
     return cand
 
 
-def premutate(qp: QPData, k: int) -> QPData:
-    """DWZ premutation: reversed arrows, composite arrows, W_1 + W_2."""
-    return premutate_with_maps(qp, k)[0]
-
-
 def premutate_with_maps(qp: QPData, k: int):
-    """Premutation plus its bookkeeping.
+    """DWZ premutation (reversed arrows, composite arrows, W_1 + W_2) plus its
+    bookkeeping.
 
     Returns (QPData, rev, comp) where rev maps each arrow at k to its
     reversal's id and comp maps (out_id, in_id) to the composite arrow id.
@@ -410,14 +403,9 @@ def reduce_with_trail(qp: QPData, max_rounds: int | None = None):
     return out, trail
 
 
-def reduce(qp: QPData) -> QPData:
-    """reduce_with_trail without the transport data."""
-    return reduce_with_trail(qp)[0]
-
-
 def mutate_qp(qp: QPData, k: int):
-    """mu_k = reduce after premutate; returns (QPData, well_mutable flag)."""
-    red = reduce(premutate(qp, k))
+    """mu_k: premutation, then reduction; returns (QPData, well_mutable flag)."""
+    red, _ = reduce_with_trail(premutate_with_maps(qp, k)[0])
     counts = red.quiver.arrow_count()
     well = all((j, i) not in counts for (i, j) in counts)
     return red, well

@@ -174,12 +174,6 @@ class TorusElement:
         """Set v = 1: a commutative Laurent polynomial {exponent: int}."""
         return {e: c.eval_at_one() for e, c in self.terms.items()}
 
-    def bar_coefficients(self) -> "TorusElement":
-        """Apply v -> v^{-1} to every coefficient (exponents untouched)."""
-        res = TorusElement(self.form)
-        res.terms = {e: c.bar() for e, c in self.terms.items()}
-        return res
-
     # -- rendering ------------------------------------------------------
 
     def render(self) -> str:
@@ -200,14 +194,6 @@ class TorusElement:
 
     def __repr__(self):
         return f"TorusElement({self.render()})"
-
-
-def mul(a: TorusElement, b: TorusElement) -> TorusElement:
-    return a * b
-
-
-def add(a: TorusElement, b: TorusElement) -> TorusElement:
-    return a + b
 
 
 def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:

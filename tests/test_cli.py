@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+
+import pytest
 
 from qcluster.cli import main
 
@@ -142,3 +146,61 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     assert main(["expand", spec]) == 0
     out = capsys.readouterr().out
     assert "g = [-1, 1]" in out and "F[1,0] = q^(-1/2)" in out
+
+
+
+@pytest.mark.parametrize("command, options, extra", [
+    ("mutate", [], []),                         # options is not an object
+    ("expand", {"route": "foo"}, []),           # route outside mutation|dt|both
+    ("count", {"primes": [1, 2, 3]}, []),       # prime power below 2 in the document
+    ("count", {}, ["--primes", "0,2,3"]),       # prime power below 2 on the command line
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, options, extra):
+    spec = write_spec(tmp_path, dict(A2_DOC, options=options))
+    assert main([command, spec] + extra) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("jobs, cpus, pools", [
+    (64, 3, [3]),          # clamped to the CPU count
+    (2, 16, [2]),          # the requested count fits
+    (64, 64, [8]),         # clamped to the 2 strata x 4 prime powers
+    (4, 1, []),            # one CPU: in-process, no pool
+    (4, None, []),         # CPU count unknown: in-process, no pool
+])
+def test_count_jobs_clamped(tmp_path, capsys, monkeypatch, jobs, cpus, pools):
+    created = []
+
+    class InlinePool:
+        """Stand-in for ProcessPoolExecutor: records max_workers, runs tasks inline."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    spec = write_spec(tmp_path, A2_DOC)
+    assert main(["count", spec, "--jobs", str(jobs)]) == 0
+    assert "| match" in capsys.readouterr().out
+    assert created == pools
+
+
+def test_jobs_is_count_only(tmp_path, capsys):
+    spec = write_spec(tmp_path, A2_DOC)
+    for command in ("mutate", "expand"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, spec, "--jobs", "2"])
+        assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

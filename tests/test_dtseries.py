@@ -1,9 +1,9 @@
 import pytest
 
-from qcluster.dtseries import (ConeSeries, conjugate, dt_factors, dt_product,
-                               dt_product_pair, factorization_check,
-                               framed_extract, g_of_lambda, initial_class_map,
-                               lemma52_step, pochhammer, sign_sequence)
+from qcluster.dtseries import (ConeSeries, conjugate, dt_product_pair,
+                               factorization_check, framed_extract, g_of_lambda,
+                               initial_class_map, lemma52_step, pochhammer,
+                               sign_sequence)
 from qcluster.errors import CommutationMismatch, TailNotVanishing
 from qcluster.qlaurent import PochhammerFraction, QLaurent
 from qcluster.seed import cluster_monomial
@@ -70,10 +70,12 @@ def test_pochhammer_n2_coefficient_against_series_oracle():
 
 def test_dt_product_single_and_empty():
     bound = (6, 6)
-    assert dt_product(L2, B2, (), bound) == ConeSeries.unit(L2, B2, bound)
-    single = dt_product(L2, B2, (1,), bound)
+    unit = ConeSeries.unit(L2, B2, bound)
+    assert dt_product_pair(L2, B2, (), bound)[0] == unit
+    single = dt_product_pair(L2, B2, (1,), bound)[0]
     assert single == pochhammer(L2, B2, bound, (1, 0), +1)
-    assert len(dt_factors(L2, B2, (1, 2), bound)) == 2
+    fwd, inv = dt_product_pair(L2, B2, (1, 2), bound)
+    assert fwd * inv == unit
 
 
 def test_conjugate_identity_series():
@@ -144,7 +146,7 @@ def test_framed_extract_trivial_cases():
     bound = (4, 4)
     one = ConeSeries.unit(L2, B2, bound)
     assert framed_extract(one, (1, 0), bound) == one
-    series = dt_product(L2, B2, (1,), bound)
+    series = dt_product_pair(L2, B2, (1,), bound)[0]
     assert framed_extract(series, (0, 0), bound) == ConeSeries.unit(L2, B2, bound)
 
 
@@ -152,7 +154,7 @@ def test_framed_extract_matches_f_polynomial():
     s0 = corpus_seed("a2")
     r = cluster_monomial(s0, (1,), (1, 0))
     bound = (4, 4)
-    series = dt_product(L2, B2, (1,), bound)
+    series = dt_product_pair(L2, B2, (1,), bound)[0]
     sfr = framed_extract(series, (1, 0), bound)
     for gamma, coeff in r.f_coefficients.items():
         assert sfr.coeffs[gamma].as_laurent() == coeff
@@ -167,7 +169,7 @@ def test_framed_extract_coefficients_land_in_z_t():
     from qcluster.quiver import euler_form, from_btilde, mutate_qp, Potential, QPData
     bound = (5, 5)
     for ks, lam in [((1,), (1, 0)), ((1, 2), (0, 1)), ((1, 2, 1), (1, 0))]:
-        series = dt_product(L2, B2, ks, bound)
+        series = dt_product_pair(L2, B2, ks, bound)[0]
         sfr = framed_extract(series, lam, bound)
         to_qr = initial_class_map(B2, ks)
         qp = QPData(from_btilde(B2, 2), Potential(12))
@@ -219,9 +221,9 @@ def test_dt_path_independence_when_c_matrices_agree():
     for key, group in seqs.items():
         if len(group) < 2:
             continue
-        base = dt_product(L2, B2, group[0], bound)
+        base = dt_product_pair(L2, B2, group[0], bound)[0]
         for other in group[1:]:
-            assert dt_product(L2, B2, other, bound) == base
+            assert dt_product_pair(L2, B2, other, bound)[0] == base
             checked += 1
     assert checked > 0
 

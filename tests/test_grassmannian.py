@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qcluster.decorated import DecRep, h1_aggregate
-from qcluster.errors import BudgetExceeded, NotPolynomialCount
+from qcluster.errors import BudgetExceeded, NotPolynomialCount, QClusterError
 from qcluster.grassmannian import (GF, CountTable, coefficient_crosscheck,
                                    gaussian_binomial, gr_count, purity_pattern,
                                    serre_interpolate, subspaces, to_fq)
@@ -29,12 +29,36 @@ def test_gf_axioms():
             assert f.mul(a, f.inv(a)) == 1
 
 
+def test_gf_rejects_unsupported_q():
+    # below 2, not a prime power, no stored modulus, tables too large
+    for q in (0, 1, 6, 16, 257):
+        with pytest.raises(QClusterError):
+            GF(q)
+
+
 def test_subspace_enumeration_counts():
     for q in (2, 3, 4):
         f = GF(q)
         for d in range(4):
             for k in range(d + 1):
                 assert len(list(subspaces(f, d, k))) == gaussian_binomial(d, k, q)
+
+
+def test_subspaces_are_rref():
+    # gr_count reads each representative's pivots off its rows, which holds
+    # only if every row tuple is already in reduced row echelon form
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        f = GF(q)
+        for d in range(4):
+            for k in range(d + 1):
+                for rows in subspaces(f, d, k):
+                    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+                    assert pivots == sorted(set(pivots))
+                    for r, p in zip(rows, pivots):
+                        assert r[p] == 1
+                        assert not any(r[:p])
+                    for i, p in enumerate(pivots):
+                        assert all(rows[j][p] == 0 for j in range(k) if j != i)
 
 
 def a2_indec():

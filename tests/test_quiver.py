@@ -6,8 +6,8 @@ import pytest
 from qcluster.errors import DegreeCapExceeded, LoopAtVertex, NotSkewSymmetric
 from qcluster.quiver import (Arrow, Potential, QPData, Quiver, canonical_rotation,
                              cyclic_derivative, euler_form, from_btilde,
-                             jacobi_dims, mutate_qp, premutate, quiver_mutate,
-                             reduce)
+                             jacobi_dims, mutate_qp, premutate_with_maps,
+                             quiver_mutate, reduce_with_trail)
 from qcluster.seed import _matrix_mutation
 
 from .corpus import CORPUS_NAMES, corpus_data, corpus_qp
@@ -76,7 +76,7 @@ def test_canonical_rotation():
 
 
 def test_premutate_triangle():
-    pre = premutate(triangle_qp(), 1)
+    pre = premutate_with_maps(triangle_qp(), 1)[0]
     arrows = sorted((a.source, a.target) for a in pre.quiver.arrows.values())
     assert arrows == [(1, 3), (2, 1), (2, 3), (3, 2)]
     assert len(pre.potential.terms) == 2
@@ -87,31 +87,31 @@ def test_premutate_triangle():
 def test_premutate_no_arrows_at_k():
     q = Quiver(2, [Arrow("a", 1, 2)])
     w = Potential(12)
-    pre = premutate(QPData(q, w), 2)  # wait, 2 has an incoming arrow
+    pre = premutate_with_maps(QPData(q, w), 2)[0]  # wait, 2 has an incoming arrow
     assert len(pre.quiver.arrows) == 1
     # a genuinely untouched vertex needs m >= 3
     q3 = Quiver(3, [Arrow("a", 1, 2)])
-    pre3 = premutate(QPData(q3, w), 3)
+    pre3 = premutate_with_maps(QPData(q3, w), 3)[0]
     assert pre3.quiver == q3 and pre3.potential.is_zero()
 
 
 def test_premutate_sink():
     q = Quiver(2, [Arrow("a", 1, 2)])
-    pre = premutate(QPData(q, Potential(12)), 2)
+    pre = premutate_with_maps(QPData(q, Potential(12)), 2)[0]
     assert [(a.source, a.target) for a in pre.quiver.arrows.values()] == [(2, 1)]
     assert pre.potential.is_zero()
 
 
 def test_reduce_examples():
     qp = triangle_qp()
-    assert reduce(qp).potential == qp.potential  # already reduced
-    red = reduce(premutate(qp, 1))
+    assert reduce_with_trail(qp)[0].potential == qp.potential  # already reduced
+    red = reduce_with_trail(premutate_with_maps(qp, 1)[0])[0]
     assert sorted((a.source, a.target) for a in red.quiver.arrows.values()) \
         == [(1, 3), (2, 1)]
     assert red.potential.is_zero()
     # a pure 2-cycle term is a trivial QP
     q2 = Quiver(2, [Arrow("x", 1, 2), Arrow("y", 2, 1)])
-    red2 = reduce(QPData(q2, Potential(12, {("x", "y"): 1})))
+    red2 = reduce_with_trail(QPData(q2, Potential(12, {("x", "y"): 1})))[0]
     assert red2.quiver.arrows == {} and red2.potential.is_zero()
 
 
