@@ -14,10 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .decorated import h1_aggregate
-from .dtseries import (ConeSeries, conjugate, dt_product_pair,
+from .dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_product_pair,
                        factorization_check, g_of_lambda, initial_class_map,
                        pochhammer)
-from .errors import QClusterError, TailNotVanishing
+from .errors import QClusterError
 from .grassmannian import coefficient_crosscheck
 from .qlaurent import lefschetz_decompose
 from .quiver import Arrow, Potential, QPData, Quiver, from_btilde, mutate_qp
@@ -27,39 +27,72 @@ from .torus import SkewForm, is_positive
 
 
 ROUTES = ("mutation", "dt", "both")
+_REQUIRED = object()
+
+
+def _field(doc, name: str, convert, default=_REQUIRED):
+    """The value at dotted `name`'s last key of doc, passed through convert.
+
+    A missing required key, a non-object doc and a value that convert
+    rejects are all QClusterErrors, so a malformed document exits 2.
+    """
+    owner, _, key = name.rpartition(".")
+    if not isinstance(doc, dict):
+        raise QClusterError(f"{owner or 'the session document'} must be a JSON object")
+    if key not in doc and default is _REQUIRED:
+        raise QClusterError(f"session document misses required key '{name}'")
+    try:
+        return convert(doc.get(key, default))
+    except (TypeError, ValueError, LookupError, ZeroDivisionError) as exc:
+        raise QClusterError(f"malformed {name}: {exc}") from None
+
+
+def _ints(value):
+    return [int(x) for x in value]
+
+
+def _matrix(value):
+    return [_ints(row) for row in value]
+
+
+def _arrows(value):
+    return [Arrow(str(a[0]), int(a[1]), int(a[2])) for a in value]
+
+
+def _potential(value):
+    return [(Fraction(int(num), int(den)), tuple(str(x) for x in word))
+            for num, den, word in value]
 
 
 class SessionSpec:
     """Parsed and validated session document."""
 
     def __init__(self, doc: dict):
-        try:
-            self.n = int(doc["n"])
-            self.lam_matrix = [[int(x) for x in row] for row in doc["lambda"]]
-            self.btilde = [[int(x) for x in row] for row in doc["btilde"]]
-        except KeyError as exc:
-            raise QClusterError(f"session document misses required key {exc}")
+        self.n = _field(doc, "n", int)
+        self.lam_matrix = _field(doc, "lambda", _matrix)
+        self.btilde = _field(doc, "btilde", _matrix)
         self.m = len(self.lam_matrix)
         if len(self.btilde) != self.m or any(len(r) != self.n for r in self.btilde):
             raise QClusterError("btilde must be m x n and match lambda's size")
-        self.ks = [int(k) for k in doc.get("ks", [])]
+        self.ks = _field(doc, "ks", _ints, [])
         if any(not 1 <= k <= self.n for k in self.ks):
             raise QClusterError("ks entries must lie in 1..n")
-        self.lam = [int(x) for x in doc.get("lam", [0] * self.m)]
+        self.lam = _field(doc, "lam", _ints, [0] * self.m)
         if len(self.lam) != self.m:
             raise QClusterError("lam must have length m")
         opts = doc.get("options", {})
-        if not isinstance(opts, dict):
-            raise QClusterError("options must be an object")
-        self.degree_cap = int(opts.get("degree_cap", 12))
-        self.cone_bound = opts.get("cone_bound")
-        self.primes = [int(p) for p in opts.get("primes", [2, 3, 4, 5, 7, 8, 9])]
-        self.route = opts.get("route", "mutation")
+        self.degree_cap = _field(opts, "options.degree_cap", int, 12)
+        self.cone_bound = _field(opts, "options.cone_bound",
+                                 lambda v: None if v is None else int(v), None)
+        self.primes = _field(opts, "options.primes", _ints, [2, 3, 4, 5, 7, 8, 9])
+        self.route = _field(opts, "options.route", str, "mutation")
         if self.route not in ROUTES:
             raise QClusterError(f"options.route must be one of {', '.join(ROUTES)}")
-        self.budget = int(opts.get("budget", 500000))
-        self.quiver_doc = doc.get("quiver")
-        self.potential_doc = doc.get("potential")
+        self.budget = _field(opts, "options.budget", int, 500000)
+        quiver = doc.get("quiver")
+        self.quiver = None if quiver is None else (
+            _field(quiver, "quiver.vertices", int), _field(quiver, "quiver.arrows", _arrows))
+        self.potential = _field(doc, "potential", _potential, [])
 
     def form(self) -> SkewForm:
         return SkewForm(self.lam_matrix)
@@ -68,12 +101,10 @@ class SessionSpec:
         return initial_seed(self.form(), self.btilde, self.n)
 
     def qp(self) -> QPData:
-        if self.quiver_doc is None:
+        if self.quiver is None:
             quiver = from_btilde(self.btilde, self.n)
         else:
-            arrows = [Arrow(str(a[0]), int(a[1]), int(a[2]))
-                      for a in self.quiver_doc["arrows"]]
-            quiver = Quiver(int(self.quiver_doc["vertices"]), arrows)
+            quiver = Quiver(*self.quiver)
             counts = quiver.arrow_count()
             for j in range(1, self.n + 1):
                 for i in range(1, self.m + 1):
@@ -83,9 +114,8 @@ class SessionSpec:
                             f"quiver does not realize btilde at ({i},{j}): "
                             f"a_ji - a_ij = {diff} != {self.btilde[i - 1][j - 1]}")
         terms = {}
-        for num, den, word in (self.potential_doc or []):
-            terms_key = tuple(str(x) for x in word)
-            terms[terms_key] = terms.get(terms_key, Fraction(0)) + Fraction(int(num), int(den))
+        for coeff, word in self.potential:
+            terms[word] = terms.get(word, Fraction(0)) + coeff
         qp = QPData(quiver, Potential(self.degree_cap, terms))
         qp.validate()
         return qp
@@ -110,25 +140,18 @@ def cmd_mutate(spec: SessionSpec, out: list[str], report: dict) -> bool:
 
 
 def _dt_route(spec: SessionSpec):
-    qp = spec.qp()
-    h1 = h1_aggregate(qp, spec.ks, spec.lam)
-    auto = spec.cone_bound is None
-    if auto:
-        bound = tuple(d + 2 for d in h1.dims[:spec.n])
+    """A X^g A^{-1} at one cone bound: the H^1 dims plus TAIL_MARGIN unless given.
+
+    Building H^1 also validates the quiver and potential on every DT run.
+    """
+    h1 = h1_aggregate(spec.qp(), spec.ks, spec.lam)
+    if spec.cone_bound is None:
+        bound = tuple(d + TAIL_MARGIN for d in h1.dims[:spec.n])
     else:
-        bound = (int(spec.cone_bound),) * spec.n
-    g = g_of_lambda(spec.btilde, spec.ks, spec.lam)
-    for _ in range(3):
-        try:
-            series, series_inv = dt_product_pair(spec.form(), spec.btilde,
-                                                 spec.ks, bound)
-            return conjugate(series, g, bound, inverse=series_inv), h1, qp
-        except TailNotVanishing as exc:
-            if not auto:
-                raise
-            bound = exc.suggested_bound or tuple(b + 2 for b in bound)
-    raise TailNotVanishing("tail did not vanish after auto-raising the bound",
-                           suggested_bound=tuple(b + 2 for b in bound))
+        bound = (spec.cone_bound,) * spec.n
+    series, series_inv = dt_product_pair(spec.form(), spec.btilde, spec.ks, bound)
+    return conjugate(series, g_of_lambda(spec.btilde, spec.ks, spec.lam), bound,
+                     inverse=series_inv)
 
 
 def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
@@ -139,7 +162,7 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
         element = result.element
         gvec, fcoeffs = result.g_vector, result.f_coefficients
     if spec.route == "dt":
-        element, _, _ = _dt_route(spec)
+        element = _dt_route(spec)
         gvec = g_vector(element, spec.seed())
         fcoeffs = f_polynomial(element, gvec, spec.seed())
     out.append(f"element = {element.render()}")
@@ -167,7 +190,7 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
     report["lefschetz"] = lef_all
     ok = ok and lef_all
     if spec.route == "both":
-        dt_element, _, _ = _dt_route(spec)
+        dt_element = _dt_route(spec)
         agree = dt_element == result.element
         out.append("two-route: " + ("AGREE" if agree else "DISAGREE"))
         report["two_route"] = "AGREE" if agree else "DISAGREE"
@@ -257,15 +280,13 @@ def _load_spec(path: str) -> SessionSpec:
         return SessionSpec(json.load(fh))
 
 
-def _golden_compare(golden_dir: str, name: str, text: str, err) -> bool:
-    path = Path(golden_dir) / f"{name}.txt"
+def _golden_compare(path: Path, text: str, err) -> bool:
     if not path.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"golden file created: {path}", file=err)
         return True
-    want = path.read_text()
-    if want != text:
+    if path.read_text() != text:
         print(f"golden mismatch against {path}", file=err)
         return False
     return True
@@ -303,7 +324,7 @@ def main(argv=None) -> int:
             spec = _load_spec(args.spec)
             if args.route:
                 spec.route = args.route
-            if args.degree_cap:
+            if args.degree_cap is not None:
                 spec.degree_cap = args.degree_cap
             if args.cone_bound is not None:
                 spec.cone_bound = args.cone_bound
@@ -315,23 +336,27 @@ def main(argv=None) -> int:
                 ok = cmd_expand(spec, out, report)
             else:
                 ok = cmd_count(spec, out, report, jobs=args.jobs)
-    except TailNotVanishing as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.suggested_bound is not None:
-            print(f"suggested cone bound: {list(exc.suggested_bound)}", file=sys.stderr)
-        return 2
     except (QClusterError, OSError, json.JSONDecodeError, ValueError) as exc:
+        suggested = getattr(exc, "suggested_bound", None)
         print(f"error: {exc}", file=sys.stderr)
+        if suggested is not None:
+            print(f"suggested cone bound: {list(suggested)}", file=sys.stderr)
+        if args.as_json:
+            error = {"type": type(exc).__name__, "message": str(exc),
+                     "suggested_bound": None if suggested is None else list(suggested)}
+            sys.stdout.write(json.dumps({"command": args.command, "ok": False, "error": error},
+                                        indent=2, sort_keys=True) + "\n")
         return 2
 
     report["ok"] = ok
-    text = "\n".join(out) + "\n"
-    if getattr(args, "as_json", False):
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if args.as_json:
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
-        sys.stdout.write(text)
-    if getattr(args, "golden", None):
-        if not _golden_compare(args.golden, args.command, text, sys.stderr):
+        text = "\n".join(out) + "\n"
+    sys.stdout.write(text)
+    if args.golden:
+        path = Path(args.golden) / f"{args.command}.{'json' if args.as_json else 'txt'}"
+        if not _golden_compare(path, text, sys.stderr):
             return 1
     return 0 if ok else 1
 

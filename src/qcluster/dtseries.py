@@ -18,6 +18,9 @@ from .qlaurent import PochhammerFraction, QLaurent
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
 
+# Cone depths next to the bound that conjugate() requires to vanish.
+TAIL_MARGIN = 2
+
 
 @dataclass
 class SignSeqResult:
@@ -108,7 +111,7 @@ class ConeSeries:
         self.coeffs = {}
         for gamma, c in (coeffs or {}).items():
             if isinstance(c, QLaurent):
-                c = PochhammerFraction.from_laurent(c)
+                c = PochhammerFraction(c)
             if not c.is_zero() and all(g <= b for g, b in zip(gamma, self.bound)):
                 self.coeffs[tuple(gamma)] = c
 
@@ -238,23 +241,23 @@ def dt_product_pair(form: SkewForm, btilde, ks, bound):
     return fwd, inv
 
 
-def conjugate(series: ConeSeries, g, bound, margin: int = 2,
+def conjugate(series: ConeSeries, g, bound,
               inverse: ConeSeries | None = None) -> TorusElement:
     """A X^g A^{-1} in the truncated torus, returned as a finite element.
 
-    Raises TailNotVanishing unless every coefficient within `margin` of the
-    bound (entrywise) vanishes, which certifies the theoretical finiteness.
-    A precomputed inverse (e.g. from dt_product_pair) avoids the generic
-    geometric-series inversion.
+    Raises TailNotVanishing unless every coefficient within TAIL_MARGIN of
+    the bound (entrywise) vanishes, which certifies the theoretical
+    finiteness.  A precomputed inverse (e.g. from dt_product_pair) avoids the
+    generic geometric-series inversion.
     """
-    if any(b < margin for b in bound):
+    if any(b < TAIL_MARGIN for b in bound):
         raise TailNotVanishing(
-            f"cone bound {tuple(bound)} is below the safety margin {margin}",
-            suggested_bound=tuple(max(b, margin + 1) for b in bound))
+            f"cone bound {tuple(bound)} is below the safety margin {TAIL_MARGIN}",
+            suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
     xg = ConeSeries(series.form, series.btilde, series.bound, g,
                     {(0,) * series.n: PochhammerFraction.one()})
     total = series * xg * (inverse if inverse is not None else series.inverse())
-    safe = tuple(b - margin for b in bound)
+    safe = tuple(b - TAIL_MARGIN for b in bound)
     terms = {}
     for gamma, c in total.coeffs.items():
         if c.is_zero():
@@ -262,11 +265,11 @@ def conjugate(series: ConeSeries, g, bound, margin: int = 2,
         if any(x > s for x, s in zip(gamma, safe)):
             raise TailNotVanishing(
                 f"nonzero coefficient at cone depth {gamma}",
-                suggested_bound=tuple(b + margin for b in bound))
+                suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
         if not c.is_laurent():
             raise TailNotVanishing(
                 f"coefficient at {gamma} kept a series denominator",
-                suggested_bound=tuple(b + margin for b in bound))
+                suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
         terms[total.exponent_of(gamma)] = c.as_laurent()
     return TorusElement(series.form, terms)
 
@@ -295,28 +298,15 @@ def framed_extract(series: ConeSeries, lam, bound) -> ConeSeries:
 
     Works in the extended lattice Z^n x Z with the framing pairing
     chi((0,1),(gamma,0)) = -sum_i lam_i gamma_i; only framing degree one is
-    ever needed, so the extension stays implicit in the v-powers.
+    ever needed, so the extension stays implicit in the v-powers: the framed
+    series is A, its coefficient at gamma twisted by v^{-2 lam.gamma}, times
+    A^{-1}.
     """
-    inv = series.inverse()
-    n = series.n
-
-    def lam_dot(gamma):
-        return sum(lam[j] * gamma[j] for j in range(n))
-
-    out: dict[tuple, PochhammerFraction] = {}
-    for g1, c1 in series.coeffs.items():
-        e1 = series.embed(g1)
-        left = c1.shift(-lam_dot(g1))
-        for g2, c2 in inv.coeffs.items():
-            g = tuple(a + b for a, b in zip(g1, g2))
-            if any(x > b for x, b in zip(g, series.bound)):
-                continue
-            tw = series.form.pair(e1, series.embed(g2)) + lam_dot(g2)
-            term = (left * c2).shift(tw)
-            cur = out.get(g)
-            out[g] = term if cur is None else cur + term
-    stripped = {g: c.shift(-lam_dot(g)) for g, c in out.items()}
-    return ConeSeries(series.form, series.btilde, bound, None, stripped)
+    twisted = {g: c.shift(-2 * sum(l * x for l, x in zip(lam, g)))
+               for g, c in series.coeffs.items()}
+    product = ConeSeries(series.form, series.btilde, series.bound, None,
+                         twisted) * series.inverse()
+    return ConeSeries(series.form, series.btilde, bound, None, product.coeffs)
 
 
 def initial_class_map(btilde, ks):

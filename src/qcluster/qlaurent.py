@@ -109,9 +109,6 @@ class QLaurent:
         res.terms = {e + k: c for e, c in self.terms.items()}
         return res
 
-    def min_deg(self) -> int:
-        return min(self.terms)
-
     def max_deg(self) -> int:
         return max(self.terms)
 
@@ -129,35 +126,34 @@ class QLaurent:
         return all(c >= 0 for c in self.terms.values())
 
     def divide_exact(self, other: "QLaurent") -> "QLaurent | None":
-        """Return self/other if the quotient is again in Z[v^{+-1}], else None."""
+        """Return self/other if the quotient is again in Z[v^{+-1}], else None.
+
+        One ascending synthetic-division pass solves each quotient term with
+        other's lowest coefficient; the top deg(other) terms must then vanish.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division by zero QLaurent")
-        if self.is_zero():
-            return QLaurent()
-        sh = self.min_deg() - other.min_deg()
-        num = {k - self.min_deg(): c for k, c in self.terms.items()}
-        den = {k - other.min_deg(): c for k, c in other.terms.items()}
-        dmax = max(den)
-        dlead = den[dmax]
-        quot: dict[int, int] = {}
-        while num:
-            nmax = max(num)
-            if nmax < dmax:
-                return None
-            lead, rem = divmod(num[nmax], dlead)
-            if rem != 0:
-                return None
-            qe = nmax - dmax
-            quot[qe] = lead
-            for e, c in den.items():
-                k = e + qe
-                s = num.get(k, 0) - lead * c
-                if s:
-                    num[k] = s
-                else:
-                    num.pop(k, None)
+        a, b = self.terms, other.terms
         res = QLaurent()
-        res.terms = {k + sh: c for k, c in quot.items()}
+        if not a:
+            return res
+        a1, b1 = sum(a.values()), sum(b.values())
+        if a1 % b1 if b1 else a1:   # self = quotient * other fails at v = 1
+            return None
+        a_lo, a_hi, b_lo = min(a), max(a), min(b)
+        last = a_hi - max(b) + b_lo   # top exponent of self that fixes a quotient term
+        lead = b[b_lo]
+        rest = [(e, c) for e, c in b.items() if e != b_lo]
+        quot = res.terms
+        for e in range(a_lo, a_hi + 1):
+            s = a.get(e, 0)
+            for eb, cb in rest:
+                s -= cb * quot.get(e - eb, 0)
+            if s:
+                qc, rem = divmod(s, lead)
+                if rem or e > last:
+                    return None
+                quot[e - b_lo] = qc
         return res
 
     def __repr__(self):
@@ -264,6 +260,11 @@ def lefschetz_decompose(p: QLaurent) -> LefschetzDecomposition:
     return LefschetzDecomposition(center, mults, None)
 
 
+def _lcm_den(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
+    """The common denominator of two fractions: per-k maximum multiplicities."""
+    return {k: max(d1.get(k, 0), d2.get(k, 0)) for k in d1.keys() | d2.keys()}
+
+
 class PochhammerFraction:
     """An exact quotient  numerator / prod_k (1 - T^k)^{m_k}  with T = v^2.
 
@@ -277,9 +278,17 @@ class PochhammerFraction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: QLaurent, den: dict[int, int] | None = None):
-        self.num = num
-        self.den = {k: m for k, m in (den or {}).items() if m > 0}
-        self._simplify()
+        """num / den, with every (1 - T^k) factor that divides num cancelled."""
+        self.num, self.den = num, {}
+        if num.is_zero():
+            return
+        for k, m in sorted((den or {}).items()):
+            while m > 0:
+                q = self.num.divide_exact(QLaurent({0: 1, 2 * k: -1}))
+                if q is None:
+                    self.den[k] = m
+                    break
+                self.num, m = q, m - 1
 
     @staticmethod
     def zero() -> "PochhammerFraction":
@@ -289,24 +298,13 @@ class PochhammerFraction:
     def one() -> "PochhammerFraction":
         return PochhammerFraction(QLaurent.one())
 
-    @staticmethod
-    def from_laurent(p: QLaurent) -> "PochhammerFraction":
-        return PochhammerFraction(p)
-
-    def _simplify(self):
-        if self.num.is_zero():
-            self.den = {}
-            return
-        for k in sorted(self.den):
-            factor = QLaurent({0: 1, 2 * k: -1})
-            while self.den.get(k, 0) > 0:
-                q = self.num.divide_exact(factor)
-                if q is None:
-                    break
-                self.num = q
-                self.den[k] -= 1
-            if self.den.get(k) == 0:
-                del self.den[k]
+    def _over(self, den: dict[int, int]) -> QLaurent:
+        """The numerator over `den`, a denominator that contains self.den."""
+        p = self.num
+        for k, m in den.items():
+            for _ in range(m - self.den.get(k, 0)):
+                p = p - p.shift(2 * k)
+        return p
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -322,28 +320,12 @@ class PochhammerFraction:
     def __eq__(self, other):
         if not isinstance(other, PochhammerFraction):
             return NotImplemented
-        # cross-multiply: self.num * den(other) == other.num * den(self)
-        a = self.num
-        for k, m in other.den.items():
-            for _ in range(m):
-                a = a * QLaurent({0: 1, 2 * k: -1})
-        b = other.num
-        for k, m in self.den.items():
-            for _ in range(m):
-                b = b * QLaurent({0: 1, 2 * k: -1})
-        return a == b
+        den = _lcm_den(self.den, other.den)
+        return self._over(den) == other._over(den)
 
     def __add__(self, other: "PochhammerFraction") -> "PochhammerFraction":
-        den = {k: max(self.den.get(k, 0), other.den.get(k, 0))
-               for k in set(self.den) | set(other.den)}
-        a, b = self.num, other.num
-        for k, m in den.items():
-            factor = QLaurent({0: 1, 2 * k: -1})
-            for _ in range(m - self.den.get(k, 0)):
-                a = a * factor
-            for _ in range(m - other.den.get(k, 0)):
-                b = b * factor
-        return PochhammerFraction(a + b, den)
+        den = _lcm_den(self.den, other.den)
+        return PochhammerFraction(self._over(den) + other._over(den), den)
 
     def __neg__(self) -> "PochhammerFraction":
         res = PochhammerFraction.__new__(PochhammerFraction)

@@ -74,6 +74,61 @@ def cdiv_exact(num, den):
     return quot
 
 
+# --- Laurent polynomials in v as {exponent: int}, and (1 - T^k) fractions ---
+
+def lmul(p1, p2):
+    return {e[0]: c for e, c in cmul({(e,): c for e, c in p1.items()},
+                                     {(e,): c for e, c in p2.items()}).items()}
+
+
+def laurent_divide_exact(num, den):
+    """num/den in Z[v^{+-1}], or None: top-down long division, one term at a time."""
+    if not num:
+        return {}
+    n0, d0 = min(num), min(den)
+    rem = {k - n0: c for k, c in num.items()}
+    den = {k - d0: c for k, c in den.items()}
+    dmax = max(den)
+    dlead = den[dmax]
+    quot = {}
+    while rem:
+        nmax = max(rem)
+        if nmax < dmax:
+            return None
+        lead, r = divmod(rem[nmax], dlead)
+        if r:
+            return None
+        qe = nmax - dmax
+        quot[qe + n0 - d0] = lead
+        for e, c in den.items():
+            k = e + qe
+            s = rem.get(k, 0) - lead * c
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return quot
+
+
+def pochhammer_denominator(den):
+    """prod_k (1 - T^k)^{m_k} with T = v^2, expanded."""
+    out = {0: 1}
+    for k, m in den.items():
+        for _ in range(m):
+            out = lmul(out, {0: 1, 2 * k: -1})
+    return out
+
+
+def fractions_equal(num1, den1, num2, den2):
+    """num1/den1 == num2/den2 by cross-multiplying the full denominators."""
+    return (lmul(num1, pochhammer_denominator(den2))
+            == lmul(num2, pochhammer_denominator(den1)))
+
+
+def fraction_is_laurent(num, den):
+    return laurent_divide_exact(num, pochhammer_denominator(den)) is not None
+
+
 def _mutate_matrix(bt, m, n, k):
     k -= 1
     out = [[0] * n for _ in range(m)]

@@ -1,9 +1,11 @@
 import concurrent.futures
+import dataclasses
 import json
 import os
 
 import pytest
 
+from qcluster import cli
 from qcluster.cli import main
 
 
@@ -101,6 +103,32 @@ def test_json_report(tmp_path, capsys):
     assert doc["g"] == [-1, 1]
 
 
+def test_json_error_object(tmp_path, capsys):
+    doc = dict(A2_DOC, options={"route": "dt", "cone_bound": 0})
+    spec = write_spec(tmp_path, doc)
+    assert main(["expand", spec, "--json"]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["command"] == "expand" and report["ok"] is False
+    assert report["error"]["type"] == "TailNotVanishing"
+    assert report["error"]["suggested_bound"] == [3, 3]
+    assert report["error"]["message"] in captured.err
+    assert "suggested cone bound: [3, 3]" in captured.err
+
+
+def test_golden_under_json_compares_the_json(tmp_path, capsys):
+    spec = write_spec(tmp_path, A2_DOC)
+    golden = tmp_path / "golden"
+    assert main(["expand", spec, "--json", "--golden", str(golden)]) == 0
+    printed = capsys.readouterr().out
+    assert (golden / "expand.json").read_text() == printed
+    assert not (golden / "expand.txt").exists()
+    assert main(["expand", spec, "--json", "--golden", str(golden)]) == 0
+    # the text report of the same run is a different stdout
+    assert main(["expand", spec, "--golden", str(golden)]) == 0
+    assert (golden / "expand.txt").read_text() != printed
+
+
 def test_output_byte_stable_and_golden(tmp_path, capsys):
     spec = write_spec(tmp_path, A2_DOC)
     golden = tmp_path / "golden"
@@ -113,6 +141,15 @@ def test_output_byte_stable_and_golden(tmp_path, capsys):
     doc = dict(A2_DOC, lam=[0, 1])
     other = write_spec(tmp_path, doc, "other.json")
     assert main(["expand", other, "--golden", str(golden)]) == 1
+
+
+def test_h1_bound_broken_by_the_result_exits_2(tmp_path, capsys, monkeypatch):
+    real = cli.h1_aggregate
+    monkeypatch.setattr(cli, "h1_aggregate", lambda qp, ks, lam: dataclasses.replace(
+        real(qp, ks, lam), dims=(0,) * qp.quiver.m))
+    spec = write_spec(tmp_path, A2_DOC)
+    assert main(["expand", spec, "--route", "dt"]) == 2
+    assert "suggested cone bound" in capsys.readouterr().err
 
 
 def test_count_with_jobs(tmp_path, capsys):
@@ -149,14 +186,23 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("command, options, extra", [
-    ("mutate", [], []),                         # options is not an object
-    ("expand", {"route": "foo"}, []),           # route outside mutation|dt|both
-    ("count", {"primes": [1, 2, 3]}, []),       # prime power below 2 in the document
-    ("count", {}, ["--primes", "0,2,3"]),       # prime power below 2 on the command line
+@pytest.mark.parametrize("command, patch, extra", [
+    ("mutate", {"options": []}, []),                    # options is not an object
+    ("expand", {"options": {"route": "foo"}}, []),      # route outside mutation|dt|both
+    ("count", {"options": {"primes": [1, 2, 3]}}, []),  # prime power below 2 in the document
+    ("count", {"options": {}}, ["--primes", "0,2,3"]),  # prime power below 2 as a flag
+    ("mutate", [A2_DOC], []),                           # the document is not an object
+    ("mutate", {"lambda": 5}, []),                      # lambda is not a matrix
+    ("expand", {"lam": None}, []),                      # lam is not a list
+    ("mutate", {"ks": None}, []),                       # ks is not a list
+    ("count", {"quiver": {"vertices": 2}}, []),         # quiver without arrows
+    ("count", {"options": {"budget": None}}, []),       # budget is not an integer
+    ("count", {}, ["--degree-cap", "0"]),               # degree cap 0 on the command line
 ])
-def test_malformed_input_exits_2(tmp_path, capsys, command, options, extra):
-    spec = write_spec(tmp_path, dict(A2_DOC, options=options))
+def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
+    """A2_DOC with the keys of `patch` replaced (a list replaces the whole document)."""
+    doc = dict(A2_DOC, **patch) if isinstance(patch, dict) else patch
+    spec = write_spec(tmp_path, doc)
     assert main([command, spec] + extra) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())

@@ -1,7 +1,31 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qcluster.qlaurent import (PochhammerFraction, QLaurent,
                                lefschetz_decompose, lefschetz_string)
+
+from .oracles import (fraction_is_laurent, fractions_equal, laurent_divide_exact,
+                      pochhammer_denominator)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+laurents = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=4).map(QLaurent)
+nonzero_laurents = laurents.filter(lambda p: not p.is_zero())
+dens = st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=3)
+
+
+@st.composite
+def fraction_parts(draw):
+    """(num, den) where num carries a random part of den's factors, so some cancel."""
+    num, den = draw(laurents), draw(dens)
+    for k, m in den.items():
+        for _ in range(draw(st.integers(0, m))):
+            num = num * QLaurent({0: 1, 2 * k: -1})
+    return num, den
+
+
+fractions = fraction_parts().map(lambda parts: PochhammerFraction(*parts))
 
 
 def rand_qlaurent(rng, nterms=4, span=6, coeff=9):
@@ -107,3 +131,43 @@ def test_render():
     assert QLaurent({-1: 1, 0: 2, 2: -3}).render() == "q^(-1/2) + 2 - 3*q"
     assert QLaurent().render() == "0"
     assert QLaurent({1: 3}).render_plain("T") == "3*T"
+
+
+@PROPERTY
+@given(laurents, nonzero_laurents, laurents)
+def test_divide_exact_matches_long_division(q, b, r):
+    assert (q * b).divide_exact(b) == q
+    for a in (q * b + r, r):
+        got = a.divide_exact(b)
+        want = laurent_divide_exact(a.terms, b.terms)
+        assert (None if got is None else got.terms) == want
+
+
+@PROPERTY
+@given(fraction_parts(), fraction_parts(), dens, st.booleans())
+def test_pochhammer_fraction_eq_matches_cross_multiplication(x, y, extra, perturb):
+    # y is either unrelated to x, or x with its numerator and denominator
+    # both multiplied by `extra` factors (and then maybe perturbed)
+    num, den = x
+    scaled = num * QLaurent(pochhammer_denominator(extra))
+    if perturb:
+        scaled = scaled + QLaurent.one()
+    scaled_den = {k: den.get(k, 0) + extra.get(k, 0) for k in den.keys() | extra.keys()}
+    for other in (y, (scaled, scaled_den)):
+        want = fractions_equal(num.terms, den, other[0].terms, other[1])
+        assert (PochhammerFraction(*x) == PochhammerFraction(*other)) == want
+
+
+@PROPERTY
+@given(fraction_parts())
+def test_pochhammer_fraction_is_laurent_matches_oracle(parts):
+    num, den = parts
+    assert PochhammerFraction(num, den).is_laurent() == fraction_is_laurent(num.terms, den)
+
+
+@PROPERTY
+@given(fractions, fractions, fractions)
+def test_pochhammer_fraction_field_laws(x, y, z):
+    assert (x + y) - y == x
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
