@@ -16,8 +16,8 @@ from .grassmannian import (CountTable, FqRep, coefficient_crosscheck, gr_count,
                            serre_interpolate, to_fq)
 from .qlaurent import QLaurent, lefschetz_decompose
 from .quiver import (Potential, QPData, Quiver, cyclic_derivative, euler_form,
-                     from_btilde, jacobi_dims, mutate_qp, premutate_with_maps,
-                     quiver_mutate, reduce_with_trail)
+                     from_btilde, jacobi_dims, mutate_qp, mutate_qp_sequence,
+                     premutate_with_maps, quiver_mutate, reduce_with_trail)
 from .seed import (ClusterMonomialResult, QuantumSeed, cluster_monomial,
                    f_polynomial, frame_monomial, g_vector, initial_seed,
                    mutate, mutate_sequence)
@@ -30,7 +30,7 @@ __all__ = [
     "mutate", "mutate_sequence", "cluster_monomial", "g_vector", "f_polynomial",
     "Quiver", "Potential", "QPData", "from_btilde", "quiver_mutate",
     "cyclic_derivative", "premutate_with_maps", "reduce_with_trail", "mutate_qp",
-    "euler_form", "jacobi_dims",
+    "mutate_qp_sequence", "euler_form", "jacobi_dims",
     "DecRep", "negative_simple", "mutate_rep", "h1_gamma", "h1_aggregate",
     "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_product_pair",
     "conjugate", "lemma52_step", "framed_extract", "factorization_check",

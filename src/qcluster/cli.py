@@ -20,7 +20,8 @@ from .dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_product_pair,
 from .errors import QClusterError
 from .grassmannian import coefficient_crosscheck
 from .qlaurent import lefschetz_decompose
-from .quiver import Arrow, Potential, QPData, Quiver, from_btilde, mutate_qp
+from .quiver import (Arrow, Potential, QPData, Quiver, from_btilde,
+                     mutate_qp_sequence)
 from .seed import (cluster_monomial, f_polynomial, g_vector, initial_seed,
                    mutate_sequence)
 from .torus import SkewForm, is_positive
@@ -47,8 +48,15 @@ def _field(doc, name: str, convert, default=_REQUIRED):
         raise QClusterError(f"malformed {name}: {exc}") from None
 
 
+def _int(value) -> int:
+    """A JSON integer: bools, floats and strings are rejected, not converted."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _ints(value):
-    return [int(x) for x in value]
+    return [_int(x) for x in value]
 
 
 def _matrix(value):
@@ -56,11 +64,11 @@ def _matrix(value):
 
 
 def _arrows(value):
-    return [Arrow(str(a[0]), int(a[1]), int(a[2])) for a in value]
+    return [Arrow(str(a[0]), _int(a[1]), _int(a[2])) for a in value]
 
 
 def _potential(value):
-    return [(Fraction(int(num), int(den)), tuple(str(x) for x in word))
+    return [(Fraction(_int(num), _int(den)), tuple(str(x) for x in word))
             for num, den, word in value]
 
 
@@ -68,7 +76,7 @@ class SessionSpec:
     """Parsed and validated session document."""
 
     def __init__(self, doc: dict):
-        self.n = _field(doc, "n", int)
+        self.n = _field(doc, "n", _int)
         self.lam_matrix = _field(doc, "lambda", _matrix)
         self.btilde = _field(doc, "btilde", _matrix)
         self.m = len(self.lam_matrix)
@@ -81,17 +89,17 @@ class SessionSpec:
         if len(self.lam) != self.m:
             raise QClusterError("lam must have length m")
         opts = doc.get("options", {})
-        self.degree_cap = _field(opts, "options.degree_cap", int, 12)
+        self.degree_cap = _field(opts, "options.degree_cap", _int, 12)
         self.cone_bound = _field(opts, "options.cone_bound",
-                                 lambda v: None if v is None else int(v), None)
+                                 lambda v: None if v is None else _int(v), None)
         self.primes = _field(opts, "options.primes", _ints, [2, 3, 4, 5, 7, 8, 9])
         self.route = _field(opts, "options.route", str, "mutation")
         if self.route not in ROUTES:
             raise QClusterError(f"options.route must be one of {', '.join(ROUTES)}")
-        self.budget = _field(opts, "options.budget", int, 500000)
+        self.budget = _field(opts, "options.budget", _int, 500000)
         quiver = doc.get("quiver")
         self.quiver = None if quiver is None else (
-            _field(quiver, "quiver.vertices", int), _field(quiver, "quiver.arrows", _arrows))
+            _field(quiver, "quiver.vertices", _int), _field(quiver, "quiver.arrows", _arrows))
         self.potential = _field(doc, "potential", _potential, [])
 
     def form(self) -> SkewForm:
@@ -202,9 +210,7 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict, jobs: int = 1) ->
     result = cluster_monomial(spec.seed(), spec.ks, spec.lam)
     qp = spec.qp()
     h1 = h1_aggregate(qp, spec.ks, spec.lam)
-    qp_r = qp
-    for k in spec.ks:
-        qp_r, _ = mutate_qp(qp_r, k)
+    qp_r = mutate_qp_sequence(qp, spec.ks)
     gamma_map = initial_class_map(spec.btilde, spec.ks)
     check = coefficient_crosscheck(result.f_coefficients, h1, qp_r,
                                    primes=tuple(spec.primes), budget=spec.budget,
@@ -234,6 +240,8 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict, jobs: int = 1) ->
 
 def cmd_identity_check(out: list[str], report: dict, depth: int = 12) -> bool:
     """Pentagon / factorization suite on the rank-2 exchange data."""
+    if depth < 1:
+        raise QClusterError(f"--cone-bound must be at least 1, got {depth}")
     ok = True
     checks = []
 
@@ -292,8 +300,38 @@ def _golden_compare(path: Path, text: str, err) -> bool:
     return True
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Prints argparse's usage error, then raises UsageError instead of exiting,
+    so main can also report it under --json."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _print_json_error(command, exc: Exception) -> None:
+    suggested = getattr(exc, "suggested_bound", None)
+    error = {"type": type(exc).__name__, "message": str(exc),
+             "suggested_bound": None if suggested is None else list(suggested)}
+    sys.stdout.write(json.dumps({"command": command, "ok": False, "error": error},
+                                indent=2, sort_keys=True) + "\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _ArgumentParser(
         prog="qcluster",
         description="exact quantum cluster computations, two ways, with checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,7 +343,7 @@ def main(argv=None) -> int:
         p.add_argument("--cone-bound", type=int)
         p.add_argument("--primes", help="comma-separated prime powers")
         if name == "count":
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_positive_int, default=1,
                            help="worker processes for the per-(stratum, q) counts")
         p.add_argument("--golden", help="golden-file directory")
         p.add_argument("--json", action="store_true", dest="as_json")
@@ -313,7 +351,12 @@ def main(argv=None) -> int:
     p.add_argument("--cone-bound", type=int, default=12)
     p.add_argument("--golden", help="golden-file directory")
     p.add_argument("--json", action="store_true", dest="as_json")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        if "--json" in argv:
+            _print_json_error(argv[0] if argv[0] in sub.choices else None, exc)
+        raise SystemExit(2) from None
 
     out: list[str] = []
     report: dict = {"command": args.command}
@@ -342,10 +385,7 @@ def main(argv=None) -> int:
         if suggested is not None:
             print(f"suggested cone bound: {list(suggested)}", file=sys.stderr)
         if args.as_json:
-            error = {"type": type(exc).__name__, "message": str(exc),
-                     "suggested_bound": None if suggested is None else list(suggested)}
-            sys.stdout.write(json.dumps({"command": args.command, "ok": False, "error": error},
-                                        indent=2, sort_keys=True) + "\n")
+            _print_json_error(args.command, exc)
         return 2
 
     report["ok"] = ok

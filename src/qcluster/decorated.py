@@ -14,8 +14,8 @@ from fractions import Fraction
 from .errors import LoopAtVertex, RelationViolation
 from .linalg import (Mat, column_space_basis, extend_basis, hstack, invert,
                      kernel_basis, solve_matrix, vstack)
-from .quiver import (Potential, QPData, cyclic_derivative, premutate_with_maps,
-                     reduce_with_trail)
+from .quiver import (Potential, QPData, cyclic_derivative, mutate_qp_sequence,
+                     premutate_with_maps, reduce_with_trail)
 
 
 @dataclass
@@ -292,27 +292,32 @@ def h1_gamma(qp0: QPData, ks, j: int, reverse_pivots: bool = False) -> DecRep:
     the final QP, then mutate the representation back along reversed ks.
     The result's M-part is a module over (a QP right-equivalent to) qp0.
     """
-    from .quiver import mutate_qp
-    qp = qp0
-    for k in ks:
-        qp, _ = mutate_qp(qp, k)
-    rep = negative_simple(qp, j)
+    return _h1_from(mutate_qp_sequence(qp0, ks), ks, j, reverse_pivots)
+
+
+def _h1_from(qp_r: QPData, ks, j: int, reverse_pivots: bool) -> DecRep:
+    """h1_gamma given qp_r, the QP that ks mutates qp0 to."""
+    rep = negative_simple(qp_r, j)
     for k in reversed(list(ks)):
         rep = mutate_rep(rep, k, reverse_pivots=reverse_pivots)
     return rep
 
 
 def h1_aggregate(qp0: QPData, ks, lam, reverse_pivots: bool = False) -> DecRep:
-    """Direct sum of lam_j copies of h1_gamma over all vertices j."""
-    reps = []
-    for j, mult in enumerate(lam, start=1):
-        if mult:
-            rep = h1_gamma(qp0, ks, j, reverse_pivots=reverse_pivots)
-            reps.extend([rep] * mult)
-    if not reps:
+    """Direct sum of lam_j copies of h1_gamma over all vertices j.
+
+    The QP is mutated forward along ks once, and only if some lam_j is
+    nonzero; every h1_gamma summand starts from that one final QP.
+    """
+    terms = [(j, mult) for j, mult in enumerate(lam, start=1) if mult]
+    if not terms:
         m = qp0.quiver.m
         return DecRep(qp0, (0,) * m, {a: Mat.zero(0, 0) for a in qp0.quiver.arrows},
                       (0,) * m)
+    qp_r = mutate_qp_sequence(qp0, ks)
+    reps = []
+    for j, mult in terms:
+        reps.extend([_h1_from(qp_r, ks, j, reverse_pivots)] * mult)
     return direct_sum(reps)
 
 

@@ -1,8 +1,9 @@
 """Quiver Grassmannian point counts over small finite fields.
 
 Subspaces are enumerated through reduced row echelon representatives, arrow
-invariance is checked by row reduction, and Serre polynomials are recovered
-by exact Lagrange interpolation with a held-out consistency point.
+invariance is read from per-arrow tables of which subspaces contain which
+images, and Serre polynomials are recovered by exact Lagrange interpolation
+with a held-out consistency point.
 """
 
 from __future__ import annotations
@@ -125,16 +126,6 @@ def _poly_mul_mod(da, db, modulus, p):
     return prod[:k]
 
 
-def _reduce_against(field: GF, basis_rows, pivots, vec):
-    """Residue of vec modulo the RREF row space."""
-    v = list(vec)
-    for row, p in zip(basis_rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-    return v
-
-
 def gaussian_binomial(d: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^d."""
     if k < 0 or k > d:
@@ -170,12 +161,21 @@ def subspaces(field: GF, d: int, k: int):
 
 @dataclass
 class FqRep:
-    """A DecRep's matrices reduced into GF(q)."""
+    """A DecRep's matrices reduced into GF(q), plus the tables gr_count builds.
+
+    The tables are filled on first use and shared by every stratum counted
+    on this FqRep: subspace lists and point incidences keyed by (vertex,
+    sub-dimension), arrow tables keyed by (arrow id, sub-dimension at the
+    source, sub-dimension at the target).
+    """
 
     field: GF
     dims: tuple[int, ...]
     mats: dict[str, tuple]         # arrow id -> row tuples, shape dims[src] x dims[tgt]
     arrows: tuple                  # (id, source, target) triples
+    subspace_lists: dict = field(default_factory=dict, repr=False, compare=False)
+    incidences: dict = field(default_factory=dict, repr=False, compare=False)
+    arrow_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def to_fq(rep: DecRep, q: int) -> FqRep:
@@ -193,7 +193,12 @@ def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
     """Points of Gr(rep, gamma): subspace tuples with quotient dims gamma.
 
     A tuple (U_v) is a submodule when the arrow a: i -> j (acting
-    M_j -> M_i) satisfies  a(U_j) <= U_i.
+    M_j -> M_i) satisfies  a(U_j) <= U_i.  Sets of subspaces at a vertex
+    are int bitsets over its subspace list.  An arrow table maps each U_j
+    to the set of U_i containing a(U_j); the count chooses one vertex at a
+    time, from the intersection of the tables of its arrows to vertices
+    already chosen, and the last vertex adds the size of that set.  The
+    budget bounds the full tuple product, checked before any table is built.
     """
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return 0
@@ -203,28 +208,107 @@ def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
         total *= gaussian_binomial(d, k, rep.field.q)
         if total > budget:
             raise BudgetExceeded(f"enumeration size {total} exceeds budget {budget}")
-    field = rep.field
-    per_vertex = [list(subspaces(field, d, k)) for d, k in zip(rep.dims, sub_dims)]
-    # subspaces() rows are already in RREF: each row's pivot is its first nonzero
-    pivots = [[[row.index(1) for row in rows] for rows in vert] for vert in per_vertex]
-    count = 0
-    for choice in itertools.product(*[range(len(v)) for v in per_vertex]):
-        ok = True
-        for aid, src, tgt in rep.arrows:
-            mat = rep.mats[aid]
-            rows_tgt = per_vertex[tgt - 1][choice[tgt - 1]]
-            basis_src = per_vertex[src - 1][choice[src - 1]]
-            piv_src = pivots[src - 1][choice[src - 1]]
-            for u in rows_tgt:
-                img = tuple(_dot_row(field, mat_row, u) for mat_row in mat)
-                if any(_reduce_against(field, basis_src, piv_src, img)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    sizes = [len(_subspace_list(rep, v, k)) for v, k in enumerate(sub_dims, start=1)]
+    # the largest list goes last, where its candidates are counted, not visited
+    order = sorted(range(1, len(sizes) + 1), key=lambda v: sizes[v - 1])
+    position = {v: t for t, v in enumerate(order)}
+    masks = [(1 << sizes[v - 1]) - 1 for v in order]
+    constraints = [[] for _ in order]   # (table, earlier position) per position
+    for aid, src, tgt in rep.arrows:
+        table = _arrow_table(rep, aid, src, tgt, sub_dims[src - 1], sub_dims[tgt - 1])
+        s, t = position[src], position[tgt]
+        if s == t:
+            # a loop: U_v must lie in its own table entry
+            masks[s] &= sum(1 << i for i, allowed in enumerate(table) if allowed >> i & 1)
+        elif s > t:
+            constraints[s].append((table, t))
+        else:
+            constraints[t].append((_transpose(table, sizes[src - 1]), s))
+    last = len(order) - 1
+    choice = [0] * len(order)
+
+    def count_from(t):
+        cand = masks[t]
+        for table, earlier in constraints[t]:
+            cand &= table[choice[earlier]]
+        if t == last:
+            return cand.bit_count()
+        found = 0
+        while cand:
+            low = cand & -cand
+            choice[t] = low.bit_length() - 1
+            found += count_from(t + 1)
+            cand ^= low
+        return found
+
+    return count_from(0)
+
+
+def _subspace_list(rep: FqRep, v: int, k: int) -> list:
+    key = (v, k)
+    if key not in rep.subspace_lists:
+        rep.subspace_lists[key] = list(subspaces(rep.field, rep.dims[v - 1], k))
+    return rep.subspace_lists[key]
+
+
+def _incidence(rep: FqRep, v: int, k: int) -> dict:
+    """Projective point (first nonzero entry 1) -> bitset of the k-subspaces
+    at v that contain it."""
+    key = (v, k)
+    if key not in rep.incidences:
+        add, mul, q = rep.field._add, rep.field._mul, rep.field.q
+        inc = {}
+        for i, rows in enumerate(_subspace_list(rep, v, k)):
+            bit = 1 << i
+            # the points led by an RREF row are that row plus the span of
+            # the rows below it
+            span = [(0,) * rep.dims[v - 1]]
+            for lead in range(k - 1, -1, -1):
+                row = rows[lead]
+                for vec in span:
+                    point = tuple(add[x][y] for x, y in zip(row, vec))
+                    inc[point] = inc.get(point, 0) | bit
+                if lead:
+                    span = [tuple(add[x][mul[c][y]] for x, y in zip(vec, row))
+                            for c in range(q) for vec in span]
+        rep.incidences[key] = inc
+    return rep.incidences[key]
+
+
+def _arrow_table(rep: FqRep, aid, src: int, tgt: int, k_src: int, k_tgt: int) -> list:
+    """For each k_tgt-subspace U at tgt, the bitset of k_src-subspaces at src
+    that contain the image of U under the arrow."""
+    key = (aid, k_src, k_tgt)
+    if key not in rep.arrow_tables:
+        field = rep.field
+        mat = rep.mats[aid]
+        inc = _incidence(rep, src, k_src)
+        full = (1 << len(_subspace_list(rep, src, k_src))) - 1
+        table = []
+        for rows in _subspace_list(rep, tgt, k_tgt):
+            allowed = full
+            for u in rows:
+                img = [_dot_row(field, mat_row, u) for mat_row in mat]
+                lead = next((x for x in img if x), 0)
+                if lead:
+                    scale = field.inv(lead)
+                    allowed &= inc.get(tuple(field.mul(scale, x) for x in img), 0)
+            table.append(allowed)
+        rep.arrow_tables[key] = table
+    return rep.arrow_tables[key]
+
+
+def _transpose(table: list, width: int) -> list:
+    """The relation of `table` read the other way: for each bit i, the bitset
+    of the indices j whose table[j] has bit i."""
+    out = [0] * width
+    for j, allowed in enumerate(table):
+        bit = 1 << j
+        while allowed:
+            low = allowed & -allowed
+            out[low.bit_length() - 1] |= bit
+            allowed ^= low
+    return out
 
 
 def _dot_row(field: GF, row, vec):

@@ -411,6 +411,13 @@ def mutate_qp(qp: QPData, k: int):
     return red, well
 
 
+def mutate_qp_sequence(qp: QPData, ks) -> QPData:
+    """The QP reached by mutating at ks[0], ks[1], ... in turn."""
+    for k in ks:
+        qp, _ = mutate_qp(qp, k)
+    return qp
+
+
 def euler_form(q: Quiver, g1, g2) -> int:
     """chi(g1, g2) = sum_i g1_i g2_i - sum_{arrows s->t} g1_t g2_s.
 

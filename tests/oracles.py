@@ -2,7 +2,9 @@
 
 Nothing here imports from qcluster's algebra internals: commutative cluster
 mutation is redone from scratch on exponent dictionaries, power series are
-expanded by long division, and submodules are enumerated by closure.
+expanded by long division, and submodules are enumerated by closure.  The
+per-tuple Grassmannian count takes only the RREF subspace enumeration from
+the package, which test_grassmannian checks on its own.
 """
 
 from fractions import Fraction
@@ -302,3 +304,46 @@ def count_submodules_by_closure(field, dims, arrows, mats):
 def _all_vectors(field, total):
     import itertools
     return [v for v in itertools.product(range(field.q), repeat=total) if any(v)]
+
+
+# --- quiver Grassmannian points, one subspace tuple at a time ---
+
+def gr_count_per_tuple(rep, gamma):
+    """Points of Gr(rep, gamma) by checking every tuple of subspaces.
+
+    `rep` is an FqRep; the arrow a: i -> j (matrix M_j -> M_i) must map the
+    chosen U_j into U_i, which is tested by reducing each image of a U_j
+    row against the RREF rows of U_i.
+    """
+    import itertools
+
+    from qcluster.grassmannian import subspaces
+
+    if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
+        return 0
+    field = rep.field
+    per_vertex = [list(subspaces(field, d, d - g)) for d, g in zip(rep.dims, gamma)]
+
+    def image(mat, u):
+        out = []
+        for mat_row in mat:
+            s = 0
+            for x, y in zip(mat_row, u):
+                s = field.add(s, field.mul(x, y))
+            out.append(s)
+        return out
+
+    def residue(rows, vec):
+        for row in rows:
+            lead = row.index(1)
+            if vec[lead]:
+                f = vec[lead]
+                vec = [field.sub(x, field.mul(f, y)) for x, y in zip(vec, row)]
+        return vec
+
+    count = 0
+    for choice in itertools.product(*per_vertex):
+        if all(not any(residue(choice[src - 1], image(rep.mats[aid], u)))
+               for aid, src, tgt in rep.arrows for u in choice[tgt - 1]):
+            count += 1
+    return count

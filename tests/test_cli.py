@@ -198,12 +198,24 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("count", {"quiver": {"vertices": 2}}, []),         # quiver without arrows
     ("count", {"options": {"budget": None}}, []),       # budget is not an integer
     ("count", {}, ["--degree-cap", "0"]),               # degree cap 0 on the command line
+    ("mutate", {"ks": [1.9]}, []),                      # a float is not truncated to 1
+    ("expand", {"lam": [True, 0.5]}, []),               # bools and floats are not integers
+    ("mutate", {"n": "2"}, []),                         # a string is not an integer
+    ("mutate", {"btilde": [[0, 1.0], [-1, 0]]}, []),    # matrix entries are integers
+    ("count", {"options": {"budget": 1e6}}, []),        # integer options are integers
+    ("count", {"potential": [[1, True, ["a"]]]}, []),   # so are the potential's fractions
+    ("identity-check", None, ["--cone-bound", "0"]),    # cone depth below 1
+    ("identity-check", None, ["--cone-bound", "-3"]),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
-    """A2_DOC with the keys of `patch` replaced (a list replaces the whole document)."""
-    doc = dict(A2_DOC, **patch) if isinstance(patch, dict) else patch
-    spec = write_spec(tmp_path, doc)
-    assert main([command, spec] + extra) == 2
+    """A2_DOC with the keys of `patch` replaced (a list replaces the whole
+    document; None passes no document)."""
+    if patch is None:
+        argv = [command]
+    else:
+        doc = dict(A2_DOC, **patch) if isinstance(patch, dict) else patch
+        argv = [command, write_spec(tmp_path, doc)]
+    assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
 
@@ -250,3 +262,24 @@ def test_jobs_is_count_only(tmp_path, capsys):
             main([command, spec, "--jobs", "2"])
         assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("expand", ["--route", "bad"]),     # a value outside the flag's choices
+    ("count", ["--jobs", "0"]),         # fewer than one worker
+])
+def test_usage_error_under_json_prints_error_object(tmp_path, capsys, command, flags):
+    spec = write_spec(tmp_path, A2_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec, "--json"] + flags)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["command"] == command and report["ok"] is False
+    assert report["error"]["type"] == "UsageError"
+    assert report["error"]["message"] in captured.err

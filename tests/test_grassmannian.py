@@ -1,17 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcluster.decorated import DecRep, h1_aggregate
 from qcluster.errors import BudgetExceeded, NotPolynomialCount, QClusterError
-from qcluster.grassmannian import (GF, CountTable, coefficient_crosscheck,
+from qcluster.grassmannian import (GF, CountTable, FqRep, coefficient_crosscheck,
                                    gaussian_binomial, gr_count, purity_pattern,
                                    serre_interpolate, subspaces, to_fq)
 from qcluster.linalg import Mat
 from qcluster.qlaurent import QLaurent
 from qcluster.quiver import Arrow, Potential, QPData, Quiver
 
-from .oracles import count_submodules_by_closure
+from .oracles import count_submodules_by_closure, gr_count_per_tuple
 
 
 def test_gf_axioms():
@@ -132,6 +134,35 @@ def test_total_submodule_count_matches_closure_oracle():
             mats = [fq.mats[a.id] for a in rep.qp.quiver.arrows.values()]
             oracle = count_submodules_by_closure(fq.field, rep.dims, arrows, mats)
             assert total == oracle
+
+
+@st.composite
+def fq_reps(draw):
+    """A random FqRep: 1-3 vertices, 0-4 arrows (loops, parallel arrows and
+    both orientations included), sparse matrices."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    dims = tuple(draw(st.lists(st.integers(0, 3 if q <= 3 else 2), min_size=1, max_size=3)))
+    vertex = st.integers(1, len(dims))
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    mats, arrows = {}, []
+    for idx, (src, tgt) in enumerate(ends):
+        aid = f"a{idx}"
+        mats[aid] = tuple(tuple(draw(entry) for _ in range(dims[tgt - 1]))
+                          for _ in range(dims[src - 1]))
+        arrows.append((aid, src, tgt))
+    return FqRep(GF(q), dims, mats, tuple(arrows))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_gr_count_matches_per_tuple_oracle(data):
+    # every stratum on one FqRep, in shuffled order, so later strata reuse
+    # the subspace lists and arrow tables that earlier ones built
+    rep = data.draw(fq_reps())
+    gammas = list(itertools.product(*[range(d + 1) for d in rep.dims]))
+    for gamma in data.draw(st.permutations(gammas)):
+        assert gr_count(rep, gamma) == gr_count_per_tuple(rep, gamma)
 
 
 def test_serre_interpolate_examples():
