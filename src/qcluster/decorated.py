@@ -33,15 +33,6 @@ class DecRep:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def dump(self) -> str:
-        """Canonical text: dims, vdims, matrices row-major by arrow id."""
-        lines = [f"dims {list(self.dims)}", f"vdims {list(self.vdims)}"]
-        for aid in sorted(self.mats):
-            m = self.mats[aid]
-            rows = "; ".join(" ".join(str(x) for x in r) for r in m.a)
-            lines.append(f"{aid} ({m.rows}x{m.cols}) [{rows}]")
-        return "\n".join(lines)
-
 
 def negative_simple(qp: QPData, j: int) -> DecRep:
     """The trivial decorated representation (0, e_j)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BoundTooSmall, CommutationMismatch, DimensionMismatch,
                      SignAmbiguous, TailNotVanishing)
-from .qlaurent import PochhammerFraction, QLaurent
+from .qlaurent import PochhammerFraction, QLaurent, den_product, fraction_sum
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
 
@@ -140,20 +140,31 @@ class ConeSeries:
             raise DimensionMismatch("cone series live in different completions")
 
     def __mul__(self, other: "ConeSeries") -> "ConeSeries":
+        """The truncated product; each output coefficient is cancelled once.
+
+        X^{e1} X^{e2} = v^{Lambda(e1, e2)} X^{e1+e2}, so the term of a pair
+        (g1, g2) is c1 c2 v^{Lambda(e1, e2)} at g1 + g2.  The right-hand
+        exponents and the left-hand covectors Lambda(e1, .) are computed once;
+        each output's terms are then summed by one fraction_sum.
+        """
         self._compat(other)
         base = tuple(a + b for a, b in zip(self.base, other.base))
-        out: dict[tuple, PochhammerFraction] = {}
+        bound = self.bound
+        right = [(g2, c2.num, c2.den, other.exponent_of(g2))
+                 for g2, c2 in other.coeffs.items()]
+        parts: dict[tuple, list] = {}
         for g1, c1 in self.coeffs.items():
-            e1 = self.exponent_of(g1)
-            for g2, c2 in other.coeffs.items():
+            cov = self.form.apply(self.exponent_of(g1))
+            num1, den1 = c1.num, c1.den
+            for g2, num2, den2, e2 in right:
                 g = tuple(a + b for a, b in zip(g1, g2))
-                if any(x > b for x, b in zip(g, self.bound)):
+                if any(x > b for x, b in zip(g, bound)):
                     continue
-                tw = self.form.pair(e1, other.exponent_of(g2))
-                term = (c1 * c2).shift(tw)
-                cur = out.get(g)
-                out[g] = term if cur is None else cur + term
-        return ConeSeries(self.form, self.btilde, self.bound, base, out)
+                tw = sum(a * b for a, b in zip(cov, e2))
+                parts.setdefault(g, []).append(
+                    ((num1 * num2).shift(tw), den_product(den1, den2)))
+        out = {g: fraction_sum(terms) for g, terms in parts.items()}
+        return ConeSeries(self.form, self.btilde, bound, base, out)
 
     def __add__(self, other: "ConeSeries") -> "ConeSeries":
         self._compat(other)

@@ -41,10 +41,6 @@ class DegreeCapExceeded(QClusterError):
     pass
 
 
-class NotWellMutable(QClusterError):
-    """2-cycles survive QP mutation (flagged, usually not raised)."""
-
-
 class RelationViolation(QClusterError):
     """A decorated representation failed the Jacobi relations."""
 

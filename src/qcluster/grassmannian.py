@@ -419,26 +419,34 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
     interpolated.  In hard mode (acyclic mutable part at the h1 end or the
     qp_r end) the exact identity
 
-        F_delta(v) = Serre_delta(v^{-2}) * v^{-chi_{Q_r}(gamma, gamma)}
+        F_delta(v) = Serre_delta(v^{-2}) * v^{-chi}
 
-    is asserted, with gamma = gamma_map(delta) when available (falling back
-    to degree alignment otherwise); in report mode only Euler
-    characteristics at T = 1 and the purity pattern are compared.
+    is asserted.  chi is read at an acyclic end, where the quiver Euler form
+    is homological: chi_Q(delta, delta) on h1's quiver when its mutable part
+    is acyclic, else chi_{Q_r}(gamma, gamma) with gamma = gamma_map(delta)
+    (falling back to degree alignment without a gamma_map).  In report mode
+    only Euler characteristics at T = 1 and the purity pattern are compared.
 
     The counts run in min(jobs, task count, CPU count) worker processes, or
     in this process when that is 1.
     """
+    if len(set(primes)) < len(primes) or len(primes) < 2:
+        raise QClusterError(
+            f"need at least two distinct prime powers, got {list(primes)}")
     n = len(next(iter(f_coefficients)))
     mutable = range(1, n + 1)
-    hard = (h1.qp.quiver.subquiver_is_acyclic(mutable)
-            or qp_r.quiver.subquiver_is_acyclic(mutable))
+    at_h1 = h1.qp.quiver.subquiver_is_acyclic(mutable)
+    hard = at_h1 or qp_r.quiver.subquiver_is_acyclic(mutable)
     from .quiver import euler_form
     rows = []
     tasks = []
+
+    def pad(cls):
+        return tuple(cls) + (0,) * (len(h1.dims) - n)
+
     for delta in sorted(f_coefficients):
-        full = tuple(delta) + (0,) * (len(h1.dims) - n)
         for q in primes:
-            tasks.append((delta, full, q))
+            tasks.append((delta, pad(delta), q))
     fq_reps = {q: to_fq(h1, q) for q in primes}
     results = {}
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -484,13 +492,13 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
         if serre is not None:
             euler_match = (f_coeff.eval_at_one() == serre.eval_at_one())
             dual = QLaurent({-2 * k: c for k, c in serre.terms.items()})
-            if qr_class is not None:
-                chi = euler_form(qp_r.quiver, qr_class + (0,) * (len(h1.dims) - n),
-                                 qr_class + (0,) * (len(h1.dims) - n))
-                match = (f_coeff == dual.shift(-chi))
-            else:
-                aligned = dual.shift(f_coeff.max_deg() - dual.max_deg())
-                match = (f_coeff == aligned)
+            if at_h1:
+                chi = euler_form(h1.qp.quiver, pad(delta), pad(delta))
+            elif qr_class is not None:
+                chi = euler_form(qp_r.quiver, pad(qr_class), pad(qr_class))
+            else:   # no class map: align the top degrees
+                chi = dual.max_deg() - f_coeff.max_deg()
+            match = (f_coeff == dual.shift(-chi))
         rows.append(CrosscheckRow(tuple(delta), qr_class, counts, serre, f_coeff,
                                   match, euler_match, purity_pattern(f_coeff), note))
     return CrosscheckReport("hard" if hard else "report", rows)

@@ -260,9 +260,56 @@ def lefschetz_decompose(p: QLaurent) -> LefschetzDecomposition:
     return LefschetzDecomposition(center, mults, None)
 
 
-def _lcm_den(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
-    """The common denominator of two fractions: per-k maximum multiplicities."""
-    return {k: max(d1.get(k, 0), d2.get(k, 0)) for k in d1.keys() | d2.keys()}
+def _lcm_den(dens) -> dict[int, int]:
+    """The common denominator of fractions: per-k maximum multiplicities."""
+    out: dict[int, int] = {}
+    for den in dens:
+        for k, m in den.items():
+            if m > out.get(k, 0):
+                out[k] = m
+    return out
+
+
+def den_product(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
+    """The denominator of a product of two fractions: multiplicities add."""
+    out = dict(d1)
+    for k, m in d2.items():
+        out[k] = out.get(k, 0) + m
+    return out
+
+
+def _over(num: QLaurent, have: dict[int, int], den: dict[int, int]) -> dict[int, int]:
+    """The terms of num/have rewritten over `den`, a denominator containing `have`.
+
+    Each missing (1 - T^k) is multiplied in as p - p.shift(2k).
+    """
+    p = num.terms
+    for k, m in den.items():
+        for _ in range(m - have.get(k, 0)):
+            q = dict(p)
+            for e, c in p.items():
+                s = q.get(e + 2 * k, 0) - c
+                if s:
+                    q[e + 2 * k] = s
+                else:
+                    del q[e + 2 * k]
+            p = q
+    return p
+
+
+def fraction_sum(parts) -> "PochhammerFraction":
+    """sum_i num_i / den_i over a sequence of (num_i, den_i) pairs, cancelled once.
+
+    Every numerator is brought over the per-k maximum of the den_i and added
+    into one dict; the single PochhammerFraction built from it runs the only
+    cancellation pass.
+    """
+    den = _lcm_den(d for _, d in parts)
+    total: dict[int, int] = {}
+    for num, have in parts:
+        for e, c in _over(num, have, den).items():
+            total[e] = total.get(e, 0) + c
+    return PochhammerFraction(QLaurent(total), den)
 
 
 class PochhammerFraction:
@@ -298,14 +345,6 @@ class PochhammerFraction:
     def one() -> "PochhammerFraction":
         return PochhammerFraction(QLaurent.one())
 
-    def _over(self, den: dict[int, int]) -> QLaurent:
-        """The numerator over `den`, a denominator that contains self.den."""
-        p = self.num
-        for k, m in den.items():
-            for _ in range(m - self.den.get(k, 0)):
-                p = p - p.shift(2 * k)
-        return p
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -320,12 +359,11 @@ class PochhammerFraction:
     def __eq__(self, other):
         if not isinstance(other, PochhammerFraction):
             return NotImplemented
-        den = _lcm_den(self.den, other.den)
-        return self._over(den) == other._over(den)
+        den = _lcm_den((self.den, other.den))
+        return _over(self.num, self.den, den) == _over(other.num, other.den, den)
 
     def __add__(self, other: "PochhammerFraction") -> "PochhammerFraction":
-        den = _lcm_den(self.den, other.den)
-        return PochhammerFraction(self._over(den) + other._over(den), den)
+        return fraction_sum(((self.num, self.den), (other.num, other.den)))
 
     def __neg__(self) -> "PochhammerFraction":
         res = PochhammerFraction.__new__(PochhammerFraction)
@@ -339,9 +377,7 @@ class PochhammerFraction:
     def __mul__(self, other):
         if isinstance(other, QLaurent):
             other = PochhammerFraction(other)
-        den = {k: self.den.get(k, 0) + other.den.get(k, 0)
-               for k in set(self.den) | set(other.den)}
-        return PochhammerFraction(self.num * other.num, den)
+        return PochhammerFraction(self.num * other.num, den_product(self.den, other.den))
 
     def shift(self, k: int) -> "PochhammerFraction":
         """Multiply by v^k."""

@@ -250,14 +250,3 @@ def cluster_monomial(s0: QuantumSeed, ks, lam, check: bool = True) -> ClusterMon
     g = g_vector(element, s0)
     coeffs = f_polynomial(element, g, s0)
     return ClusterMonomialResult(element, g, coeffs)
-
-
-def expand_f_decomposition(result: ClusterMonomialResult, s0: QuantumSeed) -> TorusElement:
-    """Rebuild sum_gamma c_gamma X^g X^{B~ gamma}; must reproduce the element."""
-    form = s0.initial_form
-    total = TorusElement.zero(form)
-    xg = TorusElement.monomial(form, result.g_vector)
-    for gamma, c in result.f_coefficients.items():
-        bg = tuple(sum(s0.btilde[i][j] * gamma[j] for j in range(s0.n)) for i in range(s0.m))
-        total = total + (xg * TorusElement.monomial(form, bg)).scale(c)
-    return total

@@ -170,10 +170,6 @@ class TorusElement:
         res.terms = out
         return res
 
-    def specialize_v1(self) -> dict:
-        """Set v = 1: a commutative Laurent polynomial {exponent: int}."""
-        return {e: c.eval_at_one() for e, c in self.terms.items()}
-
     # -- rendering ------------------------------------------------------
 
     def render(self) -> str:

@@ -4,7 +4,10 @@ Nothing here imports from qcluster's algebra internals: commutative cluster
 mutation is redone from scratch on exponent dictionaries, power series are
 expanded by long division, and submodules are enumerated by closure.  The
 per-tuple Grassmannian count takes only the RREF subspace enumeration from
-the package, which test_grassmannian checks on its own.
+the package, which test_grassmannian checks on its own.  The F-decomposition
+rebuild uses the package's torus arithmetic, which test_torus checks on its
+own, and the pairwise cone product reads only the series' coefficients,
+exponents and skew form.
 """
 
 from fractions import Fraction
@@ -129,6 +132,11 @@ def fractions_equal(num1, den1, num2, den2):
 
 def fraction_is_laurent(num, den):
     return laurent_divide_exact(num, pochhammer_denominator(den)) is not None
+
+
+def specialize_v1(element):
+    """A TorusElement at v = 1: a commutative Laurent polynomial {exponent: int}."""
+    return {e: sum(c.terms.values()) for e, c in element.terms.items()}
 
 
 def _mutate_matrix(bt, m, n, k):
@@ -347,3 +355,49 @@ def gr_count_per_tuple(rep, gamma):
                for aid, src, tgt in rep.arrows for u in choice[tgt - 1]):
             count += 1
     return count
+
+
+# --- cluster monomials from their g-vector and F-coefficients ---
+
+def expand_f_decomposition(result, s0):
+    """Rebuild sum_gamma c_gamma X^g X^{B~ gamma}; must reproduce the element."""
+    from qcluster.torus import TorusElement
+
+    form = s0.initial_form
+    total = TorusElement.zero(form)
+    xg = TorusElement.monomial(form, result.g_vector)
+    for gamma, c in result.f_coefficients.items():
+        bg = tuple(sum(s0.btilde[i][j] * gamma[j] for j in range(s0.n)) for i in range(s0.m))
+        total = total + (xg * TorusElement.monomial(form, bg)).scale(c)
+    return total
+
+
+# --- truncated DT series ---
+
+def cone_mul_pairwise(a, b):
+    """a * b for two ConeSeries, one (g1, g2) pair at a time.
+
+    Each pair's term c1 c2 v^{Lambda(e1, e2)}, with the twist read off the
+    full skew form, is added to its output coefficient on its own.
+    Fractions stay raw ({exponent: int} numerator, {k: multiplicity}
+    denominator), multiplied and cross-multiplied without any cancelling.
+    Returns {cone degree: (num, den)} for the nonzero coefficients.
+    """
+    out = {}
+    for g1, c1 in a.coeffs.items():
+        e1 = a.exponent_of(g1)
+        for g2, c2 in b.coeffs.items():
+            g = tuple(x + y for x, y in zip(g1, g2))
+            if any(x > bd for x, bd in zip(g, a.bound)):
+                continue
+            tw = a.form.pair(e1, b.exponent_of(g2))
+            num = {e + tw: c for e, c in lmul(c1.num.terms, c2.num.terms).items()}
+            den = {k: c1.den.get(k, 0) + c2.den.get(k, 0)
+                   for k in c1.den.keys() | c2.den.keys()}
+            if g in out:
+                num0, den0 = out[g]
+                num = cadd(lmul(num0, pochhammer_denominator(den)),
+                           lmul(num, pochhammer_denominator(den0)))
+                den = {k: den.get(k, 0) + den0.get(k, 0) for k in den.keys() | den0.keys()}
+            out[g] = (num, den)
+    return {g: (num, den) for g, (num, den) in out.items() if num}

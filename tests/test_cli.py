@@ -8,6 +8,8 @@ import pytest
 from qcluster import cli
 from qcluster.cli import main
 
+from .corpus import principal_pair
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
@@ -168,6 +170,19 @@ def test_count_budget_exceeded_marks_skipped(tmp_path, capsys):
     assert "SKIPPED" in out
 
 
+@pytest.mark.parametrize("ks", ["132", "312", "1232", "3212"])
+def test_count_a3_exponent_from_the_acyclic_end(tmp_path, capsys, ks):
+    """Q_r is the 3-cycle here, so the v-power comes from the initial quiver."""
+    lam, btilde = principal_pair([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+    doc = {"n": 3, "lambda": lam, "btilde": btilde,
+           "ks": [int(k) for k in ks], "lam": [1] * 6}
+    assert main(["count", write_spec(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "mode: hard" in out
+    rows = [line for line in out.splitlines() if line.startswith("gamma ")]
+    assert rows and all(line.endswith("| match") for line in rows)
+
+
 def test_quiver_btilde_mismatch_rejected(tmp_path, capsys):
     doc = json.loads(json.dumps(A2_DOC))
     doc["quiver"] = {"vertices": 2, "arrows": [["a", 1, 2]]}  # wrong orientation
@@ -206,6 +221,10 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("count", {"potential": [[1, True, ["a"]]]}, []),   # so are the potential's fractions
     ("identity-check", None, ["--cone-bound", "0"]),    # cone depth below 1
     ("identity-check", None, ["--cone-bound", "-3"]),
+    ("count", {"options": {"primes": []}}, []),         # no prime power: nothing to count
+    ("count", {"options": {"primes": [2]}}, []),        # one prime power cannot interpolate
+    ("count", {"options": {}}, ["--primes", "2"]),      # nor as a flag
+    ("count", {"options": {"primes": [2, 2, 3, 3, 5]}}, []),  # repeated prime powers
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole

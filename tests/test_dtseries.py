@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcluster.dtseries import (ConeSeries, conjugate, dt_product_pair,
                                factorization_check, framed_extract, g_of_lambda,
@@ -10,7 +12,8 @@ from qcluster.seed import cluster_monomial
 from qcluster.torus import SkewForm, TorusElement
 
 from .corpus import all_sequences, corpus_data, corpus_seed
-from .oracles import expand_t_power_quotient
+from .oracles import (cone_mul_pairwise, expand_t_power_quotient,
+                      fraction_is_laurent, fractions_equal)
 
 L2 = SkewForm([[0, 1], [-1, 0]])
 B2 = [[0, 1], [-1, 0]]
@@ -256,3 +259,47 @@ def test_sign_ambiguous_unreachable_on_corpus():
         _, bt, n = corpus_data(name)
         for ks in all_sequences(n, 5):
             sign_sequence(bt, ks)  # must not raise SignAmbiguous
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two rank-2 ConeSeries in one completion: a random skew form on Z^m,
+    a random m x 2 btilde and bound <= 3, random bases, and coefficients
+    whose numerators carry some of their (1 - T^k) factors, so some cancel."""
+    m = draw(st.integers(2, 4))
+    small = st.integers(-2, 2)
+    upper = {(i, j): draw(small) for i in range(m) for j in range(i + 1, m)}
+    form = SkewForm([[upper[i, j] if i < j else -upper[j, i] if j < i else 0
+                      for j in range(m)] for i in range(m)])
+    btilde = [[draw(small) for _ in range(2)] for _ in range(m)]
+    bound = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    degrees = st.tuples(st.integers(0, bound[0]), st.integers(0, bound[1]))
+    nums = st.dictionaries(st.integers(-4, 4), st.integers(-2, 2),
+                           min_size=1, max_size=3).map(QLaurent)
+    dens = st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=2)
+
+    def coefficient():
+        num, den = draw(nums), draw(dens)
+        for k, mult in den.items():
+            for _ in range(draw(st.integers(0, mult))):
+                num = num * QLaurent({0: 1, 2 * k: -1})
+        return PochhammerFraction(num, den)
+
+    def series():
+        base = tuple(draw(small) for _ in range(m))
+        keys = draw(st.lists(degrees, max_size=5, unique=True))
+        return ConeSeries(form, btilde, bound, base, {g: coefficient() for g in keys})
+
+    return series(), series()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cone_pairs())
+def test_cone_mul_matches_pairwise_products(pair):
+    a, b = pair
+    got = (a * b).coeffs
+    want = cone_mul_pairwise(a, b)
+    assert set(got) == set(want)
+    for g, (num, den) in want.items():
+        assert fractions_equal(got[g].num.terms, got[g].den, num, den)
+        assert got[g].is_laurent() == fraction_is_laurent(num, den)

@@ -4,13 +4,13 @@ import pytest
 
 from qcluster.errors import IncompatiblePair, NoGVector, NotSkewSymmetric
 from qcluster.qlaurent import QLaurent
-from qcluster.seed import (check_compatible, cluster_monomial,
-                           expand_f_decomposition, f_polynomial,
+from qcluster.seed import (check_compatible, cluster_monomial, f_polynomial,
                            frame_monomial, g_vector, initial_seed, mutate,
                            mutate_sequence, verify_commutation)
 from qcluster.torus import SkewForm, TorusElement
 
 from .corpus import CORPUS_NAMES, corpus_seed
+from .oracles import expand_f_decomposition
 
 L2 = SkewForm([[0, 1], [-1, 0]])
 B2 = [[0, 1], [-1, 0]]
