@@ -427,8 +427,10 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
     (falling back to degree alignment without a gamma_map).  In report mode
     only Euler characteristics at T = 1 and the purity pattern are compared.
 
-    The counts run in min(jobs, task count, CPU count) worker processes, or
-    in this process when that is 1.
+    Each prime power is one task that counts every stratum on one FqRep, so
+    its subspace and arrow tables are built once.  The tasks run in
+    min(jobs, task count, CPU count) worker processes, or in this process
+    when that is 1.
     """
     if len(set(primes)) < len(primes) or len(primes) < 2:
         raise QClusterError(
@@ -439,35 +441,32 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
     hard = at_h1 or qp_r.quiver.subquiver_is_acyclic(mutable)
     from .quiver import euler_form
     rows = []
-    tasks = []
 
     def pad(cls):
         return tuple(cls) + (0,) * (len(h1.dims) - n)
 
-    for delta in sorted(f_coefficients):
-        for q in primes:
-            tasks.append((delta, pad(delta), q))
+    deltas = sorted(f_coefficients)
+    fulls = [pad(delta) for delta in deltas]
     fq_reps = {q: to_fq(h1, q) for q in primes}
     results = {}
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
         import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_count_task, fq_reps[q], full, budget): (delta, q)
-                    for delta, full, q in tasks}
+            futs = {pool.submit(_count_task, fq_reps[q], fulls, budget): q for q in primes}
             for fut in concurrent.futures.as_completed(futs):
                 results[futs[fut]] = fut.result()
     else:
-        for delta, full, q in tasks:
-            results[(delta, q)] = _count_task(fq_reps[q], full, budget)
+        for q in primes:
+            results[q] = _count_task(fq_reps[q], fulls, budget)
 
-    for delta in sorted(f_coefficients):
+    for i, delta in enumerate(deltas):
         f_coeff = f_coefficients[delta]
         counts = {}
         note = ""
         budget_hit = False
         for q in primes:
-            res = results[(tuple(delta), q)]
+            res = results[q][i]
             if res is None:
                 budget_hit = True
             else:
@@ -504,8 +503,12 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
     return CrosscheckReport("hard" if hard else "report", rows)
 
 
-def _count_task(rep: FqRep, gamma_full, budget: int):
-    try:
-        return gr_count(rep, gamma_full, budget)
-    except BudgetExceeded:
-        return None
+def _count_task(rep: FqRep, gammas, budget: int) -> list:
+    """gr_count of each class on one FqRep, None where the budget is exceeded."""
+    out = []
+    for gamma_full in gammas:
+        try:
+            out.append(gr_count(rep, gamma_full, budget))
+        except BudgetExceeded:
+            out.append(None)
+    return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import (DimensionMismatch, IncompatiblePair, InconsistentLattice,
                      NoGVector, NotSkewSymmetric)
 from .qlaurent import QLaurent
-from .torus import SkewForm, TorusElement, exact_right_divide
+from .torus import SkewForm, TorusElement, exact_right_divide, q_commute
 
 
 def _check_btilde(btilde, m, n):
@@ -173,9 +173,7 @@ def verify_commutation(s: QuantumSeed) -> None:
     """Assert vars[i] vars[j] = v^{2 Lambda_M(i,j)} vars[j] vars[i] exactly."""
     for i in range(s.m):
         for j in range(i + 1, s.m):
-            lhs = s.vars[i] * s.vars[j]
-            rhs = (s.vars[j] * s.vars[i]).scale(QLaurent.monomial(2 * s.lam.entries[i][j]))
-            if lhs != rhs:
+            if not q_commute(s.vars[i], s.vars[j], 2 * s.lam.entries[i][j]):
                 raise InconsistentLattice(
                     f"commutation of vars[{i + 1}], vars[{j + 1}] does not match Lambda_M")
 

@@ -3,10 +3,13 @@
 Elements are finite sums of exponent vectors in Z^m with QLaurent
 coefficients.  Multiplication twists by the skew form; exact right division
 is monomial-order long division under graded lex (torus monomials are units,
-so each leading term cancels in one step).
+so each leading term cancels in one step).  The product, the q-commutation
+test and the division all run one kernel on raw {exponent: {deg: int}} dicts.
 """
 
 from __future__ import annotations
+
+from operator import add, mul
 
 from .errors import DimensionMismatch, NotDivisible
 from .qlaurent import QLaurent
@@ -42,8 +45,11 @@ class SkewForm:
 
     def apply(self, e) -> tuple[int, ...]:
         """The covector Lambda(e, .) as a row: (Lambda e)_j = sum_i e_i L_ij."""
-        m = self.dim
-        return tuple(sum(e[i] * self.entries[i][j] for i in range(m)) for j in range(m))
+        out = [0] * self.dim
+        for ei, row in zip(e, self.entries):
+            if ei:
+                out = [a + ei * x for a, x in zip(out, row)]
+        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, SkewForm) and self.entries == other.entries
@@ -154,21 +160,9 @@ class TorusElement:
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
-        form = self.form
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = (c1 * c2).shift(form.pair(e1, e2))
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        res = TorusElement(form)
-        res.terms = out
-        return res
+        acc: dict = {}
+        _product_into(acc, self.form, _raw(self), _raw(other))
+        return _element(self.form, acc)
 
     # -- rendering ------------------------------------------------------
 
@@ -192,6 +186,60 @@ class TorusElement:
         return f"TorusElement({self.render()})"
 
 
+def _raw(a: TorusElement):
+    """The terms of a as (exponent, {deg: int}) pairs."""
+    return [(e, c.terms) for e, c in a.terms.items()]
+
+
+def _product_into(acc: dict, form: SkewForm, left, right, sign: int = 1, mirror=None):
+    """Add sign * sum c1 c2 v^{Lambda(e1,e2)} X^{e1+e2} into acc, the one product kernel.
+
+    `left` and `right` are lists of (exponent, {deg: int}) pairs; `acc` maps
+    exponents to raw {deg: int} dicts and keeps the zeros it makes.  The twist
+    is the covector Lambda(e1, .), computed once per left term, dotted with e2.
+    With `mirror = k` each pair also adds -sign * c1 c2 v^{k - Lambda(e1,e2)},
+    a term of -v^k (right * left), because Lambda(e2, e1) = -Lambda(e1, e2).
+    """
+    for e1, c1 in left:
+        row = form.apply(e1)
+        for e2, c2 in right:
+            tw = sum(map(mul, row, e2))
+            if mirror == 2 * tw:    # the pair's two terms cancel
+                continue
+            e = tuple(map(add, e1, e2))
+            out = acc.get(e)
+            if out is None:
+                out = acc[e] = {}
+            prod = {}
+            for k1, x in c1.items():
+                for k2, y in c2.items():
+                    k = k1 + k2
+                    prod[k] = prod.get(k, 0) + x * y
+            images = ((tw, sign),) if mirror is None else ((tw, sign), (mirror - tw, -sign))
+            for shift, s in images:
+                for k, z in prod.items():
+                    k += shift
+                    out[k] = out.get(k, 0) + s * z
+
+
+def _element(form: SkewForm, acc: dict) -> TorusElement:
+    """The TorusElement of a raw accumulator, without zero coefficients or exponents."""
+    res = TorusElement(form)
+    for e, raw in acc.items():
+        c = QLaurent(raw)
+        if c.terms:
+            res.terms[e] = c
+    return res
+
+
+def q_commute(a: TorusElement, b: TorusElement, k: int) -> bool:
+    """True iff a b = v^k b a, from one pass of the kernel over the term pairs."""
+    a._check(b)
+    acc: dict = {}
+    _product_into(acc, a.form, _raw(a), _raw(b), mirror=k)
+    return not any(any(raw.values()) for raw in acc.values())
+
+
 def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
     """The unique q with q * d = n, or raise NotDivisible.
 
@@ -199,7 +247,8 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
     product of a quotient term with the leading term of d.  Quotient
     exponents are confined to the entrywise Newton box of n minus d (both
     max- and min-slices of a product multiply), which bounds the search and
-    guarantees termination.
+    guarantees termination.  The remainder is a raw dict, and each step
+    subtracts cq X^eq d from it in place and adds one quotient term.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero TorusElement")
@@ -213,20 +262,29 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
     if any(l > h for l, h in zip(lo, hi)):
         raise NotDivisible("quotient exponent box is empty", remainder=n)
     ed, cd = d.leading()
-    rem = n
+    dterms = _raw(d)
+    rem = {e: dict(c.terms) for e, c in n.terms.items()}
     quot = TorusElement(form)
-    while not rem.is_zero():
-        er, cr = rem.leading()
+    while rem:
+        er = max(rem, key=grlex_key)
         eq = tuple(a - b for a, b in zip(er, ed))
         if any(x < l or x > h for x, l, h in zip(eq, lo, hi)):
-            raise NotDivisible("leading term not cancellable", remainder=rem)
-        # want cq with (cq * cd).shift(pair(eq, ed)) == cr
-        cq = cr.shift(-form.pair(eq, ed)).divide_exact(cd)
+            raise NotDivisible("leading term not cancellable", remainder=_element(form, rem))
+        # want cq with (cq * cd).shift(pair(eq, ed)) == rem[er]
+        cq = QLaurent(rem[er]).shift(-form.pair(eq, ed)).divide_exact(cd)
         if cq is None:
-            raise NotDivisible("coefficient quotient is not Laurent", remainder=rem)
-        t = TorusElement.monomial(form, eq, cq)
-        quot = quot + t
-        rem = rem - t * d
+            raise NotDivisible("coefficient quotient is not Laurent",
+                               remainder=_element(form, rem))
+        quot.terms[eq] = cq
+        _product_into(rem, form, [(eq, cq.terms)], dterms, sign=-1)
+        for e, _ in dterms:
+            e = tuple(map(add, eq, e))
+            raw = {k: x for k, x in rem[e].items() if x}
+            if raw:
+                rem[e] = raw
+            else:
+                del rem[e]
+        assert er not in rem, "the leading term did not cancel"
     return quot
 
 

@@ -7,7 +7,8 @@ per-tuple Grassmannian count takes only the RREF subspace enumeration from
 the package, which test_grassmannian checks on its own.  The F-decomposition
 rebuild uses the package's torus arithmetic, which test_torus checks on its
 own, and the pairwise cone product reads only the series' coefficients,
-exponents and skew form.
+exponents and skew form.  The torus product and division here work one term
+pair at a time in QLaurent arithmetic, apart from the torus product kernel.
 """
 
 from fractions import Fraction
@@ -355,6 +356,61 @@ def gr_count_per_tuple(rep, gamma):
                for aid, src, tgt in rep.arrows for u in choice[tgt - 1]):
             count += 1
     return count
+
+
+# --- the quantum torus, one term pair at a time ---
+
+def torus_mul_pairwise(a, b):
+    """a * b: each pair's (c1 c2) v^{Lambda(e1, e2)} added to its exponent on its own."""
+    from qcluster.torus import TorusElement
+
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = (c1 * c2).shift(a.form.pair(e1, e2))
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return TorusElement(a.form, out)
+
+
+def torus_divide_longhand(n, d):
+    """The q with q * d = n by long division, rebuilding the whole remainder each step.
+
+    Same Newton box, leading-term rule and NotDivisible cases (with the same
+    remainder) as exact_right_divide; products go through torus_mul_pairwise.
+    """
+    from qcluster.errors import NotDivisible
+    from qcluster.torus import TorusElement, grlex_key
+
+    form = n.form
+    if n.is_zero():
+        return TorusElement(form)
+    m = form.dim
+    lo = tuple(min(e[i] for e in n.terms) - min(e[i] for e in d.terms) for i in range(m))
+    hi = tuple(max(e[i] for e in n.terms) - max(e[i] for e in d.terms) for i in range(m))
+    if any(l > h for l, h in zip(lo, hi)):
+        raise NotDivisible("quotient exponent box is empty", remainder=n)
+    ed = max(d.terms, key=grlex_key)
+    cd = d.terms[ed]
+    rem = n
+    quot = TorusElement(form)
+    while not rem.is_zero():
+        er = max(rem.terms, key=grlex_key)
+        eq = tuple(a - b for a, b in zip(er, ed))
+        if any(x < l or x > h for x, l, h in zip(eq, lo, hi)):
+            raise NotDivisible("leading term not cancellable", remainder=rem)
+        cq = rem.terms[er].shift(-form.pair(eq, ed)).divide_exact(cd)
+        if cq is None:
+            raise NotDivisible("coefficient quotient is not Laurent", remainder=rem)
+        t = TorusElement.monomial(form, eq, cq)
+        quot = quot + t
+        rem = rem - torus_mul_pairwise(t, d)
+    return quot
 
 
 # --- cluster monomials from their g-vector and F-coefficients ---

@@ -242,7 +242,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
 @pytest.mark.parametrize("jobs, cpus, pools", [
     (64, 3, [3]),          # clamped to the CPU count
     (2, 16, [2]),          # the requested count fits
-    (64, 64, [8]),         # clamped to the 2 strata x 4 prime powers
+    (64, 64, [4]),         # clamped to the 4 prime powers, one task each
     (4, 1, []),            # one CPU: in-process, no pool
     (4, None, []),         # CPU count unknown: in-process, no pool
 ])

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from qcluster.errors import IncompatiblePair, NoGVector, NotSkewSymmetric
+from qcluster.errors import (IncompatiblePair, InconsistentLattice, NoGVector,
+                             NotSkewSymmetric)
 from qcluster.qlaurent import QLaurent
-from qcluster.seed import (check_compatible, cluster_monomial, f_polynomial,
-                           frame_monomial, g_vector, initial_seed, mutate,
-                           mutate_sequence, verify_commutation)
+from qcluster.seed import (QuantumSeed, check_compatible, cluster_monomial,
+                           f_polynomial, frame_monomial, g_vector, initial_seed,
+                           mutate, mutate_sequence, verify_commutation)
 from qcluster.torus import SkewForm, TorusElement
 
 from .corpus import CORPUS_NAMES, corpus_seed
@@ -144,3 +145,38 @@ def test_f_roundtrip_corpus():
         s = corpus_seed(name)
         r = cluster_monomial(s, (1, 2), tuple(1 for _ in range(s.m)))
         assert expand_f_decomposition(r, s) == r.element
+
+
+def _kronecker_12():
+    """Kronecker with principal coefficients after mutating at 1 then 2, so
+    both cluster variables have several terms."""
+    return mutate_sequence(corpus_seed("kronecker_principal"), (1, 2))
+
+
+def test_verify_commutation_catches_a_wrong_lambda_entry():
+    s = _kronecker_12()
+    verify_commutation(s)
+    for i in range(s.m):
+        for j in range(i + 1, s.m):
+            lam = [list(r) for r in s.lam.entries]
+            lam[i][j] += 1
+            lam[j][i] -= 1
+            bad = QuantumSeed(s.m, s.n, SkewForm(lam), s.btilde, s.vars, s.initial_form)
+            with pytest.raises(InconsistentLattice):
+                verify_commutation(bad)
+
+
+def test_verify_commutation_catches_swapped_vars():
+    s = _kronecker_12()
+    swapped = 0
+    for i in range(s.m):
+        for j in range(i + 1, s.m):
+            if s.lam.entries[i][j] == 0:
+                continue
+            vars = list(s.vars)
+            vars[i], vars[j] = vars[j], vars[i]
+            bad = QuantumSeed(s.m, s.n, s.lam, s.btilde, vars, s.initial_form)
+            with pytest.raises(InconsistentLattice):
+                verify_commutation(bad)
+            swapped += 1
+    assert swapped >= 2

@@ -1,17 +1,80 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcluster.errors import DimensionMismatch, NotDivisible
 from qcluster.qlaurent import QLaurent
+from qcluster.seed import mutate_sequence
 from qcluster.torus import (SkewForm, TorusElement, exact_right_divide,
-                            is_positive)
+                            is_positive, q_commute)
 
-from .oracles import cadd, cmul, specialize_v1
+from .corpus import corpus_seed
+from .oracles import (cadd, cmul, specialize_v1, torus_divide_longhand,
+                      torus_mul_pairwise)
 
 L2 = SkewForm([[0, 1], [-1, 0]])
 E1 = TorusElement.basis(L2, 1)
 E2 = TorusElement.basis(L2, 2)
+L1 = SkewForm([[0]])
+X1 = TorusElement.basis(L1, 1)
+ONE1 = TorusElement.one(L1)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+# The strategies are built once here: building them inside every draw took
+# most of these tests' time.
+ENTRIES = st.integers(-2, 2)
+EXPONENTS = {m: st.tuples(*[st.integers(-1, 1)] * m) for m in range(1, 5)}
+MONOMIALS = st.builds(QLaurent.monomial, st.integers(-1, 1), st.sampled_from([-1, 1]))
+# Few terms on exponents in {-1, 0, 1}^m with +-1, +-2 coefficients, so that
+# products often cancel.
+TERMS = {(m, size): st.dictionaries(
+    EXPONENTS[m], st.dictionaries(st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2]),
+                                  min_size=1, max_size=2).map(QLaurent), max_size=size)
+    for m in range(1, 5) for size in (2, 4)}
+
+
+def skew_form(draw):
+    m = draw(st.integers(1, 4))
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = draw(ENTRIES)
+            rows[j][i] = -rows[i][j]
+    return SkewForm(rows)
+
+
+def element(draw, form, max_terms=4):
+    return TorusElement(form, draw(TERMS[form.dim, max_terms]))
+
+
+@st.composite
+def element_pairs(draw):
+    """(a, b) over a random form with m <= 4.  Half the time a * b is made to
+    cancel: a gets terms s1 v^j1 X^e1 and s2 v^j2 X^e2, b gets c X^f and the
+    term -(s1 s2 c) v^(j1 - j2 + Lambda(e1, f) - Lambda(e2, f2)) X^f2 with
+    f2 = e1 + f - e2, whose pairs with them land on X^(e1 + f) with opposite
+    coefficients."""
+    form = skew_form(draw)
+    a, b = element(draw, form), element(draw, form)
+    if not draw(st.booleans()):
+        return a, b
+    e1, e2 = draw(st.lists(EXPONENTS[form.dim], min_size=2, max_size=2, unique=True))
+    c1, c2, c = draw(MONOMIALS), draw(MONOMIALS), draw(MONOMIALS)
+    f = draw(EXPONENTS[form.dim])
+    f2 = tuple(x + y - z for x, y, z in zip(e1, f, e2))
+    (j1, s1), = c1.terms.items()
+    (j2, s2), = c2.terms.items()
+    shift = j1 - j2 + form.pair(e1, f) - form.pair(e2, f2)
+    a = a + TorusElement(form, {e1: c1}) + TorusElement(form, {e2: c2})
+    b = b + TorusElement(form, {f: c}) + TorusElement(form, {f2: (c * (-s1 * s2)).shift(shift)})
+    return a, b
+
+
+def no_zero_coefficients(a):
+    return all(not c.is_zero() for c in a.terms.values())
 
 
 def test_skew_form_validation():
@@ -126,3 +189,72 @@ def test_render_canonical():
     assert el.render() == "X[-1,0] + X[-1,1]"
     el2 = TorusElement(L2, {(0, 0): QLaurent({-1: 1, 1: 1})})
     assert el2.render() == "(q^(-1/2) + q^(1/2))*X[0,0]"
+
+
+@PROPERTY
+@given(element_pairs())
+@example((ONE1 + X1, ONE1 - X1))      # (1 + X)(1 - X): the X terms cancel
+def test_mul_matches_pairwise_oracle(pair):
+    a, b = pair
+    got = a * b
+    assert got == torus_mul_pairwise(a, b)
+    assert no_zero_coefficients(got)
+
+
+@st.composite
+def divisions(draw):
+    """(n, d, a) with d nonzero and n = a d, or n = a d + r and a = None."""
+    a, d = draw(element_pairs())
+    if d.is_zero():
+        d = TorusElement.one(d.form)
+    n = torus_mul_pairwise(a, d)
+    if draw(st.booleans()):
+        return n, d, a
+    return n + element(draw, d.form, max_terms=2), d, None
+
+
+@PROPERTY
+@given(divisions())
+def test_divide_matches_longhand_oracle(case):
+    n, d, a = case
+    if a is not None:
+        assert exact_right_divide(n, d) == a
+    try:
+        want = torus_divide_longhand(n, d)
+    except NotDivisible as exc:
+        with pytest.raises(NotDivisible) as got:
+            exact_right_divide(n, d)
+        assert str(got.value) == str(exc)
+        assert got.value.remainder == exc.remainder
+        assert no_zero_coefficients(got.value.remainder)
+    else:
+        got = exact_right_divide(n, d)
+        assert got == want
+        assert no_zero_coefficients(got)
+
+
+@st.composite
+def commutation_cases(draw):
+    """(a, b, k): a random pair and k (seldom q-commuting); a and a scaled
+    a * a with k = 0; or the two cluster variables of a rank-2 seed after
+    mutating at both, with k = 2 Lambda_M(1, 2) (both q-commuting), or that
+    k plus 2 (not)."""
+    kind = draw(st.sampled_from(["random", "power", "seed"]))
+    if kind == "random":
+        a, b = draw(element_pairs())
+        return a, b, draw(st.integers(-4, 4))
+    if kind == "power":
+        a, _ = draw(element_pairs())
+        b = torus_mul_pairwise(a, a).scale(QLaurent.monomial(draw(st.integers(-2, 2))))
+        return a, b, 0
+    s = corpus_seed(draw(st.sampled_from(["a2_principal", "kronecker_principal"])))
+    s = mutate_sequence(s, draw(st.sampled_from([(1, 2), (2, 1), (1, 2, 1)])), check=False)
+    return s.vars[0], s.vars[1], 2 * s.lam.entries[0][1] + draw(st.sampled_from([0, 2]))
+
+
+@PROPERTY
+@given(commutation_cases())
+def test_q_commute_matches_products(case):
+    a, b, k = case
+    want = torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
+    assert q_commute(a, b, k) == want
