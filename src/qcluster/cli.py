@@ -8,6 +8,7 @@ requested check passed.  --json replaces the text report with JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -209,8 +210,8 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
 def cmd_count(spec: SessionSpec, out: list[str], report: dict, jobs: int = 1) -> bool:
     result = cluster_monomial(spec.seed(), spec.ks, spec.lam)
     qp = spec.qp()
-    h1 = h1_aggregate(qp, spec.ks, spec.lam)
     qp_r = mutate_qp_sequence(qp, spec.ks)
+    h1 = h1_aggregate(qp, spec.ks, spec.lam, qp_r=qp_r)
     gamma_map = initial_class_map(spec.btilde, spec.ks)
     check = coefficient_crosscheck(result.f_coefficients, h1, qp_r,
                                    primes=tuple(spec.primes), budget=spec.budget,
@@ -329,8 +330,9 @@ def _print_json_error(command, exc: Exception) -> None:
                                 indent=2, sort_keys=True) + "\n")
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+@functools.cache
+def _parser():
+    """The command-line parser and its subparsers action, built on first use."""
     parser = _ArgumentParser(
         prog="qcluster",
         description="exact quantum cluster computations, two ways, with checks")
@@ -351,6 +353,12 @@ def main(argv=None) -> int:
     p.add_argument("--cone-bound", type=int, default=12)
     p.add_argument("--golden", help="golden-file directory")
     p.add_argument("--json", action="store_true", dest="as_json")
+    return parser, sub
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, sub = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LoopAtVertex, RelationViolation
+from .errors import DimensionMismatch, LoopAtVertex, RelationViolation
 from .linalg import (Mat, column_space_basis, extend_basis, hstack, invert,
                      kernel_basis, solve_matrix, vstack)
 from .quiver import (Potential, QPData, cyclic_derivative, mutate_qp_sequence,
@@ -34,13 +34,15 @@ class DecRep:
         return sum(self.dims)
 
 
+def _decoration(qp: QPData, vdims) -> DecRep:
+    """The decorated representation (0, V) with dim V = vdims."""
+    return DecRep(qp, (0,) * qp.quiver.m, {a: Mat.zero(0, 0) for a in qp.quiver.arrows},
+                  tuple(vdims))
+
+
 def negative_simple(qp: QPData, j: int) -> DecRep:
     """The trivial decorated representation (0, e_j)."""
-    m = qp.quiver.m
-    dims = (0,) * m
-    mats = {a.id: Mat.zero(0, 0) for a in qp.quiver.arrows.values()}
-    vdims = tuple(1 if v == j else 0 for v in range(1, m + 1))
-    return DecRep(qp, dims, mats, vdims)
+    return _decoration(qp, (int(v == j) for v in range(1, qp.quiver.m + 1)))
 
 
 def simple(qp: QPData, j: int) -> DecRep:
@@ -102,49 +104,74 @@ def check_jacobi(rep: DecRep) -> None:
         raise RelationViolation("module is not nilpotent")
 
 
-def _triangle_maps(rep: DecRep, k: int):
-    """Assemble (alpha, beta, gamma) and the summand layout at vertex k.
+@dataclass(frozen=True)
+class MutationStep:
+    """The QP side of mu_k at qp, shared by every representation of qp.
+
+    Arrows at k are sorted by id: `outgoing` are b: k -> j, `incoming` are
+    a: i -> k.  `gamma_words[(b, a)]` is d_{[ba]} W_2 with composite arrows
+    expanded into paths of qp; `reduced` and `trail` are the reduction of
+    the premutation `pre`.
+    """
+
+    qp: QPData
+    k: int
+    pre: QPData
+    rev: dict
+    comp: dict
+    outgoing: list
+    incoming: list
+    gamma_words: dict
+    reduced: QPData
+    trail: list
+
+
+def mutation_step(qp: QPData, k: int) -> MutationStep:
+    """Premutation, gamma words and reduction of qp at k, for any module."""
+    q = qp.quiver
+    if q.has_loop_at(k):
+        raise LoopAtVertex(f"loop at vertex {k}")
+    outgoing = sorted(q.arrows_from(k), key=lambda a: a.id)
+    incoming = sorted(q.arrows_into(k), key=lambda a: a.id)
+    pre, rev, comp = premutate_with_maps(qp, k)
+    w2 = Potential(qp.potential.degree_cap,
+                   {w: c for w, c in pre.potential.terms.items()
+                    if not any(letter in rev.values() for letter in w)})
+    expand = {cid: pair for pair, cid in comp.items()}
+    gamma_words = {}
+    for b in outgoing:
+        for a in incoming:
+            words = {}
+            for w, c in cyclic_derivative(w2, pre.quiver, comp[(b.id, a.id)]).items():
+                flat = tuple(x for letter in w for x in expand.get(letter, (letter,)))
+                words[flat] = words.get(flat, Fraction(0)) + c
+            gamma_words[(b.id, a.id)] = words
+    reduced, trail = reduce_with_trail(pre)
+    return MutationStep(qp, k, pre, rev, comp, outgoing, incoming, gamma_words,
+                        reduced, trail)
+
+
+def _triangle_maps(rep: DecRep, step: MutationStep):
+    """(alpha, beta, gamma) and the summand dimensions at vertex step.k.
 
     M_in = sum over arrows b: k->j of M_j, M_out = sum over arrows a: i->k
     of M_i.  alpha: M_in -> M_k collects the actions of the b's, beta:
     M_k -> M_out the actions of the a's (right-module convention); gamma's
     (a, b) block is the action of d_{[ba]} W_2 with composites expanded.
     """
-    q = rep.qp.quiver
-    outgoing = sorted(q.arrows_from(k), key=lambda a: a.id)
-    incoming = sorted(q.arrows_into(k), key=lambda a: a.id)
-    dk = rep.dim_at(k)
+    outgoing, incoming = step.outgoing, step.incoming
+    dk = rep.dim_at(step.k)
     in_dims = [rep.dim_at(b.target) for b in outgoing]
     out_dims = [rep.dim_at(a.source) for a in incoming]
-    d_in, d_out = sum(in_dims), sum(out_dims)
 
     alpha = hstack([rep.mats[b.id] for b in outgoing]) if outgoing else Mat.zero(dk, 0)
     beta = vstack([rep.mats[a.id] for a in incoming]) if incoming else Mat.zero(0, dk)
-
-    pre, rev, comp = premutate_with_maps(rep.qp, k)
-    w2 = Potential(rep.qp.potential.degree_cap,
-                   {w: c for w, c in pre.potential.terms.items()
-                    if not any(letter in rev.values() for letter in w)})
-    comp_ids = set(comp.values())
-    expand = {cid: pair for pair, cid in comp.items()}
 
     blocks = []
     for b in outgoing:
         row = []
         for a in incoming:
-            cid = comp[(b.id, a.id)]
-            der = cyclic_derivative(w2, pre.quiver, cid)
-            der_md = {}
-            for w, c in der.items():
-                flat = []
-                for letter in w:
-                    if letter in comp_ids:
-                        flat.extend(expand[letter])
-                    else:
-                        flat.append(letter)
-                flat = tuple(flat)
-                der_md[flat] = der_md.get(flat, Fraction(0)) + c
-            act = combination_action(rep, der_md)
+            act = combination_action(rep, step.gamma_words[(b.id, a.id)])
             if act is None:
                 act = Mat.zero(rep.dim_at(b.target), rep.dim_at(a.source))
             row.append(act)
@@ -152,18 +179,24 @@ def _triangle_maps(rep: DecRep, k: int):
     if outgoing and incoming:
         gamma = vstack([hstack(r) for r in blocks])
     else:
-        gamma = Mat.zero(d_in, d_out)
-    return (pre, rev, comp, outgoing, incoming, alpha, beta, gamma,
-            in_dims, out_dims)
+        gamma = Mat.zero(sum(in_dims), sum(out_dims))
+    return alpha, beta, gamma, in_dims, out_dims
 
 
-def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False) -> DecRep:
-    """DWZ mutation of a decorated representation at vertex k."""
+def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
+               step: MutationStep | None = None) -> DecRep:
+    """DWZ mutation of a decorated representation at vertex k.
+
+    `step` is mutation_step(rep.qp, k) when the caller already has it.
+    """
+    if step is None:
+        step = mutation_step(rep.qp, k)
+    elif step.qp is not rep.qp or step.k != k:
+        raise ValueError(f"the mutation step is not the one of this QP at {k}")
+    if not rep.total_dim() and not rep.vdims[k - 1]:
+        return _decoration(step.reduced, rep.vdims)  # (0, V), V_k = 0: only the QP moves
     q = rep.qp.quiver
-    if q.has_loop_at(k):
-        raise LoopAtVertex(f"loop at vertex {k}")
-    (pre, rev, comp, outgoing, incoming, alpha, beta, gamma,
-     in_dims, out_dims) = _triangle_maps(rep, k)
+    alpha, beta, gamma, in_dims, out_dims = _triangle_maps(rep, step)
     d_in, d_out, dk = alpha.cols, beta.rows, rep.dim_at(k)
     vk = rep.vdims[k - 1]
 
@@ -217,21 +250,20 @@ def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False) -> DecRep:
     for a in q.arrows.values():
         if a.source != k and a.target != k:
             mats_new[a.id] = rep.mats[a.id]
-    for (bid, aid), cid in comp.items():
+    for (bid, aid), cid in step.comp.items():
         mats_new[cid] = rep.mats[aid] * rep.mats[bid]
     off = 0
-    for a, d in zip(incoming, out_dims):
+    for a, d in zip(step.incoming, out_dims):
         cols = [alpha_bar.column(off + j) for j in range(d)]
-        mats_new[rev[a.id]] = Mat.from_columns(cols, dk_new) if d else Mat.zero(dk_new, 0)
+        mats_new[step.rev[a.id]] = Mat.from_columns(cols, dk_new) if d else Mat.zero(dk_new, 0)
         off += d
     off = 0
-    for b, d in zip(outgoing, in_dims):
-        mats_new[rev[b.id]] = Mat(d, dk_new, [beta_bar.a[off + i] for i in range(d)])
+    for b, d in zip(step.outgoing, in_dims):
+        mats_new[step.rev[b.id]] = Mat(d, dk_new, [beta_bar.a[off + i] for i in range(d)])
         off += d
 
-    out = DecRep(pre, tuple(dims_new), mats_new, tuple(vdims_new))
-    reduced_qp, trail = reduce_with_trail(pre)
-    out = _apply_trail(out, reduced_qp, trail)
+    out = DecRep(step.pre, tuple(dims_new), mats_new, tuple(vdims_new))
+    out = _apply_trail(out, step.reduced, step.trail)
     check_jacobi(out)
     return out
 
@@ -283,32 +315,36 @@ def h1_gamma(qp0: QPData, ks, j: int, reverse_pivots: bool = False) -> DecRep:
     the final QP, then mutate the representation back along reversed ks.
     The result's M-part is a module over (a QP right-equivalent to) qp0.
     """
-    return _h1_from(mutate_qp_sequence(qp0, ks), ks, j, reverse_pivots)
+    lam = tuple(int(v == j) for v in range(1, qp0.quiver.m + 1))
+    return h1_aggregate(qp0, ks, lam, reverse_pivots)
 
 
-def _h1_from(qp_r: QPData, ks, j: int, reverse_pivots: bool) -> DecRep:
-    """h1_gamma given qp_r, the QP that ks mutates qp0 to."""
-    rep = negative_simple(qp_r, j)
-    for k in reversed(list(ks)):
-        rep = mutate_rep(rep, k, reverse_pivots=reverse_pivots)
-    return rep
-
-
-def h1_aggregate(qp0: QPData, ks, lam, reverse_pivots: bool = False) -> DecRep:
+def h1_aggregate(qp0: QPData, ks, lam, reverse_pivots: bool = False,
+                 qp_r: QPData | None = None) -> DecRep:
     """Direct sum of lam_j copies of h1_gamma over all vertices j.
 
-    The QP is mutated forward along ks once, and only if some lam_j is
-    nonzero; every h1_gamma summand starts from that one final QP.
+    Every summand passes through the same QPs, so the QP is mutated forward
+    along ks once, and the QP side of each backward step (mutation_step) is
+    computed once for all summands; each vertex's summand is built once.
+    A caller passing qp_r must guarantee that it is mutate_qp_sequence(qp0,
+    ks); it is not checked.
     """
+    if any(x < 0 for x in lam):
+        raise DimensionMismatch("cluster monomials need lam >= 0")
     terms = [(j, mult) for j, mult in enumerate(lam, start=1) if mult]
     if not terms:
-        m = qp0.quiver.m
-        return DecRep(qp0, (0,) * m, {a: Mat.zero(0, 0) for a in qp0.quiver.arrows},
-                      (0,) * m)
-    qp_r = mutate_qp_sequence(qp0, ks)
+        return _decoration(qp0, (0,) * qp0.quiver.m)
+    qp = qp_r = mutate_qp_sequence(qp0, ks) if qp_r is None else qp_r
+    steps = []
+    for k in reversed(list(ks)):
+        steps.append(mutation_step(qp, k))
+        qp = steps[-1].reduced
     reps = []
     for j, mult in terms:
-        reps.extend([_h1_from(qp_r, ks, j, reverse_pivots)] * mult)
+        rep = negative_simple(qp_r, j)
+        for step in steps:
+            rep = mutate_rep(rep, step.k, reverse_pivots, step)
+        reps.extend([rep] * mult)
     return direct_sum(reps)
 
 

@@ -9,6 +9,8 @@ rebuild uses the package's torus arithmetic, which test_torus checks on its
 own, and the pairwise cone product reads only the series' coefficients,
 exponents and skew form.  The torus product and division here work one term
 pair at a time in QLaurent arithmetic, apart from the torus product kernel.
+The per-summand H^1 mutates every summand copy on its own and puts the
+copies together here.
 """
 
 from fractions import Fraction
@@ -457,3 +459,41 @@ def cone_mul_pairwise(a, b):
                 den = {k: den.get(k, 0) + den0.get(k, 0) for k in den.keys() | den0.keys()}
             out[g] = (num, den)
     return {g: (num, den) for g, (num, den) in out.items() if num}
+
+
+# --- H^1 as a direct sum of single-summand modules ---
+
+def h1_per_summand(qp0, ks, lam):
+    """lam_j copies of each vertex's H^1 summand, put together block-diagonally.
+
+    Each copy is mutated back along reversed ks on its own with mutate_rep,
+    which builds every mutation step afresh, so no step, summand or direct
+    sum is shared with h1_aggregate.
+    """
+    from qcluster.decorated import DecRep, mutate_rep, negative_simple
+    from qcluster.linalg import Mat
+    from qcluster.quiver import mutate_qp_sequence
+
+    qp_r = mutate_qp_sequence(qp0, ks)
+    reps = []
+    for j, mult in enumerate(lam, start=1):
+        for _ in range(mult):
+            rep = negative_simple(qp_r, j)
+            for k in reversed(ks):
+                rep = mutate_rep(rep, k)
+            reps.append(rep)
+    qp, m = reps[0].qp, qp0.quiver.m
+    dims = tuple(sum(r.dims[v] for r in reps) for v in range(m))
+    vdims = tuple(sum(r.vdims[v] for r in reps) for v in range(m))
+    mats = {}
+    for a in qp.quiver.arrows.values():
+        rows = []
+        col_off = 0
+        for r in reps:
+            blk, width = r.mats[a.id], r.dims[a.target - 1]
+            for row in blk.a:
+                rows.append([Fraction(0)] * col_off + list(row)
+                            + [Fraction(0)] * (dims[a.target - 1] - col_off - width))
+            col_off += width
+        mats[a.id] = Mat(dims[a.source - 1], dims[a.target - 1], rows)
+    return DecRep(qp, dims, mats, vdims)

@@ -225,6 +225,8 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("count", {"options": {"primes": [2]}}, []),        # one prime power cannot interpolate
     ("count", {"options": {}}, ["--primes", "2"]),      # nor as a flag
     ("count", {"options": {"primes": [2, 2, 3, 3, 5]}}, []),  # repeated prime powers
+    ("expand", {"lam": [-1, 0]}, ["--route", "dt"]),    # negative lam on the DT route
+    ("expand", {"lam": [-1, 1]}, ["--route", "dt"]),    # not dropped from H^1 either
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole
@@ -237,6 +239,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("lam", [[-1, 0], [-1, 1]])
+def test_dt_route_rejects_negative_lam(tmp_path, capsys, lam):
+    """The mutation route's rule, before any H^1 is built or any bound suggested."""
+    spec = write_spec(tmp_path, dict(A2_DOC, lam=lam))
+    assert main(["expand", spec, "--route", "dt"]) == 2
+    err = capsys.readouterr().err
+    assert "lam >= 0" in err and "suggested cone bound" not in err
 
 
 @pytest.mark.parametrize("jobs, cpus, pools", [
@@ -281,6 +292,34 @@ def test_jobs_is_count_only(tmp_path, capsys):
             main([command, spec, "--jobs", "2"])
         assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_parser_reused_without_stale_state(tmp_path, capsys, monkeypatch):
+    """One process: a usage error, count --jobs 2, then count and expand with
+    no flags, which must behave as fresh calls."""
+    jobs_seen = []
+    real_count = cli.cmd_count
+
+    def record_jobs(spec, out, report, jobs=1):
+        jobs_seen.append(jobs)
+        return real_count(spec, out, report)
+
+    monkeypatch.setattr(cli, "cmd_count", record_jobs)
+    spec = write_spec(tmp_path, A2_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", spec, "--jobs", "0", "--json"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "UsageError"
+    assert main(["count", spec, "--jobs", "2"]) == 0
+    with_jobs = capsys.readouterr().out
+    assert main(["count", spec]) == 0
+    assert capsys.readouterr().out == with_jobs
+    assert jobs_seen == [2, 1]
+    assert main(["expand", spec, "--route", "mutation"]) == 0
+    assert "two-route" not in capsys.readouterr().out
+    assert main(["expand", spec]) == 0
+    assert "two-route: AGREE" in capsys.readouterr().out
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize("command, flags", [

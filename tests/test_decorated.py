@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcluster.decorated import (DecRep, check_jacobi, direct_sum, h1_aggregate,
-                                h1_gamma, mutate_rep, negative_simple, simple,
-                                word_action)
+                                h1_gamma, mutate_rep, mutation_step, negative_simple,
+                                simple, word_action)
 from qcluster.errors import RelationViolation
 from qcluster.linalg import Mat
 from qcluster.quiver import Arrow, Potential, QPData, Quiver, from_btilde
 
-from .corpus import corpus_qp
+from .corpus import all_sequences, corpus_data, corpus_qp
+from .oracles import h1_per_summand
 
 
 def a2_qp():
@@ -130,3 +133,34 @@ def test_dump_is_deterministic():
     qp = a2_qp()
     r, again = h1_gamma(qp, (1, 2), 2), h1_gamma(qp, (1, 2), 2)
     assert (r.dims, r.mats, r.vdims) == (again.dims, again.mats, again.vdims)
+
+
+@pytest.mark.parametrize("name", ["triangle_principal", "a3_principal",
+                                  "kronecker_principal"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_h1_aggregate_matches_the_per_summand_sum(name, data):
+    """Shared mutation steps, one summand per vertex, against every summand
+    copy mutated on its own: the same QP, dims, decoration and matrices.
+    ks has length <= 2; lam has entries in {0, 1, 2} and is nonzero at some
+    mutable vertex."""
+    _, btilde, n = corpus_data(name)
+    ks = data.draw(st.sampled_from(all_sequences(n, 2)), label="ks")
+    lam = data.draw(st.lists(st.integers(0, 2), min_size=len(btilde),
+                             max_size=len(btilde)))
+    lam[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, 2))
+    lam = tuple(lam)
+    qp = corpus_qp(name)
+    one, summed = h1_aggregate(qp, ks, lam), h1_per_summand(qp, ks, lam)
+    assert one.qp.quiver.arrows == summed.qp.quiver.arrows
+    assert one.qp.potential.terms == summed.qp.potential.terms
+    assert (one.dims, one.vdims, one.mats) == (summed.dims, summed.vdims, summed.mats)
+
+
+def test_mutation_step_must_match_the_representation():
+    qp = triangle_qp()
+    rep = negative_simple(qp, 1)
+    with pytest.raises(ValueError):
+        mutate_rep(rep, 1, step=mutation_step(qp, 2))
+    with pytest.raises(ValueError):
+        mutate_rep(rep, 1, step=mutation_step(triangle_qp(), 1))
