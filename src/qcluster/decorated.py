@@ -83,24 +83,14 @@ def check_jacobi(rep: DecRep) -> None:
         act = combination_action(rep, der)
         if act is not None and not act.is_zero():
             raise RelationViolation(f"cyclic derivative at {aid} acts nonzero")
-    total = rep.total_dim()
-    if total == 0:
-        return
-    offs = [0]
-    for d in rep.dims:
-        offs.append(offs[-1] + d)
-    big = [[Fraction(0)] * total for _ in range(total)]
-    for a in q.arrows.values():
-        m = rep.mats[a.id]
-        r0, c0 = offs[a.source - 1], offs[a.target - 1]
-        for i in range(m.rows):
-            for j in range(m.cols):
-                big[r0 + i][c0 + j] += m.a[i][j]
-    big = Mat(total, total, big)
-    power = Mat.identity(total)
-    for _ in range(total):
-        power = power * big
-    if not power.is_zero():
+    # the radical series M, rad M, rad^2 M, ...: rad^t M at vertex i is
+    # spanned by the images of every arrow i -> j on rad^(t-1) M at j
+    layer = [[tuple(int(t == i) for t in range(d)) for i in range(d)] for d in rep.dims]
+    for _ in range(rep.total_dim()):
+        layer = [extend_basis([], [rep.mats[a.id].apply(u) for a in q.arrows_from(v)
+                                   for u in layer[a.target - 1]])
+                 for v in range(1, q.m + 1)]
+    if any(layer):
         raise RelationViolation("module is not nilpotent")
 
 
@@ -197,7 +187,7 @@ def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
         return _decoration(step.reduced, rep.vdims)  # (0, V), V_k = 0: only the QP moves
     q = rep.qp.quiver
     alpha, beta, gamma, in_dims, out_dims = _triangle_maps(rep, step)
-    d_in, d_out, dk = alpha.cols, beta.rows, rep.dim_at(k)
+    d_in, d_out = alpha.cols, beta.rows
     vk = rep.vdims[k - 1]
 
     if not (alpha * gamma).is_zero():
@@ -207,14 +197,14 @@ def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
 
     ker_gamma = kernel_basis(gamma)
     im_beta = column_space_basis(beta, reverse=reverse_pivots)
-    c1 = extend_basis(im_beta, ker_gamma, d_out, reverse=reverse_pivots)
+    c1 = extend_basis(im_beta, ker_gamma, reverse=reverse_pivots)
     units_out = [tuple(Fraction(1 if t == i else 0) for t in range(d_out))
                  for i in range(d_out)]
-    rest = extend_basis(im_beta + c1, units_out, d_out, reverse=reverse_pivots)
+    rest = extend_basis(im_beta + c1, units_out, reverse=reverse_pivots)
     full_out = im_beta + c1 + rest
     im_gamma = column_space_basis(gamma, reverse=reverse_pivots)
     ker_alpha = kernel_basis(alpha)
-    c3 = extend_basis(im_gamma, ker_alpha, d_in, reverse=reverse_pivots)
+    c3 = extend_basis(im_gamma, ker_alpha, reverse=reverse_pivots)
 
     n1, n2, n3 = len(c1), len(im_gamma), len(c3)
     dk_new = n1 + n2 + n3 + vk
@@ -223,7 +213,7 @@ def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
     if d_out:
         inv_full = invert(Mat.from_columns(full_out, d_out))
         rows_c1 = Mat(n1, d_out, [inv_full.a[len(im_beta) + i] for i in range(n1)])
-        coords_gamma = solve_matrix(im_gamma, gamma, d_in) if n2 else Mat.zero(0, d_out)
+        coords_gamma = solve_matrix(im_gamma, gamma) if n2 else Mat.zero(0, d_out)
     else:
         rows_c1 = Mat(n1, 0)
         coords_gamma = Mat.zero(n2, 0)
@@ -236,10 +226,7 @@ def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
                        Mat.zero(d_in, vk)])
 
     # ker beta / (ker beta  n  im alpha)
-    ker_beta = kernel_basis(beta)
-    im_alpha = column_space_basis(alpha)
-    inter = _intersection_dim(ker_beta, im_alpha, dk)
-    vk_new = len(ker_beta) - inter
+    vk_new = len(extend_basis(column_space_basis(alpha), kernel_basis(beta)))
 
     dims_new = list(rep.dims)
     dims_new[k - 1] = dk_new
@@ -266,15 +253,6 @@ def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
     out = _apply_trail(out, step.reduced, step.trail)
     check_jacobi(out)
     return out
-
-
-def _intersection_dim(basis1: list[tuple], basis2: list[tuple], dim: int) -> int:
-    if not basis1 or not basis2:
-        return 0
-    m1 = Mat.from_columns(basis1, dim)
-    m2 = Mat.from_columns(basis2, dim)
-    from .linalg import rank
-    return rank(m1) + rank(m2) - rank(hstack([m1, m2]))
 
 
 def _apply_trail(rep: DecRep, reduced_qp: QPData, trail) -> DecRep:

@@ -139,13 +139,7 @@ def rank(mat: Mat) -> int:
 
 def column_space_basis(mat: Mat, reverse: bool = False) -> list[tuple]:
     """Basis of the column space chosen among the matrix's own columns."""
-    order = range(mat.cols - 1, -1, -1) if reverse else range(mat.cols)
-    basis: list[tuple] = []
-    for j in order:
-        cand = mat.column(j)
-        if not in_span(basis, cand, mat.rows):
-            basis.append(cand)
-    return basis
+    return extend_basis([], [mat.column(j) for j in range(mat.cols)], reverse)
 
 
 def kernel_basis(mat: Mat) -> list[tuple]:
@@ -162,46 +156,82 @@ def kernel_basis(mat: Mat) -> list[tuple]:
     return out
 
 
-def in_span(basis: list[tuple], v: tuple, dim: int) -> bool:
-    return coordinates_in(basis, v, dim) is not None
+class Echelon:
+    """A row echelon basis of the vectors added so far, built one at a time.
+
+    Vectors are sparse {index: value} dicts.  Each stored row is keyed by
+    its leading (smallest) index, scaled to lead 1, and records its
+    combination {n: coefficient} of the added vectors, n counting every
+    call to `add`, so one reduction both tests span membership and gives
+    coordinates.
+    """
+
+    __slots__ = ("rows", "added")
+
+    def __init__(self):
+        self.rows: dict[int, tuple[dict, dict]] = {}
+        self.added = 0
+
+    def reduce(self, vec: dict):
+        """(residual, combination) with vec = residual + sum c_n * vector n.
+
+        The residual is zero at every leading index; it is {} exactly when
+        vec lies in the span.
+        """
+        res = {i: Fraction(x) for i, x in vec.items() if x}
+        comb: dict[int, Fraction] = {}
+        # each row is zero at the leads of the rows before it, so one pass in
+        # insertion order leaves the residual zero at every lead
+        for lead, (row, row_comb) in self.rows.items():
+            f = res.get(lead)
+            if not f:
+                continue
+            for i, x in row.items():
+                s = res.get(i, 0) - f * x
+                if s:
+                    res[i] = s
+                else:
+                    del res[i]
+            for n, x in row_comb.items():
+                comb[n] = comb.get(n, 0) + f * x
+        return res, comb
+
+    def add(self, vec: dict) -> bool:
+        """Add vec; True when it was independent of the vectors before it."""
+        res, comb = self.reduce(vec)
+        n = self.added
+        self.added += 1
+        if not res:
+            return False
+        lead = min(res)
+        inv = 1 / res[lead]
+        comb = {m: -x * inv for m, x in comb.items()}
+        comb[n] = inv
+        self.rows[lead] = ({i: x * inv for i, x in res.items()}, comb)
+        return True
 
 
-def coordinates_in(basis: list[tuple], v: tuple, dim: int):
-    """Coordinates of v in the given (independent) columns, or None."""
-    if not basis:
-        return [] if all(x == 0 for x in v) else None
-    aug = Mat(dim, len(basis) + 1,
-              [[basis[j][i] for j in range(len(basis))] + [v[i]] for i in range(dim)])
-    red, pivots = rref(aug)
-    if len(basis) in pivots:
-        return None
-    coords = [Fraction(0)] * len(basis)
-    for r, pc in enumerate(pivots):
-        coords[pc] = red.a[r][len(basis)]
-    return coords
-
-
-def extend_basis(inner: list[tuple], outer: list[tuple], dim: int,
+def extend_basis(inner: list[tuple], outer: list[tuple],
                  reverse: bool = False) -> list[tuple]:
     """Vectors from `outer` extending a basis of span(inner) to span(inner+outer)."""
-    basis = list(inner)
-    added = []
-    cand = list(reversed(outer)) if reverse else list(outer)
-    for v in cand:
-        if not in_span(basis, v, dim):
-            basis.append(v)
-            added.append(v)
-    return added
+    ech = Echelon()
+    for v in inner:
+        ech.add(dict(enumerate(v)))
+    return [v for v in (reversed(outer) if reverse else outer)
+            if ech.add(dict(enumerate(v)))]
 
 
-def solve_matrix(basis: list[tuple], target: Mat, dim: int) -> Mat:
+def solve_matrix(basis: list[tuple], target: Mat) -> Mat:
     """X with from_columns(basis) * X = target; target columns must lie in span."""
+    ech = Echelon()
+    for v in basis:
+        ech.add(dict(enumerate(v)))
     cols = []
     for j in range(target.cols):
-        coords = coordinates_in(basis, target.column(j), dim)
-        if coords is None:
+        res, comb = ech.reduce(dict(enumerate(target.column(j))))
+        if res:
             raise ValueError("column not in span")
-        cols.append(tuple(coords))
+        cols.append(tuple(comb.get(n, 0) for n in range(len(basis))))
     return Mat.from_columns(cols, len(basis))
 
 

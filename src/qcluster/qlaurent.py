@@ -161,45 +161,31 @@ class QLaurent:
 
     def render_plain(self, var: str = "T") -> str:
         """Render with exponents taken literally (for polynomials in T)."""
-        if not self.terms:
-            return "0"
-        parts = []
+        return self._render(lambda k: _power(var, k))
+
+    def render(self, var: str = "q") -> str:
+        """Canonical text, ascending degree, v^k shown as q^(k/2)."""
+        return self._render(lambda k: f"{var}^({k}/2)" if k % 2 else _power(var, k // 2))
+
+    def _render(self, power) -> str:
+        """Signed terms in ascending degree; power(k) spells the k-th power, k != 0."""
+        out = ""
         for k in sorted(self.terms):
             c = self.terms[k]
             if k == 0:
                 body = str(abs(c))
             else:
-                pw = var if k == 1 else f"{var}^{k}" if k > 0 else f"{var}^({k})"
-                body = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
-            parts.append(("+" if c >= 0 else "-", body))
-        sign0, body0 = parts[0]
-        out = body0 if sign0 == "+" else "-" + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+                body = power(k) if abs(c) == 1 else f"{abs(c)}*{power(k)}"
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
+            out += body
+        return out or "0"
 
-    def render(self, var: str = "q") -> str:
-        """Canonical text, ascending degree, v^k shown as q^(k/2)."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                parts.append(("+" if c >= 0 else "-", str(abs(c))))
-                continue
-            if k % 2 == 0:
-                e = k // 2
-                pw = var if e == 1 else f"{var}^{e}" if e >= 0 else f"{var}^({e})"
-            else:
-                pw = f"{var}^({k}/2)"
-            body = pw if abs(c) == 1 else f"{abs(c)}*{pw}"
-            parts.append(("+" if c >= 0 else "-", body))
-        sign0, body0 = parts[0]
-        out = body0 if sign0 == "+" else "-" + body0
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+
+def _power(var: str, e: int) -> str:
+    return var if e == 1 else f"{var}^{e}" if e > 0 else f"{var}^({e})"
 
 
 @dataclass

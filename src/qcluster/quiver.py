@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, LoopAtVertex, NotSkewSymmetric, QClusterError
+from .linalg import Echelon
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,15 @@ class QPData:
                 raise QClusterError(f"potential word {w} is not a closed path")
 
 
+def _numbered_quiver(m: int, counts) -> Quiver:
+    """The quiver with counts[(source, target)] arrows a1, a2, ... in sorted order."""
+    arrows = []
+    for src, tgt in sorted(counts):
+        for _ in range(counts[(src, tgt)]):
+            arrows.append(Arrow(f"a{len(arrows) + 1}", src, tgt))
+    return Quiver(m, arrows)
+
+
 def from_btilde(btilde, n: int, extra=None) -> Quiver:
     """The canonical 2-acyclic quiver with a_{ji} - a_{ij} = b_{ij}.
 
@@ -184,13 +194,7 @@ def from_btilde(btilde, n: int, extra=None) -> Quiver:
         if not (n < i <= m and n < j <= m):
             raise QClusterError("extra arrows must join frozen vertices")
         counts[(i, j)] = counts.get((i, j), 0) + mult
-    arrows = []
-    idx = 0
-    for (src, tgt) in sorted(counts):
-        for _ in range(counts[(src, tgt)]):
-            idx += 1
-            arrows.append(Arrow(f"a{idx}", src, tgt))
-    return Quiver(m, arrows)
+    return _numbered_quiver(m, counts)
 
 
 def quiver_mutate(q: Quiver, k: int) -> Quiver:
@@ -218,13 +222,7 @@ def quiver_mutate(q: Quiver, k: int) -> Quiver:
             counts[(i, j)] -= cancel
             counts[(j, i)] -= cancel
     counts = {(i, j): c for (i, j), c in counts.items() if c > 0 and i != j}
-    arrows = []
-    idx = 0
-    for (src, tgt) in sorted(counts):
-        for _ in range(counts[(src, tgt)]):
-            idx += 1
-            arrows.append(Arrow(f"a{idx}", src, tgt))
-    return Quiver(q.m, arrows)
+    return _numbered_quiver(q.m, counts)
 
 
 def cyclic_derivative(p: Potential, q: Quiver, aid: str):
@@ -469,7 +467,7 @@ def jacobi_dims(qp: QPData, up_to: int):
         d = cyclic_derivative(pot, q, aid)
         if d:
             derivs.append(d)
-    vectors = []
+    ech = Echelon()
     for der in derivs:
         lens = {len(p) for p in der}
         src, tgt = q.word_endpoints(next(iter(der)))
@@ -491,9 +489,8 @@ def jacobi_dims(qp: QPData, up_to: int):
                             w = left + p + right
                             if len(w) <= up_to:
                                 vec[col[w]] = vec.get(col[w], Fraction(0)) + coeff
-                        if vec:
-                            vectors.append(vec)
-    pivot_cols = _sparse_row_reduce(vectors)
+                        ech.add(vec)
+    pivot_cols = set(ech.rows)
     col_len = {idx: len(w) for w, idx in col.items()}
     total_rank = len(pivot_cols)
     cum_prev = 0
@@ -505,25 +502,3 @@ def jacobi_dims(qp: QPData, up_to: int):
         out.append(cum - cum_prev)
         cum_prev = cum
     return out
-
-
-def _sparse_row_reduce(vectors):
-    """Gaussian elimination on sparse Fraction rows; returns pivot columns."""
-    pivots: dict[int, dict] = {}
-    for vec in vectors:
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            if lead in pivots:
-                piv = pivots[lead]
-                factor = vec[lead] / piv[lead]
-                for c, v in piv.items():
-                    s = vec.get(c, Fraction(0)) - factor * v
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
-            else:
-                pivots[lead] = vec
-                break
-    return set(pivots)

@@ -58,6 +58,17 @@ def test_relation_violation_detected():
         mutate_rep(bad, 1)
 
 
+def test_parallel_arrows_that_cancel_do_not_hide_a_cycle():
+    # a + b acts by 0, but the path a c acts by 1 and so does every power of it
+    q = Quiver(2, [Arrow("a", 1, 2), Arrow("b", 1, 2), Arrow("c", 2, 1)])
+    mats = {"a": Mat(1, 1, [[1]]), "b": Mat(1, 1, [[-1]]), "c": Mat(1, 1, [[1]])}
+    rep = DecRep(QPData(q, Potential(12)), (1, 1), mats, (0, 0))
+    assert word_action(rep, ("a", "c") * 5) == Mat.identity(1)
+    with pytest.raises(RelationViolation, match="not nilpotent"):
+        check_jacobi(rep)
+    check_jacobi(DecRep(rep.qp, (1, 1), {**mats, "c": Mat(1, 1, [[0]])}, (0, 0)))
+
+
 def test_involution_dims_vdims():
     qp = triangle_qp()
     mods = [
