@@ -22,7 +22,8 @@ class Mat:
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match shape")
-            self.a = tuple(tuple(Fraction(x) for x in r) for r in entries)
+            self.a = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
+                           for r in entries)
 
     @staticmethod
     def identity(n: int) -> "Mat":

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .errors import (DimensionMismatch, IncompatiblePair, InconsistentLattice,
                      NoGVector, NotSkewSymmetric)
 from .qlaurent import QLaurent
-from .torus import SkewForm, TorusElement, exact_right_divide, q_commute
+from .torus import (SkewForm, TorusElement, exact_right_divide, first_noncommuting,
+                    power_product)
 
 
 def _check_btilde(btilde, m, n):
@@ -84,8 +85,8 @@ def initial_seed(lam: SkewForm, btilde, n: int) -> QuantumSeed:
     return QuantumSeed(m, n, lam, btilde, vars, lam)
 
 
-def _positive_product(s: QuantumSeed, c) -> TorusElement:
-    """M(c) for entrywise non-negative c: normalized ordered product."""
+def _positive_product(s: QuantumSeed, c, shift: int = 0) -> TorusElement:
+    """v^shift M(c) for entrywise non-negative c: normalized ordered product."""
     lam = s.lam
     twist = 0
     for i in range(s.m):
@@ -93,11 +94,8 @@ def _positive_product(s: QuantumSeed, c) -> TorusElement:
             for j in range(i + 1, s.m):
                 if c[j]:
                     twist += lam.entries[i][j] * c[i] * c[j]
-    acc = TorusElement.one(s.initial_form)
-    for i in range(s.m):
-        for _ in range(c[i]):
-            acc = acc * s.vars[i]
-    return acc.scale(QLaurent.monomial(-twist))
+    factors = [(s.vars[i], c[i]) for i in range(s.m) if c[i]]
+    return power_product(s.initial_form, factors, shift - twist)
 
 
 def frame_monomial(s: QuantumSeed, c) -> TorusElement:
@@ -111,12 +109,10 @@ def frame_monomial(s: QuantumSeed, c) -> TorusElement:
         raise DimensionMismatch("monomial vector has wrong length")
     cp = tuple(x if x > 0 else 0 for x in c)
     cm = tuple(-x if x < 0 else 0 for x in c)
-    pos = _positive_product(s, cp)
     if not any(cm):
-        return pos
-    neg = _positive_product(s, cm)
-    twist = s.lam.pair(cp, cm)
-    return exact_right_divide(pos.scale(QLaurent.monomial(twist)), neg)
+        return _positive_product(s, cp)
+    return exact_right_divide(_positive_product(s, cp, s.lam.pair(cp, cm)),
+                              _positive_product(s, cm))
 
 
 def _matrix_mutation(btilde, m, n, k):
@@ -144,8 +140,8 @@ def mutate(s: QuantumSeed, k: int, check: bool = True) -> QuantumSeed:
     p1 = tuple(col[i] if col[i] > 0 else 0 for i in range(s.m))
     p2 = tuple(-col[i] if col[i] < 0 else 0 for i in range(s.m))
     ek = tuple(1 if i == k - 1 else 0 for i in range(s.m))
-    numerator = (_positive_product(s, p1).scale(QLaurent.monomial(s.lam.pair(p1, ek)))
-                 + _positive_product(s, p2).scale(QLaurent.monomial(s.lam.pair(p2, ek))))
+    numerator = (_positive_product(s, p1, s.lam.pair(p1, ek))
+                 + _positive_product(s, p2, s.lam.pair(p2, ek)))
     new_var = exact_right_divide(numerator, s.vars[k - 1])
 
     # Lambda' read off from commutation: both exchange monomials q-commute
@@ -170,12 +166,12 @@ def mutate(s: QuantumSeed, k: int, check: bool = True) -> QuantumSeed:
 
 
 def verify_commutation(s: QuantumSeed) -> None:
-    """Assert vars[i] vars[j] = v^{2 Lambda_M(i,j)} vars[j] vars[i] exactly."""
-    for i in range(s.m):
-        for j in range(i + 1, s.m):
-            if not q_commute(s.vars[i], s.vars[j], 2 * s.lam.entries[i][j]):
-                raise InconsistentLattice(
-                    f"commutation of vars[{i + 1}], vars[{j + 1}] does not match Lambda_M")
+    """Assert vars[i] vars[j] = v^{2 Lambda_M(i,j)} vars[j] vars[i] exactly, for every i < j."""
+    bad = first_noncommuting(s.vars, [[2 * x for x in row] for row in s.lam.entries])
+    if bad is not None:
+        i, j = bad
+        raise InconsistentLattice(
+            f"commutation of vars[{i + 1}], vars[{j + 1}] does not match Lambda_M")
 
 
 @dataclass
@@ -196,18 +192,23 @@ def mutate_sequence(s: QuantumSeed, ks, check: bool = True) -> QuantumSeed:
 
 
 def g_vector(r: TorusElement, s0: QuantumSeed) -> tuple[int, ...]:
-    """The unique exponent g of r with every exponent in g + B~ Z^n_{>=0}."""
+    """The unique exponent g of r with every exponent in g + B~ Z^n_{>=0}.
+
+    gamma_j(u) = Lambda(u, e_j) - Lambda(g, e_j) must be >= 0 for every term
+    u, so g's covector row (j <= n) is the componentwise minimum over the
+    terms; only the terms that attain it are checked.  At most one passes:
+    if g1 and g2 both did, gamma(g1, g2) = -gamma(g2, g1) >= 0 would make
+    both zero, so g2 - g1 = B~ 0 = 0.
+    """
     if r.is_zero():
         raise NoGVector("zero element has no g-vector")
-    found = None
-    for g in r.terms:
-        if all(_gamma_for(s0, u, g) is not None for u in r.terms):
-            if found is not None:
-                raise NoGVector("two dominating exponents; input is not a cluster monomial")
-            found = g
-    if found is None:
-        raise NoGVector("no dominating exponent")
-    return found
+    n = s0.n
+    rows = {u: s0.initial_form.apply(u)[:n] for u in r.terms}
+    low = tuple(map(min, zip(*rows.values())))
+    for g, row in rows.items():
+        if row == low and all(_gamma_for(s0, u, g) is not None for u in r.terms):
+            return g
+    raise NoGVector("no dominating exponent")
 
 
 def _gamma_for(s0: QuantumSeed, u, g):

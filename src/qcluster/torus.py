@@ -3,8 +3,16 @@
 Elements are finite sums of exponent vectors in Z^m with QLaurent
 coefficients.  Multiplication twists by the skew form; exact right division
 is monomial-order long division under graded lex (torus monomials are units,
-so each leading term cancels in one step).  The product, the q-commutation
-test and the division all run one kernel on raw {exponent: {deg: int}} dicts.
+so each leading term cancels in one step).
+
+The product, the q-commutation test, ordered power products and the division
+all run one kernel on packed coefficients (Kronecker substitution): a
+coefficient sum_k c_k v^k is (lo, x) with lo its lowest degree and
+x = sum_k c_k 2^((k - lo) bits), so a term pair costs one integer multiply.
+Digits are read back balanced (a digit >= 2^(bits-1) is negative, with a
+borrow).  The width is bits = B.bit_length() + 2 for a proven bound B on every
+digit: L1(a) L1(b) for a * b, where L1 sums the absolute values of all integer
+coefficients, and twice that for the commutation test.
 """
 
 from __future__ import annotations
@@ -160,9 +168,10 @@ class TorusElement:
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
+        bits = _width(_l1(self) * _l1(other))
         acc: dict = {}
-        _product_into(acc, self.form, _raw(self), _raw(other))
-        return _element(self.form, acc)
+        _product_into(acc, _with_rows(self.form, _packed(self, bits)), _packed(other, bits), bits)
+        return _element(self.form, acc, bits)
 
     # -- rendering ------------------------------------------------------
 
@@ -186,58 +195,152 @@ class TorusElement:
         return f"TorusElement({self.render()})"
 
 
-def _raw(a: TorusElement):
-    """The terms of a as (exponent, {deg: int}) pairs."""
-    return [(e, c.terms) for e, c in a.terms.items()]
+def _l1(a: TorusElement) -> int:
+    """The sum of the absolute values of all integer coefficients of a."""
+    return sum(abs(z) for c in a.terms.values() for z in c.terms.values())
 
 
-def _product_into(acc: dict, form: SkewForm, left, right, sign: int = 1, mirror=None):
-    """Add sign * sum c1 c2 v^{Lambda(e1,e2)} X^{e1+e2} into acc, the one product kernel.
+def _width(bound: int) -> int:
+    """Slot width in bits for digits of absolute value at most bound."""
+    return bound.bit_length() + 2
 
-    `left` and `right` are lists of (exponent, {deg: int}) pairs; `acc` maps
-    exponents to raw {deg: int} dicts and keeps the zeros it makes.  The twist
-    is the covector Lambda(e1, .), computed once per left term, dotted with e2.
-    With `mirror = k` each pair also adds -sign * c1 c2 v^{k - Lambda(e1,e2)},
-    a term of -v^k (right * left), because Lambda(e2, e1) = -Lambda(e1, e2).
+
+def _pack(c: dict, bits: int) -> list:
+    """The raw coefficient {deg: int} as [lo, sum_k c_k 2^((k - lo) bits)]."""
+    lo = min(c)
+    x = 0
+    for k, z in c.items():
+        x += z << ((k - lo) * bits)
+    return [lo, x]
+
+
+def _unpack(lo: int, x: int, bits: int) -> QLaurent:
+    """The coefficient of a packed (lo, x), read in balanced digits."""
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    full = 1 << bits
+    out = {}
+    while x:
+        z = x & mask
+        if z >= half:
+            z -= full
+        if z:
+            out[lo] = z
+        x = (x - z) >> bits
+        lo += 1
+    res = QLaurent()
+    res.terms = out
+    return res
+
+
+def _packed(a: TorusElement, bits: int) -> dict:
+    """The terms of a as {exponent: [lo, x]}, the form the kernel accumulates in."""
+    return {e: _pack(c.terms, bits) for e, c in a.terms.items()}
+
+
+def _with_rows(form: SkewForm, packed: dict):
+    """The nonzero packed terms as left operands: (exponent, Lambda(e, .), lo, x)."""
+    return [(e, form.apply(e), lo, x) for e, (lo, x) in packed.items() if x]
+
+
+def _product_into(acc: dict, left, right, bits: int, mirror=None):
+    """Add sum c1 c2 v^{Lambda(e1,e2)} X^{e1+e2} into acc, the one product kernel.
+
+    `left` holds (exponent, covector, lo, x); `right` and `acc` map
+    exponents to [lo, x] at the same width, and `acc` keeps the zeros it
+    makes.  A term pair costs one multiplication x1 x2, placed at degree
+    lo1 + lo2 + tw.  With `mirror = k` each pair also adds -x1 x2 at
+    lo1 + lo2 + k - tw, a term of -v^k (right * left), because
+    Lambda(e2, e1) = -Lambda(e1, e2); pairs with 2 tw = k cancel and are skipped.
     """
-    for e1, c1 in left:
-        row = form.apply(e1)
-        for e2, c2 in right:
+    for e1, row, lo1, x1 in left:
+        for e2, (lo2, x2) in right.items():
             tw = sum(map(mul, row, e2))
-            if mirror == 2 * tw:    # the pair's two terms cancel
-                continue
+            lo = lo1 + lo2 + tw
+            if mirror is None:
+                p = x1 * x2
+            else:
+                gap = mirror - 2 * tw   # the mirrored term's degree minus lo
+                if gap > 0:
+                    p = x1 * x2
+                    p -= p << (gap * bits)
+                elif gap < 0:
+                    lo += gap
+                    p = x1 * x2
+                    p = (p << (-gap * bits)) - p
+                else:
+                    continue
             e = tuple(map(add, e1, e2))
             out = acc.get(e)
             if out is None:
-                out = acc[e] = {}
-            prod = {}
-            for k1, x in c1.items():
-                for k2, y in c2.items():
-                    k = k1 + k2
-                    prod[k] = prod.get(k, 0) + x * y
-            images = ((tw, sign),) if mirror is None else ((tw, sign), (mirror - tw, -sign))
-            for shift, s in images:
-                for k, z in prod.items():
-                    k += shift
-                    out[k] = out.get(k, 0) + s * z
+                acc[e] = [lo, p]
+            elif lo >= out[0]:
+                out[1] += p << ((lo - out[0]) * bits)
+            else:
+                out[1] = p + (out[1] << ((out[0] - lo) * bits))
+                out[0] = lo
 
 
-def _element(form: SkewForm, acc: dict) -> TorusElement:
-    """The TorusElement of a raw accumulator, without zero coefficients or exponents."""
+def _element(form: SkewForm, packed: dict, bits: int, shift: int = 0) -> TorusElement:
+    """The TorusElement of packed terms times v^shift, without zeros."""
     res = TorusElement(form)
-    for e, raw in acc.items():
-        c = QLaurent(raw)
-        if c.terms:
-            res.terms[e] = c
+    for e, (lo, x) in packed.items():
+        if x:
+            res.terms[e] = _unpack(lo + shift, x, bits)
     return res
+
+
+def _commutes(left, right, bits: int, k: int) -> bool:
+    """True iff the packed left and right satisfy left right = v^k right left."""
+    acc: dict = {}
+    _product_into(acc, left, right, bits, mirror=k)
+    return not any(x for _, x in acc.values())
 
 
 def q_commute(a: TorusElement, b: TorusElement, k: int) -> bool:
     """True iff a b = v^k b a, from one pass of the kernel over the term pairs."""
     a._check(b)
-    acc: dict = {}
-    _product_into(acc, a.form, _raw(a), _raw(b), mirror=k)
-    return not any(any(raw.values()) for raw in acc.values())
+    return first_noncommuting([a, b], [[0, k], [-k, 0]]) is None
+
+
+def first_noncommuting(elements, k):
+    """The first pair i < j, in order, with a_i a_j != v^{k[i][j]} a_j a_i, or None.
+
+    Every pair is tested; each element is packed, at the width of the largest
+    pair bound, and its covectors are computed, once per call.
+    """
+    if not elements:
+        return None
+    form = elements[0].form
+    top = max(map(_l1, elements))
+    bits = _width(2 * top * top)
+    packed = [_packed(a, bits) for a in elements]
+    for i, a in enumerate(packed):
+        left = _with_rows(form, a)
+        for j in range(i + 1, len(packed)):
+            if not _commutes(left, packed[j], bits, k[i][j]):
+                return i, j
+    return None
+
+
+def power_product(form: SkewForm, factors, shift: int = 0) -> TorusElement:
+    """v^shift times the ordered product of a^k over (a, k) in factors.
+
+    One packed chain: every digit of every partial product is at most the
+    product of the L1(a)^k, so one width serves the whole chain; each factor
+    is packed once and the result unpacked once.
+    """
+    bound = 1
+    for a, k in factors:
+        bound *= _l1(a) ** k
+    bits = _width(bound)
+    acc = {(0,) * form.dim: [0, 1]}
+    for a, k in factors:
+        right = _packed(a, bits)
+        for _ in range(k):
+            left, acc = _with_rows(form, acc), {}
+            _product_into(acc, left, right, bits)
+    return _element(form, acc, bits, shift)
 
 
 def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
@@ -247,8 +350,10 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
     product of a quotient term with the leading term of d.  Quotient
     exponents are confined to the entrywise Newton box of n minus d (both
     max- and min-slices of a product multiply), which bounds the search and
-    guarantees termination.  The remainder is a raw dict, and each step
-    subtracts cq X^eq d from it in place and adds one quotient term.
+    guarantees termination.  The remainder is packed, and each step
+    subtracts cq X^eq d from it in place and adds one quotient term.  Every
+    remainder digit is at most L1(n) + L1(quotient) L1(d); when that bound
+    outgrows the slot width, the remainder is repacked at twice the bound.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero TorusElement")
@@ -262,27 +367,37 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
     if any(l > h for l, h in zip(lo, hi)):
         raise NotDivisible("quotient exponent box is empty", remainder=n)
     ed, cd = d.leading()
-    dterms = _raw(d)
-    rem = {e: dict(c.terms) for e, c in n.terms.items()}
+    l1n, l1d, l1q = _l1(n), _l1(d), 0
+    bits = _width(2 * l1n * l1d)
+    dterms = _packed(d, bits)
+    rem = _packed(n, bits)
     quot = TorusElement(form)
     while rem:
         er = max(rem, key=grlex_key)
         eq = tuple(a - b for a, b in zip(er, ed))
         if any(x < l or x > h for x, l, h in zip(eq, lo, hi)):
-            raise NotDivisible("leading term not cancellable", remainder=_element(form, rem))
-        # want cq with (cq * cd).shift(pair(eq, ed)) == rem[er]
-        cq = QLaurent(rem[er]).shift(-form.pair(eq, ed)).divide_exact(cd)
+            raise NotDivisible("leading term not cancellable",
+                               remainder=_element(form, rem, bits))
+        # want cq with (cq * cd).shift(Lambda(eq, ed)) == rem[er]
+        row = form.apply(eq)
+        lr, xr = rem[er]
+        cq = _unpack(lr - sum(map(mul, row, ed)), xr, bits).divide_exact(cd)
         if cq is None:
             raise NotDivisible("coefficient quotient is not Laurent",
-                               remainder=_element(form, rem))
+                               remainder=_element(form, rem, bits))
         quot.terms[eq] = cq
-        _product_into(rem, form, [(eq, cq.terms)], dterms, sign=-1)
-        for e, _ in dterms:
+        l1q += sum(map(abs, cq.terms.values()))
+        bound = l1n + l1q * l1d
+        if _width(bound) > bits:
+            wide = _width(2 * bound)
+            rem = _packed(_element(form, rem, bits), wide)
+            bits = wide
+            dterms = _packed(d, bits)
+        lq, xq = _pack(cq.terms, bits)
+        _product_into(rem, [(eq, row, lq, -xq)], dterms, bits)
+        for e in dterms:
             e = tuple(map(add, eq, e))
-            raw = {k: x for k, x in rem[e].items() if x}
-            if raw:
-                rem[e] = raw
-            else:
+            if not rem[e][1]:
                 del rem[e]
         assert er not in rem, "the leading term did not cancel"
     return quot

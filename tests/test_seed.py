@@ -180,3 +180,55 @@ def test_verify_commutation_catches_swapped_vars():
                 verify_commutation(bad)
             swapped += 1
     assert swapped >= 2
+
+
+def test_g_vector_messages():
+    s = a2_seed()
+    with pytest.raises(NoGVector, match="zero element has no g-vector"):
+        g_vector(TorusElement.zero(L2), s)
+    junk = TorusElement(L2, {(1, 1): QLaurent.one(), (0, 0): QLaurent.one()})
+    with pytest.raises(NoGVector, match="no dominating exponent"):
+        g_vector(junk, s)
+    # X^0 attains the minimal covector row, but e_3 is not in B~ Z^2_{>=0}
+    k = corpus_seed("kronecker_principal")
+    form = k.initial_form
+    off_lattice = TorusElement.one(form) + TorusElement.basis(form, 3)
+    with pytest.raises(NoGVector, match="no dominating exponent"):
+        g_vector(off_lattice, k)
+
+
+def test_verify_commutation_names_the_first_wrong_pair():
+    s = _kronecker_12()
+    lam = [list(r) for r in s.lam.entries]
+    # (1, 4) comes first in i < j order, (2, 3) first in column order
+    for i, j in ((0, 3), (1, 2)):
+        lam[i][j] += 1
+        lam[j][i] -= 1
+    bad = QuantumSeed(s.m, s.n, SkewForm(lam), s.btilde, s.vars, s.initial_form)
+    with pytest.raises(InconsistentLattice, match=r"vars\[1\], vars\[4\]"):
+        verify_commutation(bad)
+
+
+def test_checked_mutation_verifies_every_pair_at_every_step(monkeypatch):
+    import qcluster.seed as seed_mod
+    import qcluster.torus as torus_mod
+
+    checked, pairs = [], []
+    verify, commutes = seed_mod.verify_commutation, torus_mod._commutes
+
+    def counting_verify(s):
+        checked.append(s)
+        verify(s)
+
+    def counting_commutes(*args):
+        pairs.append(args)
+        return commutes(*args)
+
+    monkeypatch.setattr(seed_mod, "verify_commutation", counting_verify)
+    monkeypatch.setattr(torus_mod, "_commutes", counting_commutes)
+    s0 = corpus_seed("kronecker_principal")
+    s = mutate_sequence(s0, (1, 2, 1), check=True)
+    assert len(checked) == 3 and checked[-1] is s
+    assert len(pairs) == 3 * s.m * (s.m - 1) // 2
+    mutate_sequence(s0, (1, 2, 1), check=False)
+    assert len(checked) == 3

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from qcluster.errors import DimensionMismatch, NotDivisible
 from qcluster.qlaurent import QLaurent
 from qcluster.seed import mutate_sequence
-from qcluster.torus import (SkewForm, TorusElement, exact_right_divide,
-                            is_positive, q_commute)
+from qcluster.torus import (SkewForm, TorusElement, _l1, _width, exact_right_divide,
+                            is_positive, power_product, q_commute)
 
 from .corpus import corpus_seed
 from .oracles import (cadd, cmul, specialize_v1, torus_divide_longhand,
@@ -258,3 +258,95 @@ def test_q_commute_matches_products(case):
     a, b, k = case
     want = torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
     assert q_commute(a, b, k) == want
+
+
+# Wide coefficients: up to +-2^64 on v-degrees -6..6, plus fixed coefficients
+# whose neighbouring digits change sign (such as -1 + v), so a slot width
+# or a borrow that is off shows in the balanced digits.
+WIDE_INTS = st.one_of(st.integers(-2**64, 2**64), st.sampled_from([-1, 1, -2**64, 2**64]))
+MIXED_SIGNS = st.sampled_from([
+    QLaurent({0: -1, 1: 1}), QLaurent({0: 1, 1: -1}), QLaurent({-1: -1, 0: 1, 1: -1}),
+    QLaurent({-6: 1, -5: -1, 5: 1, 6: -1}), QLaurent({0: 2**64, 1: -2**64, 2: 1})])
+WIDE_COEFFS = st.one_of(
+    st.dictionaries(st.integers(-6, 6), WIDE_INTS, min_size=1, max_size=4).map(QLaurent),
+    MIXED_SIGNS)
+WIDE_TERMS = {m: st.dictionaries(EXPONENTS[m], WIDE_COEFFS, max_size=3) for m in range(1, 5)}
+
+
+@st.composite
+def wide_pairs(draw):
+    form = skew_form(draw)
+    return (TorusElement(form, draw(WIDE_TERMS[form.dim])),
+            TorusElement(form, draw(WIDE_TERMS[form.dim])))
+
+
+WIDE_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@WIDE_PROPERTY
+@given(wide_pairs())
+@example((ONE1.scale(QLaurent({0: -1, 1: 1})), ONE1 + X1.scale(QLaurent({0: 1, 1: -1}))))
+def test_wide_mul_matches_pairwise_oracle(pair):
+    a, b = pair
+    got = a * b
+    assert got == torus_mul_pairwise(a, b)
+    assert no_zero_coefficients(got)
+
+
+@WIDE_PROPERTY
+@given(wide_pairs(), st.integers(-4, 4), st.booleans())
+def test_wide_q_commute_matches_products(pair, k, power):
+    a, b = pair
+    if power:       # a commutes with a scaled a * a at k = 0
+        b, k = torus_mul_pairwise(a, a).scale(QLaurent.monomial(k)), 0
+    want = torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
+    assert q_commute(a, b, k) == want
+    if power:
+        assert want
+
+
+@WIDE_PROPERTY
+@given(wide_pairs(), st.booleans())
+def test_wide_divide_matches_longhand_oracle(pair, exact):
+    a, d = pair
+    if d.is_zero():
+        d = TorusElement.one(d.form)
+    n = torus_mul_pairwise(a, d)
+    if exact:
+        assert exact_right_divide(n, d) == a
+        return
+    n = n + a
+    try:
+        want = torus_divide_longhand(n, d)
+    except NotDivisible as exc:
+        with pytest.raises(NotDivisible) as got:
+            exact_right_divide(n, d)
+        assert str(got.value) == str(exc)
+        assert got.value.remainder == exc.remainder
+    else:
+        assert exact_right_divide(n, d) == want
+
+
+def test_divide_widens_when_the_quotient_outgrows_the_remainder():
+    # (1 - X^40)^3 / (1 - X)^3 = (1 + X + ... + X^39)^3: L1(n) = L1(d) = 8 L1(c)
+    # set the first width, and the quotient's coefficients (up to 1200 c),
+    # hence the remainder's digits next to them, outgrow it.
+    c = QLaurent({0: 2**64, 1: -1})
+    d = (ONE1 - X1) * (ONE1 - X1) * (ONE1 - X1)
+    top = ONE1 - TorusElement.monomial(L1, (40,))
+    n = (top * top * top).scale(c)
+    a = torus_divide_longhand(n, d)
+    first = _width(2 * _l1(n) * _l1(d))
+    assert max(abs(z) for co in a.terms.values() for z in co.terms.values()) >= 2**(first - 1)
+    assert exact_right_divide(n, d) == a
+    assert torus_mul_pairwise(a, d) == n
+
+
+@WIDE_PROPERTY
+@given(wide_pairs(), st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+def test_wide_power_product_matches_pairwise_chain(pair, i, j, shift):
+    a, b = pair
+    want = TorusElement.one(a.form)
+    for f in [a] * i + [b] * j:
+        want = torus_mul_pairwise(want, f)
+    assert power_product(a.form, [(a, i), (b, j)], shift) == want.scale(QLaurent.monomial(shift))
