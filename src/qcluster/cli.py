@@ -18,7 +18,7 @@ from .decorated import h1_aggregate
 from .dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_product_pair,
                        factorization_check, g_of_lambda, initial_class_map,
                        pochhammer)
-from .errors import QClusterError
+from .errors import ChecksNotRun, QClusterError
 from .grassmannian import coefficient_crosscheck
 from .qlaurent import lefschetz_decompose
 from .quiver import (Arrow, Potential, QPData, Quiver, from_btilde,
@@ -98,6 +98,8 @@ class SessionSpec:
         if self.route not in ROUTES:
             raise QClusterError(f"options.route must be one of {', '.join(ROUTES)}")
         self.budget = _field(opts, "options.budget", _int, 500000)
+        if self.budget < 1:
+            raise QClusterError(f"options.budget must be at least 1, got {self.budget}")
         quiver = doc.get("quiver")
         self.quiver = None if quiver is None else (
             _field(quiver, "quiver.vertices", _int), _field(quiver, "quiver.arrows", _arrows))
@@ -207,7 +209,9 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
     return ok
 
 
-def cmd_count(spec: SessionSpec, out: list[str], report: dict, jobs: int = 1) -> bool:
+def cmd_count(spec: SessionSpec, out: list[str], report: dict) -> bool:
+    """The per-stratum table.  Raises ChecksNotRun, with out and report
+    filled, when a row's check did not run."""
     result = cluster_monomial(spec.seed(), spec.ks, spec.lam)
     qp = spec.qp()
     qp_r = mutate_qp_sequence(qp, spec.ks)
@@ -215,7 +219,7 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict, jobs: int = 1) ->
     gamma_map = initial_class_map(spec.btilde, spec.ks)
     check = coefficient_crosscheck(result.f_coefficients, h1, qp_r,
                                    primes=tuple(spec.primes), budget=spec.budget,
-                                   gamma_map=gamma_map, jobs=jobs)
+                                   gamma_map=gamma_map)
     out.append(f"mode: {check.mode}")
     out.append(f"h1 dims: [{', '.join(str(d) for d in h1.dims)}]")
     rows_json = []
@@ -223,9 +227,10 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict, jobs: int = 1) ->
         gamma = ",".join(str(x) for x in row.gamma)
         counts = " ".join(f"q={q}:{c}" for q, c in sorted(row.counts.items()))
         serre = row.serre.render_plain() if row.serre is not None else "-"
-        verdict = ("SKIPPED " + row.note if row.note.startswith("SKIPPED")
+        verdict = ("SKIPPED: " + row.note if not row.checked
                    else "match" if row.match
                    else "euler-match" if row.euler_match
+                   else "MISMATCH: " + row.note if row.note
                    else "MISMATCH")
         out.append(f"gamma [{gamma}] | {counts} | serre {serre} | "
                    f"F {row.f_coeff.render()} | {verdict}"
@@ -236,6 +241,9 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict, jobs: int = 1) ->
     report["mode"] = check.mode
     report["rows"] = rows_json
     report["ok"] = check.ok
+    if check.unchecked:
+        raise ChecksNotRun(f"{len(check.unchecked)} of {len(check.rows)} strata "
+                           "were not checked; see the SKIPPED rows")
     return check.ok
 
 
@@ -315,13 +323,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _print_json_error(command, exc: Exception) -> None:
     suggested = getattr(exc, "suggested_bound", None)
     error = {"type": type(exc).__name__, "message": str(exc),
@@ -344,9 +345,6 @@ def _parser():
         p.add_argument("--degree-cap", type=int)
         p.add_argument("--cone-bound", type=int)
         p.add_argument("--primes", help="comma-separated prime powers")
-        if name == "count":
-            p.add_argument("--jobs", type=_positive_int, default=1,
-                           help="worker processes for the per-(stratum, q) counts")
         p.add_argument("--golden", help="golden-file directory")
         p.add_argument("--json", action="store_true", dest="as_json")
     p = sub.add_parser("identity-check")
@@ -368,6 +366,7 @@ def main(argv=None) -> int:
 
     out: list[str] = []
     report: dict = {"command": args.command}
+    not_run = None
     try:
         if args.command == "identity-check":
             ok = cmd_identity_check(out, report, depth=args.cone_bound)
@@ -379,14 +378,16 @@ def main(argv=None) -> int:
                 spec.degree_cap = args.degree_cap
             if args.cone_bound is not None:
                 spec.cone_bound = args.cone_bound
-            if args.primes:
+            if args.primes is not None:
                 spec.primes = [int(x) for x in args.primes.split(",")]
             if args.command == "mutate":
                 ok = cmd_mutate(spec, out, report)
             elif args.command == "expand":
                 ok = cmd_expand(spec, out, report)
             else:
-                ok = cmd_count(spec, out, report, jobs=args.jobs)
+                ok = cmd_count(spec, out, report)
+    except ChecksNotRun as exc:     # the report stands, and is printed
+        ok, not_run = False, exc
     except (QClusterError, OSError, json.JSONDecodeError, ValueError) as exc:
         suggested = getattr(exc, "suggested_bound", None)
         print(f"error: {exc}", file=sys.stderr)
@@ -402,11 +403,14 @@ def main(argv=None) -> int:
     else:
         text = "\n".join(out) + "\n"
     sys.stdout.write(text)
+    golden_ok = True
     if args.golden:
         path = Path(args.golden) / f"{args.command}.{'json' if args.as_json else 'txt'}"
-        if not _golden_compare(path, text, sys.stderr):
-            return 1
-    return 0 if ok else 1
+        golden_ok = _golden_compare(path, text, sys.stderr)
+    if not_run is not None:
+        print(f"error: {not_run}", file=sys.stderr)
+        return 2
+    return 0 if ok and golden_ok else 1
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ needed (the compatible pair already encodes it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (BoundTooSmall, CommutationMismatch, DimensionMismatch,
                      SignAmbiguous, TailNotVanishing)
+from .linalg import Mat, invert
 from .qlaurent import PochhammerFraction, QLaurent, den_product, fraction_sum
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
@@ -185,25 +187,6 @@ class ConeSeries:
         zero = PochhammerFraction.zero()
         return all(self.coeffs.get(g, zero) == other.coeffs.get(g, zero) for g in keys)
 
-    def inverse(self) -> "ConeSeries":
-        """Geometric-series inverse; requires unit constant term and base 0."""
-        n = self.n
-        z = (0,) * n
-        c0 = self.coeffs.get(z)
-        if any(self.base) or c0 is None or not (c0.is_laurent() and c0.as_laurent().is_one()):
-            raise BoundTooSmall("inverse requires base 0 and constant term 1")
-        one = ConeSeries.unit(self.form, self.btilde, self.bound)
-        nil = ConeSeries(self.form, self.btilde, self.bound, None,
-                         {g: -c for g, c in self.coeffs.items() if g != z})
-        out = one
-        power = one
-        for _ in range(sum(self.bound)):
-            power = power * nil
-            if not power.coeffs:
-                break
-            out = out + power
-        return out
-
     def __repr__(self):
         body = ", ".join(f"{g}: {c!r}" for g, c in sorted(self.coeffs.items()))
         return f"ConeSeries(base={self.base}, {{{body}}})"
@@ -252,14 +235,12 @@ def dt_product_pair(form: SkewForm, btilde, ks, bound):
     return fwd, inv
 
 
-def conjugate(series: ConeSeries, g, bound,
-              inverse: ConeSeries | None = None) -> TorusElement:
+def conjugate(series: ConeSeries, g, bound, inverse: ConeSeries) -> TorusElement:
     """A X^g A^{-1} in the truncated torus, returned as a finite element.
 
-    Raises TailNotVanishing unless every coefficient within TAIL_MARGIN of
-    the bound (entrywise) vanishes, which certifies the theoretical
-    finiteness.  A precomputed inverse (e.g. from dt_product_pair) avoids the
-    generic geometric-series inversion.
+    `inverse` is A^{-1}, as dt_product_pair returns it.  Raises
+    TailNotVanishing unless every coefficient within TAIL_MARGIN of the bound
+    (entrywise) vanishes, which certifies the theoretical finiteness.
     """
     if any(b < TAIL_MARGIN for b in bound):
         raise TailNotVanishing(
@@ -267,7 +248,7 @@ def conjugate(series: ConeSeries, g, bound,
             suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
     xg = ConeSeries(series.form, series.btilde, series.bound, g,
                     {(0,) * series.n: PochhammerFraction.one()})
-    total = series * xg * (inverse if inverse is not None else series.inverse())
+    total = series * xg * inverse
     safe = tuple(b - TAIL_MARGIN for b in bound)
     terms = {}
     for gamma, c in total.coeffs.items():
@@ -304,19 +285,19 @@ def lemma52_step(form: SkewForm, btilde, x_cls, y: TorusElement, eps: int) -> To
     return y + y * x
 
 
-def framed_extract(series: ConeSeries, lam, bound) -> ConeSeries:
+def framed_extract(series: ConeSeries, lam, bound, inverse: ConeSeries) -> ConeSeries:
     """The framed series A^{sfr} with A w_{(0,1)} A^{-1} = w_{(0,1)} A^{sfr}.
 
     Works in the extended lattice Z^n x Z with the framing pairing
     chi((0,1),(gamma,0)) = -sum_i lam_i gamma_i; only framing degree one is
     ever needed, so the extension stays implicit in the v-powers: the framed
     series is A, its coefficient at gamma twisted by v^{-2 lam.gamma}, times
-    A^{-1}.
+    A^{-1} (`inverse`, as dt_product_pair returns it).
     """
     twisted = {g: c.shift(-2 * sum(l * x for l, x in zip(lam, g)))
                for g, c in series.coeffs.items()}
     product = ConeSeries(series.form, series.btilde, series.bound, None,
-                         twisted) * series.inverse()
+                         twisted) * inverse
     return ConeSeries(series.form, series.btilde, bound, None, product.coeffs)
 
 
@@ -326,9 +307,6 @@ def initial_class_map(btilde, ks):
     delta = -C(r) gamma, so gamma = -C(r)^{-1} delta; raises if delta is not
     in the image lattice (it always is: C is unimodular).
     """
-    from fractions import Fraction
-
-    from .linalg import Mat, invert
     n = len(btilde[0])
     res = sign_sequence(btilde, ks)
     if res.c_matrix_trace:

@@ -71,3 +71,7 @@ class BudgetExceeded(QClusterError):
 
 class NotPolynomialCount(QClusterError):
     pass
+
+
+class ChecksNotRun(QClusterError):
+    """Some checks of a run did not run; the report is still printed."""

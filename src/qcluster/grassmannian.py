@@ -9,14 +9,13 @@ with a held-out consistency point.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .decorated import DecRep
 from .errors import BudgetExceeded, NotPolynomialCount, QClusterError
 from .qlaurent import QLaurent
-from .quiver import QPData
+from .quiver import QPData, euler_form
 
 # irreducible polynomials (coefficients low -> high) for the default fields
 _IRREDUCIBLE = {
@@ -202,12 +201,10 @@ def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
     """
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return 0
+    total = enumeration_size(rep.dims, gamma, rep.field.q)
+    if total > budget:
+        raise BudgetExceeded(f"enumeration size {total} exceeds budget {budget}")
     sub_dims = [d - g for d, g in zip(rep.dims, gamma)]
-    total = 1
-    for d, k in zip(rep.dims, sub_dims):
-        total *= gaussian_binomial(d, k, rep.field.q)
-        if total > budget:
-            raise BudgetExceeded(f"enumeration size {total} exceeds budget {budget}")
     sizes = [len(_subspace_list(rep, v, k)) for v, k in enumerate(sub_dims, start=1)]
     # the largest list goes last, where its candidates are counted, not visited
     order = sorted(range(1, len(sizes) + 1), key=lambda v: sizes[v - 1])
@@ -242,6 +239,15 @@ def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
         return found
 
     return count_from(0)
+
+
+def enumeration_size(dims, gamma, q: int) -> int:
+    """Subspace tuples with quotient dims gamma over F_q: the product of
+    Gaussian binomials that gr_count's budget bounds."""
+    total = 1
+    for d, g in zip(dims, gamma):
+        total *= gaussian_binomial(d, d - g, q)
+    return total
 
 
 def _subspace_list(rep: FqRep, v: int, k: int) -> list:
@@ -381,6 +387,7 @@ class CrosscheckRow:
     euler_match: bool | None
     purity_ok: bool
     note: str = ""
+    checked: bool = True           # False: over the budget, or too few prime powers
 
 
 @dataclass
@@ -390,14 +397,19 @@ class CrosscheckReport:
 
     @property
     def ok(self) -> bool:
+        """Every row has a Serre polynomial, purity and a matching Euler
+        characteristic, and in hard mode a matching coefficient."""
         for row in self.rows:
-            if not row.purity_ok:
+            if row.serre is None or not row.purity_ok or row.euler_match is False:
                 return False
-            if self.mode == "hard" and row.match is not True:
-                return False
-            if row.euler_match is False:
+            if self.mode == "hard" and not row.match:
                 return False
         return True
+
+    @property
+    def unchecked(self) -> list[CrosscheckRow]:
+        """The rows whose check did not run."""
+        return [row for row in self.rows if not row.checked]
 
 
 def purity_pattern(p: QLaurent) -> bool:
@@ -409,9 +421,9 @@ def purity_pattern(p: QLaurent) -> bool:
             and all(c >= 0 for c in p.terms.values()))
 
 
-def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
-                           primes=(2, 3, 4, 5, 7, 8, 9), budget: int = 500000,
-                           gamma_map=None, jobs: int = 1) -> CrosscheckReport:
+def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData, gamma_map,
+                           primes=(2, 3, 4, 5, 7, 8, 9),
+                           budget: int = 500000) -> CrosscheckReport:
     """Compare F-polynomial coefficients with Grassmannian Serre polynomials.
 
     `f_coefficients` maps the initial-label stratum delta to its QLaurent
@@ -423,14 +435,15 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
 
     is asserted.  chi is read at an acyclic end, where the quiver Euler form
     is homological: chi_Q(delta, delta) on h1's quiver when its mutable part
-    is acyclic, else chi_{Q_r}(gamma, gamma) with gamma = gamma_map(delta)
-    (falling back to degree alignment without a gamma_map).  In report mode
-    only Euler characteristics at T = 1 and the purity pattern are compared.
+    is acyclic, else chi_{Q_r}(gamma, gamma) with gamma = gamma_map(delta).
+    In report mode only Euler characteristics at T = 1 and the purity
+    pattern are compared.
 
-    Each prime power is one task that counts every stratum on one FqRep, so
-    its subspace and arrow tables are built once.  The tasks run in
-    min(jobs, task count, CPU count) worker processes, or in this process
-    when that is 1.
+    The prime powers are the outer loop, so every stratum counted at one q
+    shares one FqRep's subspace and arrow tables.  A row is not checked when
+    a count exceeds the budget, or when interpolation fails with fewer than
+    the max_dim + 2 prime powers its degree bound needs; its note says what
+    would have sufficed.
     """
     if len(set(primes)) < len(primes) or len(primes) < 2:
         raise QClusterError(
@@ -439,76 +452,48 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData,
     mutable = range(1, n + 1)
     at_h1 = h1.qp.quiver.subquiver_is_acyclic(mutable)
     hard = at_h1 or qp_r.quiver.subquiver_is_acyclic(mutable)
-    from .quiver import euler_form
-    rows = []
 
     def pad(cls):
         return tuple(cls) + (0,) * (len(h1.dims) - n)
 
     deltas = sorted(f_coefficients)
-    fulls = [pad(delta) for delta in deltas]
-    fq_reps = {q: to_fq(h1, q) for q in primes}
-    results = {}
-    workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_count_task, fq_reps[q], fulls, budget): q for q in primes}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for q in primes:
-            results[q] = _count_task(fq_reps[q], fulls, budget)
+    counts = {delta: {} for delta in deltas}
+    for q in primes:
+        rep = to_fq(h1, q)
+        for delta in deltas:
+            try:
+                counts[delta][q] = gr_count(rep, pad(delta), budget)
+            except BudgetExceeded:
+                pass
 
-    for i, delta in enumerate(deltas):
+    rows = []
+    for delta in deltas:
         f_coeff = f_coefficients[delta]
-        counts = {}
-        note = ""
-        budget_hit = False
-        for q in primes:
-            res = results[q][i]
-            if res is None:
-                budget_hit = True
-            else:
-                counts[q] = res
-        if budget_hit:
-            rows.append(CrosscheckRow(tuple(delta), None, counts, None, f_coeff,
-                                      None, None, purity_pattern(f_coeff),
-                                      "SKIPPED: budget exceeded"))
-            continue
-        dims_mut = h1.dims[:n]
-        max_dim = sum(d_ * (dd - d_) for d_, dd in zip(delta, dims_mut) if dd >= d_)
-        degree_bound = min(max_dim, len(primes) - 2)
-        tbl = CountTable(tuple(delta), counts)
-        serre = None
-        try:
-            serre = serre_interpolate(tbl, degree_bound)
-        except NotPolynomialCount as exc:
-            note = f"interpolation failed: {exc}"
-        qr_class = tuple(gamma_map(delta)) if gamma_map else None
-        euler_match = None
-        match = None
+        qr_class = tuple(gamma_map(delta))
+        max_dim = sum(d_ * (dd - d_) for d_, dd in zip(delta, h1.dims) if dd >= d_)
+        serre = euler_match = match = None
+        checked, note = True, ""
+        if len(counts[delta]) < len(primes):
+            # enumeration sizes grow with q, so the largest q needs the most
+            size = enumeration_size(h1.dims, pad(delta), max(primes))
+            checked, note = False, f"enumeration size {size} exceeds budget {budget}"
+        else:
+            try:
+                serre = serre_interpolate(CountTable(tuple(delta), counts[delta]),
+                                          min(max_dim, len(primes) - 2))
+            except NotPolynomialCount as exc:
+                checked = max_dim <= len(primes) - 2
+                note = (f"interpolation failed: {exc}" if checked else
+                        f"needs {max_dim + 2} prime powers, have {len(primes)}")
         if serre is not None:
             euler_match = (f_coeff.eval_at_one() == serre.eval_at_one())
             dual = QLaurent({-2 * k: c for k, c in serre.terms.items()})
             if at_h1:
                 chi = euler_form(h1.qp.quiver, pad(delta), pad(delta))
-            elif qr_class is not None:
+            else:
                 chi = euler_form(qp_r.quiver, pad(qr_class), pad(qr_class))
-            else:   # no class map: align the top degrees
-                chi = dual.max_deg() - f_coeff.max_deg()
             match = (f_coeff == dual.shift(-chi))
-        rows.append(CrosscheckRow(tuple(delta), qr_class, counts, serre, f_coeff,
-                                  match, euler_match, purity_pattern(f_coeff), note))
+        rows.append(CrosscheckRow(tuple(delta), qr_class, counts[delta], serre, f_coeff,
+                                  match, euler_match, purity_pattern(f_coeff), note,
+                                  checked))
     return CrosscheckReport("hard" if hard else "report", rows)
-
-
-def _count_task(rep: FqRep, gammas, budget: int) -> list:
-    """gr_count of each class on one FqRep, None where the budget is exceeded."""
-    out = []
-    for gamma_full in gammas:
-        try:
-            out.append(gr_count(rep, gamma_full, budget))
-        except BudgetExceeded:
-            out.append(None)
-    return out

@@ -109,9 +109,6 @@ class QLaurent:
         res.terms = {e + k: c for e, c in self.terms.items()}
         return res
 
-    def max_deg(self) -> int:
-        return max(self.terms)
-
     def bar(self) -> "QLaurent":
         """The bar involution v -> v^(-1)."""
         res = QLaurent()

@@ -171,11 +171,11 @@ def _numbered_quiver(m: int, counts) -> Quiver:
     return Quiver(m, arrows)
 
 
-def from_btilde(btilde, n: int, extra=None) -> Quiver:
+def from_btilde(btilde, n: int) -> Quiver:
     """The canonical 2-acyclic quiver with a_{ji} - a_{ij} = b_{ij}.
 
-    `extra` optionally supplies {(i, j): multiplicity} arrows among the
-    frozen vertices n+1..m (the block the exchange matrix does not see).
+    There are no arrows among the frozen vertices n+1..m, the block the
+    exchange matrix does not see.
     """
     m = len(btilde)
     for i in range(n):
@@ -190,10 +190,6 @@ def from_btilde(btilde, n: int, extra=None) -> Quiver:
                 counts[(j, i)] = counts.get((j, i), 0) + b
             elif b < 0 and i > n:
                 counts[(i, j)] = counts.get((i, j), 0) - b
-    for (i, j), mult in (extra or {}).items():
-        if not (n < i <= m and n < j <= m):
-            raise QClusterError("extra arrows must join frozen vertices")
-        counts[(i, j)] = counts.get((i, j), 0) + mult
     return _numbered_quiver(m, counts)
 
 
@@ -349,7 +345,7 @@ def _substitute(pot: Potential, subs) -> Potential:
     return Potential(cap, out)
 
 
-def reduce_with_trail(qp: QPData, max_rounds: int | None = None):
+def reduce_with_trail(qp: QPData):
     """Split off the trivial part: returns (reduced QPData, trail).
 
     The trail records, in order, every substitution {arrow: correction} that
@@ -358,8 +354,7 @@ def reduce_with_trail(qp: QPData, max_rounds: int | None = None):
     """
     q, pot = qp.quiver, qp.potential
     trail: list[tuple] = []
-    if max_rounds is None:
-        max_rounds = 4 * pot.degree_cap + len(q.arrows) ** 2 + 8
+    max_rounds = 4 * pot.degree_cap + len(q.arrows) ** 2 + 8
     rounds = 0
     while True:
         quad = sorted(w for w in pot.terms if len(w) <= 2)
@@ -428,7 +423,11 @@ def euler_form(q: Quiver, g1, g2) -> int:
     return total
 
 
-def _paths_up_to(q: Quiver, L: int, limit: int = 200000):
+# Paths of one length that _paths_up_to builds before it gives up.
+_PATH_LIMIT = 200000
+
+
+def _paths_up_to(q: Quiver, L: int):
     """All path words of length 0..L; length-0 paths are vertex markers."""
     by_len = [[((), v) for v in range(1, q.m + 1)]]
     for length in range(1, L + 1):
@@ -438,7 +437,7 @@ def _paths_up_to(q: Quiver, L: int, limit: int = 200000):
             for a in q.arrows.values():
                 if a.target == src:
                     cur.append((word + (a.id,), a.source))
-            if len(cur) > limit:
+            if len(cur) > _PATH_LIMIT:
                 raise DegreeCapExceeded("path enumeration budget exceeded")
         by_len.append(cur)
     return by_len

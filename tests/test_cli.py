@@ -1,7 +1,6 @@
-import concurrent.futures
 import dataclasses
 import json
-import os
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +24,9 @@ A2_DOC = {
     "lam": [1, 0],
     "options": {"route": "both", "primes": [2, 3, 4, 5]},
 }
+
+TRIANGLE_DOC = json.loads(
+    (Path(__file__).parent.parent / "demos" / "specs" / "triangle.json").read_text())
 
 
 def test_mutate_renders_seed(tmp_path, capsys):
@@ -154,20 +156,48 @@ def test_h1_bound_broken_by_the_result_exits_2(tmp_path, capsys, monkeypatch):
     assert "suggested cone bound" in capsys.readouterr().err
 
 
-def test_count_with_jobs(tmp_path, capsys):
-    spec = write_spec(tmp_path, A2_DOC)
-    assert main(["count", spec, "--jobs", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "| match" in out
-
-
 def test_count_budget_exceeded_marks_skipped(tmp_path, capsys):
+    """Gr(1, 2) has q + 1 points, over a budget of 2 at every prime power."""
     doc = json.loads(json.dumps(A2_DOC))
-    doc["options"]["budget"] = 0
+    doc["lam"] = [2, 0]
+    doc["options"]["budget"] = 2
     spec = write_spec(tmp_path, doc)
-    main(["count", spec])
-    out = capsys.readouterr().out
-    assert "SKIPPED" in out
+    assert main(["count", spec]) == 2
+    captured = capsys.readouterr()
+    rows = [line for line in captured.out.splitlines() if line.startswith("gamma ")]
+    assert rows[1].startswith("gamma [1,0] |")
+    assert rows[1].endswith("| SKIPPED: enumeration size 6 exceeds budget 2")
+    assert rows[0].endswith("| match") and rows[2].endswith("| match")
+    assert "error: 1 of 3 strata were not checked" in captured.err
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("doc, skipped", [
+    # Gr(k, 5) needs k(5 - k) + 2 prime powers to interpolate, and 4 are given
+    (dict(A2_DOC, lam=[5, 0]), ["SKIPPED: needs 6 prime powers, have 4",
+                                "SKIPPED: needs 8 prime powers, have 4",
+                                "SKIPPED: needs 8 prime powers, have 4",
+                                "SKIPPED: needs 6 prime powers, have 4"]),
+    # every stratum but the two trivial ones is over a budget of 1
+    (dict(TRIANGLE_DOC, options=dict(TRIANGLE_DOC["options"], budget=1)), [None] * 16),
+])
+def test_count_rows_not_checked_exit_2(tmp_path, capsys, doc, skipped, as_json):
+    """The report is printed with ok false, and stderr says why."""
+    argv = ["count", write_spec(tmp_path, doc)] + (["--json"] if as_json else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    if as_json:
+        report = json.loads(captured.out)
+        assert report["ok"] is False
+        verdicts = [row["verdict"] for row in report["rows"]]
+    else:
+        verdicts = [line.rsplit(" | ", 1)[1] for line in captured.out.splitlines()
+                    if line.startswith("gamma ")]
+    not_run = [v for v in verdicts if v.startswith("SKIPPED")]
+    assert len(not_run) == len(skipped)
+    assert all(v == s for v, s in zip(not_run, skipped) if s is not None)
+    assert f"error: {len(skipped)} of {len(verdicts)} strata were not checked" \
+        in captured.err
 
 
 @pytest.mark.parametrize("ks", ["132", "312", "1232", "3212"])
@@ -227,6 +257,8 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("count", {"options": {"primes": [2, 2, 3, 3, 5]}}, []),  # repeated prime powers
     ("expand", {"lam": [-1, 0]}, ["--route", "dt"]),    # negative lam on the DT route
     ("expand", {"lam": [-1, 1]}, ["--route", "dt"]),    # not dropped from H^1 either
+    ("count", {"options": {"budget": 0}}, []),          # a budget that skips every stratum
+    ("count", {"options": {}}, ["--primes", ""]),       # an empty --primes is not ignored
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole
@@ -250,71 +282,20 @@ def test_dt_route_rejects_negative_lam(tmp_path, capsys, lam):
     assert "lam >= 0" in err and "suggested cone bound" not in err
 
 
-@pytest.mark.parametrize("jobs, cpus, pools", [
-    (64, 3, [3]),          # clamped to the CPU count
-    (2, 16, [2]),          # the requested count fits
-    (64, 64, [4]),         # clamped to the 4 prime powers, one task each
-    (4, 1, []),            # one CPU: in-process, no pool
-    (4, None, []),         # CPU count unknown: in-process, no pool
-])
-def test_count_jobs_clamped(tmp_path, capsys, monkeypatch, jobs, cpus, pools):
-    created = []
-
-    class InlinePool:
-        """Stand-in for ProcessPoolExecutor: records max_workers, runs tasks inline."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    spec = write_spec(tmp_path, A2_DOC)
-    assert main(["count", spec, "--jobs", str(jobs)]) == 0
-    assert "| match" in capsys.readouterr().out
-    assert created == pools
-
-
-def test_jobs_is_count_only(tmp_path, capsys):
-    spec = write_spec(tmp_path, A2_DOC)
-    for command in ("mutate", "expand"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, spec, "--jobs", "2"])
-        assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
-
-
-def test_parser_reused_without_stale_state(tmp_path, capsys, monkeypatch):
-    """One process: a usage error, count --jobs 2, then count and expand with
-    no flags, which must behave as fresh calls."""
-    jobs_seen = []
-    real_count = cli.cmd_count
-
-    def record_jobs(spec, out, report, jobs=1):
-        jobs_seen.append(jobs)
-        return real_count(spec, out, report)
-
-    monkeypatch.setattr(cli, "cmd_count", record_jobs)
+def test_parser_reused_without_stale_state(tmp_path, capsys):
+    """One process: a usage error, count --primes and --json, then count and
+    expand with no flags, which must behave as fresh calls."""
     spec = write_spec(tmp_path, A2_DOC)
     with pytest.raises(SystemExit) as exc:
-        main(["count", spec, "--jobs", "0", "--json"])
+        main(["count", spec, "--route", "bad", "--json"])
     assert exc.value.code == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "UsageError"
-    assert main(["count", spec, "--jobs", "2"]) == 0
-    with_jobs = capsys.readouterr().out
+    assert main(["count", spec, "--primes", "2,3,5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["counts"] == \
+        {"2": 1, "3": 1, "5": 1}
     assert main(["count", spec]) == 0
-    assert capsys.readouterr().out == with_jobs
-    assert jobs_seen == [2, 1]
+    out = capsys.readouterr().out
+    assert out.startswith("mode: hard") and "q=4:1 q=5:1 |" in out
     assert main(["expand", spec, "--route", "mutation"]) == 0
     assert "two-route" not in capsys.readouterr().out
     assert main(["expand", spec]) == 0
@@ -324,7 +305,7 @@ def test_parser_reused_without_stale_state(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command, flags", [
     ("expand", ["--route", "bad"]),     # a value outside the flag's choices
-    ("count", ["--jobs", "0"]),         # fewer than one worker
+    ("count", ["--jobs", "2"]),         # an unrecognized argument
 ])
 def test_usage_error_under_json_prints_error_object(tmp_path, capsys, command, flags):
     spec = write_spec(tmp_path, A2_DOC)

@@ -84,7 +84,7 @@ def test_dt_product_single_and_empty():
 def test_conjugate_identity_series():
     bound = (4, 4)
     one = ConeSeries.unit(L2, B2, bound)
-    out = conjugate(one, (2, -1), bound)
+    out = conjugate(one, (2, -1), bound, one)
     assert out == TorusElement.monomial(L2, (2, -1))
 
 
@@ -99,7 +99,8 @@ def test_conjugate_a2_matches_mutation():
 
 def test_conjugate_tail_not_vanishing_on_tiny_bound():
     with pytest.raises(TailNotVanishing) as exc:
-        conjugate(ConeSeries.unit(L2, B2, (0, 0)), (1, 0), (0, 0))
+        one = ConeSeries.unit(L2, B2, (0, 0))
+        conjugate(one, (1, 0), (0, 0), one)
     assert exc.value.suggested_bound is not None
 
 
@@ -148,17 +149,17 @@ def test_lemma52_plus_exponent_against_minus_factor():
 def test_framed_extract_trivial_cases():
     bound = (4, 4)
     one = ConeSeries.unit(L2, B2, bound)
-    assert framed_extract(one, (1, 0), bound) == one
-    series = dt_product_pair(L2, B2, (1,), bound)[0]
-    assert framed_extract(series, (0, 0), bound) == ConeSeries.unit(L2, B2, bound)
+    assert framed_extract(one, (1, 0), bound, one) == one
+    series, inv = dt_product_pair(L2, B2, (1,), bound)
+    assert framed_extract(series, (0, 0), bound, inv) == one
 
 
 def test_framed_extract_matches_f_polynomial():
     s0 = corpus_seed("a2")
     r = cluster_monomial(s0, (1,), (1, 0))
     bound = (4, 4)
-    series = dt_product_pair(L2, B2, (1,), bound)[0]
-    sfr = framed_extract(series, (1, 0), bound)
+    series, inv = dt_product_pair(L2, B2, (1,), bound)
+    sfr = framed_extract(series, (1, 0), bound, inv)
     for gamma, coeff in r.f_coefficients.items():
         assert sfr.coeffs[gamma].as_laurent() == coeff
     for gamma, c in sfr.coeffs.items():
@@ -172,8 +173,8 @@ def test_framed_extract_coefficients_land_in_z_t():
     from qcluster.quiver import euler_form, from_btilde, mutate_qp, Potential, QPData
     bound = (5, 5)
     for ks, lam in [((1,), (1, 0)), ((1, 2), (0, 1)), ((1, 2, 1), (1, 0))]:
-        series = dt_product_pair(L2, B2, ks, bound)[0]
-        sfr = framed_extract(series, lam, bound)
+        series, inv = dt_product_pair(L2, B2, ks, bound)
+        sfr = framed_extract(series, lam, bound, inv)
         to_qr = initial_class_map(B2, ks)
         qp = QPData(from_btilde(B2, 2), Potential(12))
         for k in ks:
