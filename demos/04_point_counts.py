@@ -50,7 +50,7 @@ print()
 print("## the full per-stratum report")
 qp_r = qp
 for k in ks:
-    qp_r, _ = mutate_qp(qp_r, k)
+    qp_r = mutate_qp(qp_r, k)
 report = coefficient_crosscheck(res.f_coefficients, h1, qp_r, primes=(2, 3, 5, 7),
                                 gamma_map=initial_class_map(btilde, ks))
 print("mode:", report.mode, "(cyclic at both ends: Euler + purity checks only)")

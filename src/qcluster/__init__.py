@@ -7,7 +7,7 @@ finite fields.  All arithmetic is exact: integers, Fractions and Laurent
 polynomials in v = q^(1/2).
 """
 
-from .decorated import DecRep, h1_aggregate, h1_gamma, mutate_rep, negative_simple
+from .decorated import DecRep, h1_aggregate, mutate_rep, negative_simple
 from .dtseries import (ConeSeries, SignSeqResult, conjugate, dt_product_pair,
                        factorization_check, framed_extract, g_of_lambda,
                        initial_class_map, lemma52_step, pochhammer,
@@ -17,7 +17,7 @@ from .grassmannian import (CountTable, FqRep, coefficient_crosscheck, gr_count,
 from .qlaurent import QLaurent, lefschetz_decompose
 from .quiver import (Potential, QPData, Quiver, cyclic_derivative, euler_form,
                      from_btilde, jacobi_dims, mutate_qp, mutate_qp_sequence,
-                     premutate_with_maps, quiver_mutate, reduce_with_trail)
+                     mutation_step, quiver_mutate, reduce_with_trail)
 from .seed import (ClusterMonomialResult, QuantumSeed, cluster_monomial,
                    f_polynomial, frame_monomial, g_vector, initial_seed,
                    mutate, mutate_sequence)
@@ -29,9 +29,9 @@ __all__ = [
     "QuantumSeed", "ClusterMonomialResult", "initial_seed", "frame_monomial",
     "mutate", "mutate_sequence", "cluster_monomial", "g_vector", "f_polynomial",
     "Quiver", "Potential", "QPData", "from_btilde", "quiver_mutate",
-    "cyclic_derivative", "premutate_with_maps", "reduce_with_trail", "mutate_qp",
+    "cyclic_derivative", "mutation_step", "reduce_with_trail", "mutate_qp",
     "mutate_qp_sequence", "euler_form", "jacobi_dims",
-    "DecRep", "negative_simple", "mutate_rep", "h1_gamma", "h1_aggregate",
+    "DecRep", "negative_simple", "mutate_rep", "h1_aggregate",
     "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_product_pair",
     "conjugate", "lemma52_step", "framed_extract", "factorization_check",
     "g_of_lambda", "initial_class_map",

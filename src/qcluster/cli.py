@@ -74,9 +74,13 @@ def _potential(value):
 
 
 class SessionSpec:
-    """Parsed and validated session document."""
+    """Parsed and validated session document.
 
-    def __init__(self, doc: dict):
+    `overrides` holds option values given on the command line; they replace
+    the document's `options` entries and pass the same checks.
+    """
+
+    def __init__(self, doc: dict, overrides=None):
         self.n = _field(doc, "n", _int)
         self.lam_matrix = _field(doc, "lambda", _matrix)
         self.btilde = _field(doc, "btilde", _matrix)
@@ -90,7 +94,11 @@ class SessionSpec:
         if len(self.lam) != self.m:
             raise QClusterError("lam must have length m")
         opts = doc.get("options", {})
+        if overrides and isinstance(opts, dict):
+            opts = {**opts, **overrides}
         self.degree_cap = _field(opts, "options.degree_cap", _int, 12)
+        if self.degree_cap < 2:
+            raise QClusterError(f"degree cap must be at least 2, got {self.degree_cap}")
         self.cone_bound = _field(opts, "options.cone_bound",
                                  lambda v: None if v is None else _int(v), None)
         self.primes = _field(opts, "options.primes", _ints, [2, 3, 4, 5, 7, 8, 9])
@@ -292,9 +300,22 @@ def cmd_identity_check(out: list[str], report: dict, depth: int = 12) -> bool:
     return ok
 
 
-def _load_spec(path: str) -> SessionSpec:
+def _load_spec(path: str, overrides) -> SessionSpec:
     with open(path) as fh:
-        return SessionSpec(json.load(fh))
+        return SessionSpec(json.load(fh), overrides)
+
+
+def _option_flags(args) -> dict:
+    """The options given as flags, keyed as in the session document."""
+    flags = {"route": args.route, "degree_cap": args.degree_cap,
+             "cone_bound": args.cone_bound, "primes": args.primes}
+    if args.primes is not None:
+        try:
+            flags["primes"] = [int(x) for x in args.primes.split(",")]
+        except ValueError:
+            raise QClusterError("--primes takes comma-separated integers, "
+                                f"got {args.primes!r}") from None
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def _golden_compare(path: Path, text: str, err) -> bool:
@@ -371,15 +392,7 @@ def main(argv=None) -> int:
         if args.command == "identity-check":
             ok = cmd_identity_check(out, report, depth=args.cone_bound)
         else:
-            spec = _load_spec(args.spec)
-            if args.route:
-                spec.route = args.route
-            if args.degree_cap is not None:
-                spec.degree_cap = args.degree_cap
-            if args.cone_bound is not None:
-                spec.cone_bound = args.cone_bound
-            if args.primes is not None:
-                spec.primes = [int(x) for x in args.primes.split(",")]
+            spec = _load_spec(args.spec, _option_flags(args))
             if args.command == "mutate":
                 ok = cmd_mutate(spec, out, report)
             elif args.command == "expand":

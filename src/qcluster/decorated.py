@@ -3,7 +3,9 @@
 Right-module convention throughout: the arrow a: i -> j acts as a linear
 map M_j -> M_i, stored as a Mat of shape dims[i] x dims[j], and the word
 (s_1, ..., s_r) acts by mats[s_r] * ... * mats[s_1].  The in/out assignment
-for the mutation triangle lives in one place, `_triangle_maps`.
+for the mutation triangle lives in one place, `_triangle_maps`; the QP side
+of a mutation is a `quiver.MutationStep`, shared by every representation of
+one QP.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, LoopAtVertex, RelationViolation
-from .linalg import (Mat, column_space_basis, extend_basis, hstack, invert,
-                     kernel_basis, solve_matrix, vstack)
-from .quiver import (Potential, QPData, cyclic_derivative, mutate_qp_sequence,
-                     premutate_with_maps, reduce_with_trail)
+from .errors import DimensionMismatch, RelationViolation
+from .linalg import Echelon, Mat, column_echelon, hstack, vstack
+from .quiver import (MutationStep, QPData, cyclic_derivative, mutate_qp_sequence,
+                     mutation_step)
 
 
 @dataclass
@@ -87,58 +88,11 @@ def check_jacobi(rep: DecRep) -> None:
     # spanned by the images of every arrow i -> j on rad^(t-1) M at j
     layer = [[tuple(int(t == i) for t in range(d)) for i in range(d)] for d in rep.dims]
     for _ in range(rep.total_dim()):
-        layer = [extend_basis([], [rep.mats[a.id].apply(u) for a in q.arrows_from(v)
+        layer = [Echelon().extend([rep.mats[a.id].apply(u) for a in q.arrows_from(v)
                                    for u in layer[a.target - 1]])
                  for v in range(1, q.m + 1)]
     if any(layer):
         raise RelationViolation("module is not nilpotent")
-
-
-@dataclass(frozen=True)
-class MutationStep:
-    """The QP side of mu_k at qp, shared by every representation of qp.
-
-    Arrows at k are sorted by id: `outgoing` are b: k -> j, `incoming` are
-    a: i -> k.  `gamma_words[(b, a)]` is d_{[ba]} W_2 with composite arrows
-    expanded into paths of qp; `reduced` and `trail` are the reduction of
-    the premutation `pre`.
-    """
-
-    qp: QPData
-    k: int
-    pre: QPData
-    rev: dict
-    comp: dict
-    outgoing: list
-    incoming: list
-    gamma_words: dict
-    reduced: QPData
-    trail: list
-
-
-def mutation_step(qp: QPData, k: int) -> MutationStep:
-    """Premutation, gamma words and reduction of qp at k, for any module."""
-    q = qp.quiver
-    if q.has_loop_at(k):
-        raise LoopAtVertex(f"loop at vertex {k}")
-    outgoing = sorted(q.arrows_from(k), key=lambda a: a.id)
-    incoming = sorted(q.arrows_into(k), key=lambda a: a.id)
-    pre, rev, comp = premutate_with_maps(qp, k)
-    w2 = Potential(qp.potential.degree_cap,
-                   {w: c for w, c in pre.potential.terms.items()
-                    if not any(letter in rev.values() for letter in w)})
-    expand = {cid: pair for pair, cid in comp.items()}
-    gamma_words = {}
-    for b in outgoing:
-        for a in incoming:
-            words = {}
-            for w, c in cyclic_derivative(w2, pre.quiver, comp[(b.id, a.id)]).items():
-                flat = tuple(x for letter in w for x in expand.get(letter, (letter,)))
-                words[flat] = words.get(flat, Fraction(0)) + c
-            gamma_words[(b.id, a.id)] = words
-    reduced, trail = reduce_with_trail(pre)
-    return MutationStep(qp, k, pre, rev, comp, outgoing, incoming, gamma_words,
-                        reduced, trail)
 
 
 def _triangle_maps(rep: DecRep, step: MutationStep):
@@ -173,16 +127,19 @@ def _triangle_maps(rep: DecRep, step: MutationStep):
     return alpha, beta, gamma, in_dims, out_dims
 
 
-def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
-               step: MutationStep | None = None) -> DecRep:
-    """DWZ mutation of a decorated representation at vertex k.
+def mutate_rep(rep: DecRep, step: MutationStep, reverse_pivots: bool = False) -> DecRep:
+    """DWZ mutation of a decorated representation at step.k.
 
-    `step` is mutation_step(rep.qp, k) when the caller already has it.
+    `step` is mutation_step(rep.qp, k).  Each space of the triangle
+    M_in -alpha-> M_k -beta-> M_out -gamma-> M_in keeps one Echelon: the
+    columns of the map into it are reduced once, then the kernels the
+    other spaces give are added to it.  `reverse_pivots` adds the columns
+    of beta and gamma, the kernels and the unit vectors in reverse order,
+    another choice of the same splittings.
     """
-    if step is None:
-        step = mutation_step(rep.qp, k)
-    elif step.qp is not rep.qp or step.k != k:
-        raise ValueError(f"the mutation step is not the one of this QP at {k}")
+    if step.qp is not rep.qp:
+        raise ValueError(f"the mutation step is not the one of this QP at {step.k}")
+    k = step.k
     if not rep.total_dim() and not rep.vdims[k - 1]:
         return _decoration(step.reduced, rep.vdims)  # (0, V), V_k = 0: only the QP moves
     q = rep.qp.quiver
@@ -195,38 +152,30 @@ def mutate_rep(rep: DecRep, k: int, reverse_pivots: bool = False,
     if not (gamma * beta).is_zero():
         raise RelationViolation("gamma . beta != 0: not a Jacobi module")
 
-    ker_gamma = kernel_basis(gamma)
-    im_beta = column_space_basis(beta, reverse=reverse_pivots)
-    c1 = extend_basis(im_beta, ker_gamma, reverse=reverse_pivots)
-    units_out = [tuple(Fraction(1 if t == i else 0) for t in range(d_out))
-                 for i in range(d_out)]
-    rest = extend_basis(im_beta + c1, units_out, reverse=reverse_pivots)
-    full_out = im_beta + c1 + rest
-    im_gamma = column_space_basis(gamma, reverse=reverse_pivots)
-    ker_alpha = kernel_basis(alpha)
-    c3 = extend_basis(im_gamma, ker_alpha, reverse=reverse_pivots)
-
+    in_ech, im_gamma, ker_gamma, coords_gamma = column_echelon(gamma, reverse_pivots)
+    k_ech, _, ker_alpha, _ = column_echelon(alpha)
+    out_ech, _, ker_beta, _ = column_echelon(beta, reverse_pivots)
+    c3 = in_ech.extend(ker_alpha, reverse_pivots)       # ker alpha / im gamma
+    vk_new = len(k_ech.extend(ker_beta))                # ker beta / (ker beta n im alpha)
+    # ker gamma / im beta, kept as the indices of its vectors in out_ech; then
+    # unit vectors complete a basis of M_out
+    first = out_ech.added
+    c1 = [first + t for t, v in enumerate(ker_gamma[::-1] if reverse_pivots else ker_gamma)
+          if out_ech.add(dict(enumerate(v))) is None]
+    out_ech.extend([tuple(int(t == i) for t in range(d_out)) for i in range(d_out)],
+                   reverse_pivots)
     n1, n2, n3 = len(c1), len(im_gamma), len(c3)
     dk_new = n1 + n2 + n3 + vk
 
-    # alpha-bar: M_out -> M_k-bar, rows [ker g/im b | im g | 0 | 0]
-    if d_out:
-        inv_full = invert(Mat.from_columns(full_out, d_out))
-        rows_c1 = Mat(n1, d_out, [inv_full.a[len(im_beta) + i] for i in range(n1)])
-        coords_gamma = solve_matrix(im_gamma, gamma) if n2 else Mat.zero(0, d_out)
-    else:
-        rows_c1 = Mat(n1, 0)
-        coords_gamma = Mat.zero(n2, 0)
+    # alpha-bar: M_out -> M_k-bar, rows [ker g/im b | im g | 0 | 0]; the
+    # ker g/im b rows are the c1 coordinates of each unit vector
+    unit_coords = [out_ech.reduce({i: 1})[1] for i in range(d_out)]
+    rows_c1 = Mat(n1, d_out, [[u.get(n, 0) for u in unit_coords] for n in c1])
     alpha_bar = vstack([rows_c1, coords_gamma, Mat.zero(n3, d_out), Mat.zero(vk, d_out)])
 
     # beta-bar: M_k-bar -> M_in, columns [0 | incl(im g) | incl(c3) | 0]
-    beta_bar = hstack([Mat.zero(d_in, n1),
-                       Mat.from_columns(im_gamma, d_in) if n2 else Mat.zero(d_in, 0),
-                       Mat.from_columns(c3, d_in) if n3 else Mat.zero(d_in, 0),
-                       Mat.zero(d_in, vk)])
-
-    # ker beta / (ker beta  n  im alpha)
-    vk_new = len(extend_basis(column_space_basis(alpha), kernel_basis(beta)))
+    beta_bar = hstack([Mat.zero(d_in, n1), Mat.from_columns(im_gamma, d_in),
+                       Mat.from_columns(c3, d_in), Mat.zero(d_in, vk)])
 
     dims_new = list(rep.dims)
     dims_new[k - 1] = dk_new
@@ -286,24 +235,17 @@ def _apply_trail(rep: DecRep, reduced_qp: QPData, trail) -> DecRep:
     return DecRep(reduced_qp, rep.dims, mats, rep.vdims)
 
 
-def h1_gamma(qp0: QPData, ks, j: int, reverse_pivots: bool = False) -> DecRep:
-    """H^1 of the twisted projective: inverse mutations of (0, e_j).
-
-    Mutate the QP forward along ks, start from the negative simple at j of
-    the final QP, then mutate the representation back along reversed ks.
-    The result's M-part is a module over (a QP right-equivalent to) qp0.
-    """
-    lam = tuple(int(v == j) for v in range(1, qp0.quiver.m + 1))
-    return h1_aggregate(qp0, ks, lam, reverse_pivots)
-
-
 def h1_aggregate(qp0: QPData, ks, lam, reverse_pivots: bool = False,
                  qp_r: QPData | None = None) -> DecRep:
-    """Direct sum of lam_j copies of h1_gamma over all vertices j.
+    """H^1 of the twisted projectives: the direct sum, over the vertices j,
+    of lam_j copies of the inverse mutations of (0, e_j).
 
-    Every summand passes through the same QPs, so the QP is mutated forward
-    along ks once, and the QP side of each backward step (mutation_step) is
-    computed once for all summands; each vertex's summand is built once.
+    The summand of j is the negative simple at j of the QP mutated forward
+    along ks, mutated back along reversed ks; its M-part is a module over
+    (a QP right-equivalent to) qp0.  Every summand passes through the same
+    QPs, so the QP is mutated forward once, and each backward step
+    (mutation_step) is computed once for all summands; each vertex's
+    summand is built once.
     A caller passing qp_r must guarantee that it is mutate_qp_sequence(qp0,
     ks); it is not checked.
     """
@@ -321,7 +263,7 @@ def h1_aggregate(qp0: QPData, ks, lam, reverse_pivots: bool = False,
     for j, mult in terms:
         rep = negative_simple(qp_r, j)
         for step in steps:
-            rep = mutate_rep(rep, step.k, reverse_pivots, step)
+            rep = mutate_rep(rep, step, reverse_pivots)
         reps.extend([rep] * mult)
     return direct_sum(reps)
 

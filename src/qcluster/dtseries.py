@@ -11,11 +11,10 @@ needed (the compatible pair already encodes it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (BoundTooSmall, CommutationMismatch, DimensionMismatch,
                      SignAmbiguous, TailNotVanishing)
-from .linalg import Mat, invert
+from .linalg import Echelon
 from .qlaurent import PochhammerFraction, QLaurent, den_product, fraction_sum
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
@@ -304,8 +303,9 @@ def framed_extract(series: ConeSeries, lam, bound, inverse: ConeSeries) -> ConeS
 def initial_class_map(btilde, ks):
     """The K_0 shadow of Phi(r)^{-1}[1]: Q_r classes to initial labels.
 
-    delta = -C(r) gamma, so gamma = -C(r)^{-1} delta; raises if delta is not
-    in the image lattice (it always is: C is unimodular).
+    delta = -C(r) gamma, so gamma holds the coordinates of -delta in C(r)'s
+    columns; raises if they are not integers (they always are: C is
+    unimodular).
     """
     n = len(btilde[0])
     res = sign_sequence(btilde, ks)
@@ -313,11 +313,13 @@ def initial_class_map(btilde, ks):
         c_mat = res.c_matrix_trace[-1]
     else:
         c_mat = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    c_inv = invert(Mat(n, n, [list(r) for r in c_mat]))
+    columns = Echelon()
+    columns.extend([tuple(row[j] for row in c_mat) for j in range(n)])
 
     def to_qr(delta):
-        v = c_inv.apply(tuple(Fraction(-d) for d in delta))
-        assert all(x.denominator == 1 for x in v), "C-matrix image mismatch"
+        rest, coords = columns.reduce({i: -d for i, d in enumerate(delta)})
+        v = [coords.get(j, 0) for j in range(n)]
+        assert not rest and all(x.denominator == 1 for x in v), "C-matrix image mismatch"
         return tuple(int(x) for x in v)
 
     return to_qr

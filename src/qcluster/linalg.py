@@ -1,7 +1,9 @@
 """Minimal exact linear algebra over the rationals.
 
 Matrices carry explicit shapes so zero-dimensional spaces behave; entries
-are fractions.Fraction throughout.  Vectors are column tuples.
+are fractions.Fraction throughout.  Vectors are column tuples.  Every span,
+basis, kernel and coordinate question goes through one incremental
+`Echelon`; `rref` serves only `rank`.
 """
 
 from __future__ import annotations
@@ -138,25 +140,6 @@ def rank(mat: Mat) -> int:
     return len(rref(mat)[1])
 
 
-def column_space_basis(mat: Mat, reverse: bool = False) -> list[tuple]:
-    """Basis of the column space chosen among the matrix's own columns."""
-    return extend_basis([], [mat.column(j) for j in range(mat.cols)], reverse)
-
-
-def kernel_basis(mat: Mat) -> list[tuple]:
-    """Columns v with mat v = 0."""
-    red, pivots = rref(mat)
-    free = [c for c in range(mat.cols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * mat.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.a[r][fc]
-        out.append(tuple(v))
-    return out
-
-
 class Echelon:
     """A row echelon basis of the vectors added so far, built one at a time.
 
@@ -197,49 +180,54 @@ class Echelon:
                 comb[n] = comb.get(n, 0) + f * x
         return res, comb
 
-    def add(self, vec: dict) -> bool:
-        """Add vec; True when it was independent of the vectors before it."""
+    def add(self, vec: dict):
+        """Add vec: None when it is independent of the vectors before it,
+        else its combination {n: c} of them."""
         res, comb = self.reduce(vec)
         n = self.added
         self.added += 1
         if not res:
-            return False
+            return comb
         lead = min(res)
         inv = 1 / res[lead]
         comb = {m: -x * inv for m, x in comb.items()}
         comb[n] = inv
         self.rows[lead] = ({i: x * inv for i, x in res.items()}, comb)
-        return True
+        return None
+
+    def extend(self, vectors, reverse: bool = False) -> list[tuple]:
+        """Add column tuples in order, or reversed; those that were independent."""
+        return [v for v in (reversed(vectors) if reverse else vectors)
+                if self.add(dict(enumerate(v))) is None]
 
 
-def extend_basis(inner: list[tuple], outer: list[tuple],
-                 reverse: bool = False) -> list[tuple]:
-    """Vectors from `outer` extending a basis of span(inner) to span(inner+outer)."""
+def column_echelon(mat: Mat, reverse: bool = False):
+    """An Echelon of mat's columns, added in order, or reversed.
+
+    Returns (echelon, basis, kernel, coords).  `basis` holds the columns
+    independent of the ones added before them.  `kernel` is a basis of
+    ker mat, one vector per other column j: e_j minus its combination of
+    basis columns, which in order is the kernel read off the RREF.  `coords`
+    is the len(basis) x cols Mat with from_columns(basis) * coords = mat.
+    """
+    order = list(range(mat.cols))
+    if reverse:
+        order.reverse()
     ech = Echelon()
-    for v in inner:
-        ech.add(dict(enumerate(v)))
-    return [v for v in (reversed(outer) if reverse else outer)
-            if ech.add(dict(enumerate(v)))]
-
-
-def solve_matrix(basis: list[tuple], target: Mat) -> Mat:
-    """X with from_columns(basis) * X = target; target columns must lie in span."""
-    ech = Echelon()
-    for v in basis:
-        ech.add(dict(enumerate(v)))
-    cols = []
-    for j in range(target.cols):
-        res, comb = ech.reduce(dict(enumerate(target.column(j))))
-        if res:
-            raise ValueError("column not in span")
-        cols.append(tuple(comb.get(n, 0) for n in range(len(basis))))
-    return Mat.from_columns(cols, len(basis))
-
-
-def invert(mat: Mat) -> Mat:
-    assert mat.rows == mat.cols
-    aug = hstack([mat, Mat.identity(mat.rows)])
-    red, pivots = rref(aug)
-    if pivots[:mat.rows] != list(range(mat.rows)):
-        raise ValueError("matrix is singular")
-    return Mat(mat.rows, mat.rows, [row[mat.rows:] for row in red.a])
+    basis, kernel, coords, place = [], [], [], {}
+    for n, j in enumerate(order):
+        col = mat.column(j)
+        comb = ech.add(dict(enumerate(col)))
+        if comb is None:
+            place[n] = len(basis)
+            basis.append(col)
+            coords.append([0] * mat.cols)
+            coords[-1][j] = 1
+            continue
+        vec = [Fraction(0)] * mat.cols
+        vec[j] = Fraction(1)
+        for m, c in comb.items():
+            vec[order[m]] = -c
+            coords[place[m]][j] = c
+        kernel.append(tuple(vec))
+    return ech, basis, kernel, Mat(len(basis), mat.cols, coords)

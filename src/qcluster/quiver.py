@@ -5,12 +5,16 @@ source(s_l) = target(s_{l+1}), i.e. the rightmost letter is traversed first
 (function-composition order, matching the right-module action).  Cyclic
 words are stored in their lexicographically minimal rotation.  Potentials
 carry rational coefficients and are truncated at a configurable degree cap.
+DWZ mutation at k is one `mutation_step`: premutation and reduction, with
+the bookkeeping a representation needs to follow it; `mutate_qp` keeps only
+the reduced QP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegreeCapExceeded, LoopAtVertex, NotSkewSymmetric, QClusterError
 from .linalg import Echelon
@@ -247,13 +251,44 @@ def _fresh_id(base: str, taken) -> str:
     return cand
 
 
-def premutate_with_maps(qp: QPData, k: int):
-    """DWZ premutation (reversed arrows, composite arrows, W_1 + W_2) plus its
-    bookkeeping.
+@dataclass(frozen=True)
+class MutationStep:
+    """DWZ mutation of qp at k, with what a module needs to follow it.
 
-    Returns (QPData, rev, comp) where rev maps each arrow at k to its
-    reversal's id and comp maps (out_id, in_id) to the composite arrow id.
+    `pre` is the premutation: every arrow at k reversed (`rev` maps an
+    arrow's id to its reversal's), a composite [ba] for each b: k -> j and
+    a: i -> k (`comp` maps (b, a) to its id), and W_1 + W_2.  `outgoing`
+    (the b's) and `incoming` (the a's) are in id order.  `reduced` and
+    `trail` are the reduction of `pre`.
     """
+
+    qp: QPData
+    k: int
+    pre: QPData
+    rev: dict
+    comp: dict
+    outgoing: list
+    incoming: list
+    w2: Potential
+    reduced: QPData
+    trail: list
+
+    @cached_property
+    def gamma_words(self) -> dict:
+        """{(b, a): d_[ba] W_2 with composite arrows expanded into paths of qp}."""
+        expand = {cid: pair for pair, cid in self.comp.items()}
+        out = {}
+        for pair, cid in self.comp.items():
+            words = {}
+            for w, c in cyclic_derivative(self.w2, self.pre.quiver, cid).items():
+                flat = tuple(x for letter in w for x in expand.get(letter, (letter,)))
+                words[flat] = words.get(flat, Fraction(0)) + c
+            out[pair] = words
+        return out
+
+
+def mutation_step(qp: QPData, k: int) -> MutationStep:
+    """Premutation of qp at k, then its reduction."""
     q = qp.quiver
     if q.has_loop_at(k):
         raise LoopAtVertex(f"loop at vertex {k}")
@@ -274,23 +309,22 @@ def premutate_with_maps(qp: QPData, k: int):
             taken.add(cid)
             comp[(b.id, a.id)] = cid
             arrows.append(Arrow(cid, a.source, b.target))
-    quiver_new = Quiver(q.m, arrows)
 
     out_ids = {a.id for a in outgoing}
     in_ids = {a.id for a in incoming}
     cap = qp.potential.degree_cap
     w1 = {}
-    for b in outgoing:
-        for a in incoming:
-            word = (comp[(b.id, a.id)], rev[a.id], rev[b.id])
-            w1[canonical_rotation(word)] = w1.get(canonical_rotation(word), Fraction(0)) + 1
-
+    for (bid, aid), cid in comp.items():
+        word = canonical_rotation((cid, rev[aid], rev[bid]))
+        w1[word] = w1.get(word, Fraction(0)) + 1
     w2 = {}
     for w, c in qp.potential.terms.items():
         w2_word = _replace_passages(w, out_ids, in_ids, comp)
         w2[w2_word] = w2.get(w2_word, Fraction(0)) + c
-    pot = Potential(cap, w1) + Potential(cap, w2)
-    return QPData(quiver_new, pot), rev, comp
+    w2 = Potential(cap, w2)
+    pre = QPData(Quiver(q.m, arrows), Potential(cap, w1) + w2)
+    reduced, trail = reduce_with_trail(pre)
+    return MutationStep(qp, k, pre, rev, comp, outgoing, incoming, w2, reduced, trail)
 
 
 def _replace_passages(word, out_ids, in_ids, comp):
@@ -396,18 +430,15 @@ def reduce_with_trail(qp: QPData):
     return out, trail
 
 
-def mutate_qp(qp: QPData, k: int):
-    """mu_k: premutation, then reduction; returns (QPData, well_mutable flag)."""
-    red, _ = reduce_with_trail(premutate_with_maps(qp, k)[0])
-    counts = red.quiver.arrow_count()
-    well = all((j, i) not in counts for (i, j) in counts)
-    return red, well
+def mutate_qp(qp: QPData, k: int) -> QPData:
+    """mu_k: premutation, then reduction."""
+    return mutation_step(qp, k).reduced
 
 
 def mutate_qp_sequence(qp: QPData, ks) -> QPData:
     """The QP reached by mutating at ks[0], ks[1], ... in turn."""
     for k in ks:
-        qp, _ = mutate_qp(qp, k)
+        qp = mutate_qp(qp, k)
     return qp
 
 

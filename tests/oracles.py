@@ -467,12 +467,12 @@ def h1_per_summand(qp0, ks, lam):
     """lam_j copies of each vertex's H^1 summand, put together block-diagonally.
 
     Each copy is mutated back along reversed ks on its own with mutate_rep,
-    which builds every mutation step afresh, so no step, summand or direct
+    with every mutation step built afresh, so no step, summand or direct
     sum is shared with h1_aggregate.
     """
     from qcluster.decorated import DecRep, mutate_rep, negative_simple
     from qcluster.linalg import Mat
-    from qcluster.quiver import mutate_qp_sequence
+    from qcluster.quiver import mutate_qp_sequence, mutation_step
 
     qp_r = mutate_qp_sequence(qp0, ks)
     reps = []
@@ -480,7 +480,7 @@ def h1_per_summand(qp0, ks, lam):
         for _ in range(mult):
             rep = negative_simple(qp_r, j)
             for k in reversed(ks):
-                rep = mutate_rep(rep, k)
+                rep = mutate_rep(rep, mutation_step(rep.qp, k))
             reps.append(rep)
     qp, m = reps[0].qp, qp0.quiver.m
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(m))

@@ -14,7 +14,7 @@ from qcluster.errors import SignAmbiguous
 from qcluster.grassmannian import (CountTable, gr_count, purity_pattern,
                                    serre_interpolate, to_fq)
 from qcluster.qlaurent import QLaurent, lefschetz_decompose
-from qcluster.quiver import from_btilde, jacobi_dims, mutate_qp
+from qcluster.quiver import from_btilde, jacobi_dims, mutate_qp, mutation_step
 from qcluster.seed import (cluster_monomial, f_polynomial, frame_monomial,
                            g_vector, mutate)
 from qcluster.torus import SkewForm, is_positive
@@ -228,15 +228,16 @@ def test_criterion_8_involutions():
             assert mutate(mutate(seed, k), k) == seed, (name, k)
         qp = corpus_qp(name)
         for k in range(1, seed.n + 1):
-            one, _ = mutate_qp(qp, k)
-            two, _ = mutate_qp(one, k)
+            one = mutate_qp(qp, k)
+            two = mutate_qp(one, k)
             assert two.quiver == qp.quiver, (name, k)
             assert jacobi_dims(two, 8) == jacobi_dims(qp, 8), (name, k)
         reps = [negative_simple(qp, j) for j in range(1, qp.quiver.m + 1)]
         reps += [simple(qp, j) for j in range(1, seed.n + 1)]
         for rep in reps:
             for k in range(1, seed.n + 1):
-                twice = mutate_rep(mutate_rep(rep, k), k)
+                once = mutate_rep(rep, mutation_step(rep.qp, k))
+                twice = mutate_rep(once, mutation_step(once.qp, k))
                 assert twice.dims == rep.dims and twice.vdims == rep.vdims
     print("ACCEPTANCE 8 (mutation involutions: seeds exact, QPs via quiver + "
           "jacobi dims at cap 8, DecReps via (dims, vdims)): PASS")

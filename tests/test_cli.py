@@ -259,6 +259,12 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("expand", {"lam": [-1, 1]}, ["--route", "dt"]),    # not dropped from H^1 either
     ("count", {"options": {"budget": 0}}, []),          # a budget that skips every stratum
     ("count", {"options": {}}, ["--primes", ""]),       # an empty --primes is not ignored
+    ("count", {}, ["--primes", "x"]),                   # --primes takes integers
+    ("count", {}, ["--primes", "2,,3", "--json"]),      # an empty entry is not skipped
+    ("expand", {"options": {"route": "mutation"}}, ["--degree-cap", "1"]),  # degree cap < 2
+    ("expand", {"options": {"route": "mutation", "degree_cap": 1}}, ["--json"]),
+    ("mutate", {"options": {"degree_cap": 1}}, []),     # on every command
+    ("mutate", {}, ["--degree-cap", "1", "--json"]),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole
@@ -271,6 +277,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("primes", ["x", "2,,3"])
+def test_primes_flag_must_be_integers(tmp_path, capsys, primes):
+    """The message names the flag and its format, in text and under --json."""
+    spec = write_spec(tmp_path, A2_DOC)
+    assert main(["count", spec, "--primes", primes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--primes takes comma-separated integers" in captured.err
+    assert main(["count", spec, "--primes", primes, "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "--primes takes comma-separated integers" in error["message"]
 
 
 @pytest.mark.parametrize("lam", [[-1, 0], [-1, 1]])

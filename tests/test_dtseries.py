@@ -178,7 +178,7 @@ def test_framed_extract_coefficients_land_in_z_t():
         to_qr = initial_class_map(B2, ks)
         qp = QPData(from_btilde(B2, 2), Potential(12))
         for k in ks:
-            qp, _ = mutate_qp(qp, k)
+            qp = mutate_qp(qp, k)
         for gamma, c in sfr.coeffs.items():
             if c.is_zero():
                 continue
@@ -237,18 +237,18 @@ def test_sign_classes_match_backward_mutation_on_a2():
     # qp_{i-1} back to qp_0 realizes the tracked class as module dims (+)
     # or as pure decoration (-)
     from qcluster.decorated import mutate_rep, simple
-    from qcluster.quiver import mutate_qp
+    from qcluster.quiver import mutate_qp, mutation_step
     from .corpus import corpus_qp
     qp0 = corpus_qp("a2")
     for ks in [(1, 2, 1), (1, 2, 1, 2), (1, 2, 1, 2, 1)]:
         res = sign_sequence(B2, ks)
         qps = [qp0]
         for k in ks:
-            qps.append(mutate_qp(qps[-1], k)[0])
+            qps.append(mutate_qp(qps[-1], k))
         for i, k in enumerate(ks):
             rep = simple(qps[i], k)
             for back in reversed(ks[:i]):
-                rep = mutate_rep(rep, back)
+                rep = mutate_rep(rep, mutation_step(rep.qp, back))
             if res.signs[i] == "+":
                 assert rep.dims == res.s_classes[i] and not any(rep.vdims)
             else:

@@ -218,7 +218,7 @@ def test_crosscheck_a2_hard_mode():
     h1 = h1_aggregate(qp0, ks, lam)
     qp_r = qp0
     for k in ks:
-        qp_r, _ = mutate_qp(qp_r, k)
+        qp_r = mutate_qp(qp_r, k)
     rep = coefficient_crosscheck(r.f_coefficients, h1, qp_r, primes=(2, 3, 4, 5),
                                  gamma_map=initial_class_map([[0, 1], [-1, 0]], ks))
     assert rep.mode == "hard"
