@@ -12,8 +12,8 @@ from .dtseries import (ConeSeries, SignSeqResult, conjugate, dt_product_pair,
                        factorization_check, framed_extract, g_of_lambda,
                        initial_class_map, lemma52_step, pochhammer,
                        sign_sequence)
-from .grassmannian import (CountTable, FqRep, coefficient_crosscheck, gr_count,
-                           serre_interpolate, to_fq)
+from .grassmannian import (FqRep, coefficient_crosscheck, gr_count, serre_interpolate,
+                           to_fq)
 from .qlaurent import QLaurent, lefschetz_decompose
 from .quiver import (Potential, QPData, Quiver, cyclic_derivative, euler_form,
                      from_btilde, jacobi_dims, mutate_qp, mutate_qp_sequence,
@@ -35,6 +35,6 @@ __all__ = [
     "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_product_pair",
     "conjugate", "lemma52_step", "framed_extract", "factorization_check",
     "g_of_lambda", "initial_class_map",
-    "FqRep", "CountTable", "to_fq", "gr_count", "serre_interpolate",
+    "FqRep", "to_fq", "gr_count", "serre_interpolate",
     "coefficient_crosscheck",
 ]

@@ -19,7 +19,7 @@ from .dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_product_pair,
                        factorization_check, g_of_lambda, initial_class_map,
                        pochhammer)
 from .errors import ChecksNotRun, QClusterError
-from .grassmannian import coefficient_crosscheck
+from .grassmannian import BUDGET, coefficient_crosscheck
 from .qlaurent import lefschetz_decompose
 from .quiver import (Arrow, Potential, QPData, Quiver, from_btilde,
                      mutate_qp_sequence)
@@ -68,9 +68,15 @@ def _arrows(value):
     return [Arrow(str(a[0]), _int(a[1]), _int(a[2])) for a in value]
 
 
+def _word(value):
+    """A list of arrow ids; a string is not split into letters."""
+    if not isinstance(value, list):
+        raise TypeError(f"potential word {value!r} is not a list of arrow ids")
+    return tuple(str(x) for x in value)
+
+
 def _potential(value):
-    return [(Fraction(_int(num), _int(den)), tuple(str(x) for x in word))
-            for num, den, word in value]
+    return [(Fraction(_int(num), _int(den)), _word(word)) for num, den, word in value]
 
 
 class SessionSpec:
@@ -85,6 +91,8 @@ class SessionSpec:
         self.lam_matrix = _field(doc, "lambda", _matrix)
         self.btilde = _field(doc, "btilde", _matrix)
         self.m = len(self.lam_matrix)
+        if not 0 <= self.n <= self.m:
+            raise QClusterError(f"n must lie in 0..m = {self.m}, got {self.n}")
         if len(self.btilde) != self.m or any(len(r) != self.n for r in self.btilde):
             raise QClusterError("btilde must be m x n and match lambda's size")
         self.ks = _field(doc, "ks", _ints, [])
@@ -105,12 +113,15 @@ class SessionSpec:
         self.route = _field(opts, "options.route", str, "mutation")
         if self.route not in ROUTES:
             raise QClusterError(f"options.route must be one of {', '.join(ROUTES)}")
-        self.budget = _field(opts, "options.budget", _int, 500000)
+        self.budget = _field(opts, "options.budget", _int, BUDGET)
         if self.budget < 1:
             raise QClusterError(f"options.budget must be at least 1, got {self.budget}")
         quiver = doc.get("quiver")
         self.quiver = None if quiver is None else (
             _field(quiver, "quiver.vertices", _int), _field(quiver, "quiver.arrows", _arrows))
+        if self.quiver is not None and self.quiver[0] != self.m:
+            raise QClusterError(f"quiver.vertices must equal m = {self.m}, "
+                                f"got {self.quiver[0]}")
         self.potential = _field(doc, "potential", _potential, [])
 
     def form(self) -> SkewForm:
@@ -163,7 +174,7 @@ def _dt_route(spec: SessionSpec):
 
     Building H^1 also validates the quiver and potential on every DT run.
     """
-    h1 = h1_aggregate(spec.qp(), spec.ks, spec.lam)
+    h1 = h1_aggregate(mutate_qp_sequence(spec.qp(), spec.ks), spec.ks, spec.lam)
     if spec.cone_bound is None:
         bound = tuple(d + TAIL_MARGIN for d in h1.dims[:spec.n])
     else:
@@ -221,9 +232,8 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict) -> bool:
     """The per-stratum table.  Raises ChecksNotRun, with out and report
     filled, when a row's check did not run."""
     result = cluster_monomial(spec.seed(), spec.ks, spec.lam)
-    qp = spec.qp()
-    qp_r = mutate_qp_sequence(qp, spec.ks)
-    h1 = h1_aggregate(qp, spec.ks, spec.lam, qp_r=qp_r)
+    qp_r = mutate_qp_sequence(spec.qp(), spec.ks)
+    h1 = h1_aggregate(qp_r, spec.ks, spec.lam)
     gamma_map = initial_class_map(spec.btilde, spec.ks)
     check = coefficient_crosscheck(result.f_coefficients, h1, qp_r,
                                    primes=tuple(spec.primes), budget=spec.budget,
@@ -255,7 +265,7 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict) -> bool:
     return check.ok
 
 
-def cmd_identity_check(out: list[str], report: dict, depth: int = 12) -> bool:
+def cmd_identity_check(out: list[str], report: dict, depth: int) -> bool:
     """Pentagon / factorization suite on the rank-2 exchange data."""
     if depth < 1:
         raise QClusterError(f"--cone-bound must be at least 1, got {depth}")

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, RelationViolation
 from .linalg import Echelon, Mat, column_echelon, hstack, vstack
-from .quiver import (MutationStep, QPData, cyclic_derivative, mutate_qp_sequence,
-                     mutation_step)
+from .quiver import MutationStep, QPData, cyclic_derivative, mutation_step
 
 
 @dataclass
@@ -127,15 +126,14 @@ def _triangle_maps(rep: DecRep, step: MutationStep):
     return alpha, beta, gamma, in_dims, out_dims
 
 
-def mutate_rep(rep: DecRep, step: MutationStep, reverse_pivots: bool = False) -> DecRep:
+def mutate_rep(rep: DecRep, step: MutationStep) -> DecRep:
     """DWZ mutation of a decorated representation at step.k.
 
     `step` is mutation_step(rep.qp, k).  Each space of the triangle
     M_in -alpha-> M_k -beta-> M_out -gamma-> M_in keeps one Echelon: the
     columns of the map into it are reduced once, then the kernels the
-    other spaces give are added to it.  `reverse_pivots` adds the columns
-    of beta and gamma, the kernels and the unit vectors in reverse order,
-    another choice of the same splittings.
+    other spaces give are added to it.  The splittings this picks are one
+    choice; DWZ mutation is defined up to isomorphism.
     """
     if step.qp is not rep.qp:
         raise ValueError(f"the mutation step is not the one of this QP at {step.k}")
@@ -152,18 +150,17 @@ def mutate_rep(rep: DecRep, step: MutationStep, reverse_pivots: bool = False) ->
     if not (gamma * beta).is_zero():
         raise RelationViolation("gamma . beta != 0: not a Jacobi module")
 
-    in_ech, im_gamma, ker_gamma, coords_gamma = column_echelon(gamma, reverse_pivots)
+    in_ech, im_gamma, ker_gamma, coords_gamma = column_echelon(gamma)
     k_ech, _, ker_alpha, _ = column_echelon(alpha)
-    out_ech, _, ker_beta, _ = column_echelon(beta, reverse_pivots)
-    c3 = in_ech.extend(ker_alpha, reverse_pivots)       # ker alpha / im gamma
+    out_ech, _, ker_beta, _ = column_echelon(beta)
+    c3 = in_ech.extend(ker_alpha)                       # ker alpha / im gamma
     vk_new = len(k_ech.extend(ker_beta))                # ker beta / (ker beta n im alpha)
     # ker gamma / im beta, kept as the indices of its vectors in out_ech; then
     # unit vectors complete a basis of M_out
     first = out_ech.added
-    c1 = [first + t for t, v in enumerate(ker_gamma[::-1] if reverse_pivots else ker_gamma)
+    c1 = [first + t for t, v in enumerate(ker_gamma)
           if out_ech.add(dict(enumerate(v))) is None]
-    out_ech.extend([tuple(int(t == i) for t in range(d_out)) for i in range(d_out)],
-                   reverse_pivots)
+    out_ech.extend([tuple(int(t == i) for t in range(d_out)) for i in range(d_out)])
     n1, n2, n3 = len(c1), len(im_gamma), len(c3)
     dk_new = n1 + n2 + n3 + vk
 
@@ -235,35 +232,32 @@ def _apply_trail(rep: DecRep, reduced_qp: QPData, trail) -> DecRep:
     return DecRep(reduced_qp, rep.dims, mats, rep.vdims)
 
 
-def h1_aggregate(qp0: QPData, ks, lam, reverse_pivots: bool = False,
-                 qp_r: QPData | None = None) -> DecRep:
+def h1_aggregate(qp_r: QPData, ks, lam) -> DecRep:
     """H^1 of the twisted projectives: the direct sum, over the vertices j,
     of lam_j copies of the inverse mutations of (0, e_j).
 
-    The summand of j is the negative simple at j of the QP mutated forward
-    along ks, mutated back along reversed ks; its M-part is a module over
-    (a QP right-equivalent to) qp0.  Every summand passes through the same
-    QPs, so the QP is mutated forward once, and each backward step
-    (mutation_step) is computed once for all summands; each vertex's
-    summand is built once.
-    A caller passing qp_r must guarantee that it is mutate_qp_sequence(qp0,
-    ks); it is not checked.
+    qp_r is the QP at the end of ks (mutate_qp_sequence of the initial QP).
+    The summand of j is the negative simple at j of qp_r mutated back along
+    reversed ks; its M-part is a module over a QP right-equivalent to the
+    initial one.  Every summand passes through the same QPs, so each
+    backward step (mutation_step) is computed once for all summands, and
+    each vertex's summand is built once.
     """
     if any(x < 0 for x in lam):
         raise DimensionMismatch("cluster monomials need lam >= 0")
-    terms = [(j, mult) for j, mult in enumerate(lam, start=1) if mult]
-    if not terms:
-        return _decoration(qp0, (0,) * qp0.quiver.m)
-    qp = qp_r = mutate_qp_sequence(qp0, ks) if qp_r is None else qp_r
+    qp = qp_r
     steps = []
     for k in reversed(list(ks)):
         steps.append(mutation_step(qp, k))
         qp = steps[-1].reduced
+    terms = [(j, mult) for j, mult in enumerate(lam, start=1) if mult]
+    if not terms:
+        return _decoration(qp, (0,) * qp.quiver.m)
     reps = []
     for j, mult in terms:
         rep = negative_simple(qp_r, j)
         for step in steps:
-            rep = mutate_rep(rep, step, reverse_pivots)
+            rep = mutate_rep(rep, step)
         reps.extend([rep] * mult)
     return direct_sum(reps)
 

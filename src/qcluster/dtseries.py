@@ -307,7 +307,7 @@ def initial_class_map(btilde, ks):
     columns; raises if they are not integers (they always are: C is
     unimodular).
     """
-    n = len(btilde[0])
+    n = len(btilde[0]) if btilde else 0
     res = sign_sequence(btilde, ks)
     if res.c_matrix_trace:
         c_mat = res.c_matrix_trace[-1]

@@ -47,6 +47,8 @@ def _factor_prime_power(q: int):
 
 # add/mul tables hold q^2 entries each; counts are only feasible for tiny q
 _MAX_Q = 256
+# the default bound on the subspace tuples one gr_count may enumerate
+BUDGET = 500000
 
 
 class GF:
@@ -188,7 +190,7 @@ def to_fq(rep: DecRep, q: int) -> FqRep:
     return FqRep(field, rep.dims, mats, tuple(arrows))
 
 
-def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
+def gr_count(rep: FqRep, gamma, budget: int = BUDGET) -> int:
     """Points of Gr(rep, gamma): subspace tuples with quotient dims gamma.
 
     A tuple (U_v) is a submodule when the arrow a: i -> j (acting
@@ -201,6 +203,8 @@ def gr_count(rep: FqRep, gamma, budget: int = 500000) -> int:
     """
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return 0
+    if not rep.dims:
+        return 1        # the quiver has no vertex: one empty tuple
     total = enumeration_size(rep.dims, gamma, rep.field.q)
     if total > budget:
         raise BudgetExceeded(f"enumeration size {total} exceeds budget {budget}")
@@ -325,21 +329,14 @@ def _dot_row(field: GF, row, vec):
     return total
 
 
-@dataclass
-class CountTable:
-    gamma: tuple[int, ...]
-    counts: dict[int, int] = field(default_factory=dict)
-    interpolated: QLaurent | None = None
-
-
-def serre_interpolate(tbl: CountTable, degree_bound: int) -> QLaurent:
-    """The integer polynomial in T through the counts, held-out verified.
+def serre_interpolate(counts: dict[int, int], degree_bound: int) -> QLaurent:
+    """The integer polynomial in T through the {q: count} points, held-out verified.
 
     Fits degree <= degree_bound through the smallest degree_bound + 1
     points, then checks every remaining point (the largest acts as the
     held-out consistency point) and integrality of all coefficients.
     """
-    points = sorted(tbl.counts.items())
+    points = sorted(counts.items())
     if len(points) < degree_bound + 2:
         raise NotPolynomialCount(
             f"need at least {degree_bound + 2} prime powers, have {len(points)}")
@@ -362,9 +359,7 @@ def serre_interpolate(tbl: CountTable, degree_bound: int) -> QLaurent:
             raise NotPolynomialCount(f"held-out point T={x} mismatches the fit")
     if any(c.denominator != 1 for c in coeffs):
         raise NotPolynomialCount("interpolated coefficients are not integers")
-    poly = QLaurent({d_: int(c) for d_, c in enumerate(coeffs) if c})
-    tbl.interpolated = poly
-    return poly
+    return QLaurent({d_: int(c) for d_, c in enumerate(coeffs) if c})
 
 
 def _poly_mul_linear(coeffs, const):
@@ -422,8 +417,7 @@ def purity_pattern(p: QLaurent) -> bool:
 
 
 def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData, gamma_map,
-                           primes=(2, 3, 4, 5, 7, 8, 9),
-                           budget: int = 500000) -> CrosscheckReport:
+                           primes, budget: int = BUDGET) -> CrosscheckReport:
     """Compare F-polynomial coefficients with Grassmannian Serre polynomials.
 
     `f_coefficients` maps the initial-label stratum delta to its QLaurent
@@ -479,8 +473,7 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData, gamma_map,
             checked, note = False, f"enumeration size {size} exceeds budget {budget}"
         else:
             try:
-                serre = serre_interpolate(CountTable(tuple(delta), counts[delta]),
-                                          min(max_dim, len(primes) - 2))
+                serre = serre_interpolate(counts[delta], min(max_dim, len(primes) - 2))
             except NotPolynomialCount as exc:
                 checked = max_dim <= len(primes) - 2
                 note = (f"interpolation failed: {exc}" if checked else

@@ -195,39 +195,36 @@ class Echelon:
         self.rows[lead] = ({i: x * inv for i, x in res.items()}, comb)
         return None
 
-    def extend(self, vectors, reverse: bool = False) -> list[tuple]:
-        """Add column tuples in order, or reversed; those that were independent."""
-        return [v for v in (reversed(vectors) if reverse else vectors)
-                if self.add(dict(enumerate(v))) is None]
+    def extend(self, vectors) -> list[tuple]:
+        """Add column tuples in order; those that were independent."""
+        return [v for v in vectors if self.add(dict(enumerate(v))) is None]
 
 
-def column_echelon(mat: Mat, reverse: bool = False):
-    """An Echelon of mat's columns, added in order, or reversed.
+def column_echelon(mat: Mat):
+    """An Echelon of mat's columns, added in order.
 
     Returns (echelon, basis, kernel, coords).  `basis` holds the columns
-    independent of the ones added before them.  `kernel` is a basis of
-    ker mat, one vector per other column j: e_j minus its combination of
-    basis columns, which in order is the kernel read off the RREF.  `coords`
-    is the len(basis) x cols Mat with from_columns(basis) * coords = mat.
+    independent of the ones before them.  `kernel` is a basis of ker mat,
+    one vector per other column j: e_j minus its combination of basis
+    columns, the kernel read off the RREF.  `coords` is the len(basis) x
+    cols Mat with from_columns(basis) * coords = mat.  A combination index
+    is a column index.
     """
-    order = list(range(mat.cols))
-    if reverse:
-        order.reverse()
     ech = Echelon()
     basis, kernel, coords, place = [], [], [], {}
-    for n, j in enumerate(order):
+    for j in range(mat.cols):
         col = mat.column(j)
         comb = ech.add(dict(enumerate(col)))
         if comb is None:
-            place[n] = len(basis)
+            place[j] = len(basis)
             basis.append(col)
             coords.append([0] * mat.cols)
             coords[-1][j] = 1
             continue
         vec = [Fraction(0)] * mat.cols
         vec[j] = Fraction(1)
-        for m, c in comb.items():
-            vec[order[m]] = -c
-            coords[place[m]][j] = c
+        for i, c in comb.items():
+            vec[i] = -c
+            coords[place[i]][j] = c
         kernel.append(tuple(vec))
     return ech, basis, kernel, Mat(len(basis), mat.cols, coords)

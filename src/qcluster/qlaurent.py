@@ -156,13 +156,13 @@ class QLaurent:
     def __repr__(self):
         return f"QLaurent({self.render()})"
 
-    def render_plain(self, var: str = "T") -> str:
-        """Render with exponents taken literally (for polynomials in T)."""
-        return self._render(lambda k: _power(var, k))
+    def render_plain(self) -> str:
+        """Render in T with exponents taken literally (for polynomials in T)."""
+        return self._render(lambda k: _power("T", k))
 
-    def render(self, var: str = "q") -> str:
+    def render(self) -> str:
         """Canonical text, ascending degree, v^k shown as q^(k/2)."""
-        return self._render(lambda k: f"{var}^({k}/2)" if k % 2 else _power(var, k // 2))
+        return self._render(lambda k: f"q^({k}/2)" if k % 2 else _power("q", k // 2))
 
     def _render(self, power) -> str:
         """Signed terms in ascending degree; power(k) spells the k-th power, k != 0."""

@@ -64,6 +64,9 @@ class Quiver:
     def word_endpoints(self, word):
         """(source, target) of a path word; raises if not composable."""
         arrows = self.arrows
+        unknown = next((x for x in word if x not in arrows), None)
+        if unknown is not None:
+            raise QClusterError(f"word {word} names no arrow {unknown!r}")
         for l in range(len(word) - 1):
             if arrows[word[l]].source != arrows[word[l + 1]].target:
                 raise QClusterError(f"word {word} is not a path")
@@ -116,7 +119,7 @@ class Potential:
 
     __slots__ = ("degree_cap", "terms")
 
-    def __init__(self, degree_cap: int = 12, terms=None):
+    def __init__(self, degree_cap: int, terms=None):
         if degree_cap < 2:
             raise QClusterError("degree cap must be >= 2")
         self.degree_cap = degree_cap

@@ -130,8 +130,9 @@ def _matrix_mutation(btilde, m, n, k):
     return out
 
 
-def mutate(s: QuantumSeed, k: int, check: bool = True) -> QuantumSeed:
-    """Seed mutation at direction k (1-based, k <= n)."""
+def mutate(s: QuantumSeed, k: int) -> QuantumSeed:
+    """Seed mutation at direction k (1-based, k <= n), checked: the new pair
+    is compatible and every pair of cluster variables commutes as Lambda_M says."""
     if not 1 <= k <= s.n:
         raise DimensionMismatch(f"mutation direction {k} out of range 1..{s.n}")
     btilde_new = _matrix_mutation([list(r) for r in s.btilde], s.m, s.n, k)
@@ -159,9 +160,8 @@ def mutate(s: QuantumSeed, k: int, check: bool = True) -> QuantumSeed:
     vars_new = list(s.vars)
     vars_new[k - 1] = new_var
     out = QuantumSeed(s.m, s.n, lam_new, btilde_new, vars_new, s.initial_form)
-    if check:
-        check_compatible(out.btilde, out.lam, out.n)
-        verify_commutation(out)
+    check_compatible(out.btilde, out.lam, out.n)
+    verify_commutation(out)
     return out
 
 
@@ -181,12 +181,12 @@ class ClusterMonomialResult:
     f_coefficients: dict[tuple[int, ...], QLaurent]
 
 
-def mutate_sequence(s: QuantumSeed, ks, check: bool = True) -> QuantumSeed:
+def mutate_sequence(s: QuantumSeed, ks) -> QuantumSeed:
     prev = None
     for k in ks:
         if prev == k:
             raise DimensionMismatch("consecutive mutation directions must differ")
-        s = mutate(s, k, check=check)
+        s = mutate(s, k)
         prev = k
     return s
 
@@ -240,11 +240,11 @@ def f_polynomial(r: TorusElement, g, s0: QuantumSeed):
     return out
 
 
-def cluster_monomial(s0: QuantumSeed, ks, lam, check: bool = True) -> ClusterMonomialResult:
+def cluster_monomial(s0: QuantumSeed, ks, lam) -> ClusterMonomialResult:
     """Mutate along ks, evaluate the frame at lam >= 0, extract g and F-data."""
     if any(x < 0 for x in lam):
         raise DimensionMismatch("cluster monomials need lam >= 0")
-    s = mutate_sequence(s0, ks, check=check)
+    s = mutate_sequence(s0, ks)
     element = frame_monomial(s, lam)
     g = g_vector(element, s0)
     coeffs = f_polynomial(element, g, s0)

@@ -463,12 +463,14 @@ def cone_mul_pairwise(a, b):
 
 # --- H^1 as a direct sum of single-summand modules ---
 
-def h1_per_summand(qp0, ks, lam):
+def h1_per_summand(qp0, ks, lam, change_bases=False):
     """lam_j copies of each vertex's H^1 summand, put together block-diagonally.
 
     Each copy is mutated back along reversed ks on its own with mutate_rep,
     with every mutation step built afresh, so no step, summand or direct
-    sum is shared with h1_aggregate.
+    sum is shared with h1_aggregate.  With change_bases, the basis at every
+    vertex is changed (`change_bases_at_every_vertex`) before each
+    mutate_rep, so mutate_rep picks other splittings.
     """
     from qcluster.decorated import DecRep, mutate_rep, negative_simple
     from qcluster.linalg import Mat
@@ -480,6 +482,8 @@ def h1_per_summand(qp0, ks, lam):
         for _ in range(mult):
             rep = negative_simple(qp_r, j)
             for k in reversed(ks):
+                if change_bases:
+                    rep = change_bases_at_every_vertex(rep)
                 rep = mutate_rep(rep, mutation_step(rep.qp, k))
             reps.append(rep)
     qp, m = reps[0].qp, qp0.quiver.m
@@ -497,3 +501,28 @@ def h1_per_summand(qp0, ks, lam):
             col_off += width
         mats[a.id] = Mat(dims[a.source - 1], dims[a.target - 1], rows)
     return DecRep(qp, dims, mats, vdims)
+
+
+def change_bases_at_every_vertex(rep):
+    """The isomorphic representation in the basis P_v = R S at each vertex v:
+    R reverses the basis, and the shear S negates the first basis vector and
+    adds it to the second (so a 1-dimensional space changes too).  Both are
+    integral involutions, so the inverses are written down, not computed,
+    P_v^-1 = S R, and reducing mod p commutes with the change.  The arrow
+    a: i -> j, a matrix M_j -> M_i, becomes P_i^-1 a P_j."""
+    from qcluster.decorated import DecRep
+    from qcluster.linalg import Mat
+
+    def reverse(d):
+        return Mat(d, d, [[int(j == d - 1 - i) for j in range(d)] for i in range(d)])
+
+    def shear(d):
+        """I - 2 E_00 + E_01."""
+        return Mat(d, d, [[-1 if i == j == 0 else int(i == j or (i, j) == (0, 1))
+                           for j in range(d)] for i in range(d)])
+
+    basis = [reverse(d) * shear(d) for d in rep.dims]
+    inverse = [shear(d) * reverse(d) for d in rep.dims]
+    mats = {a.id: inverse[a.source - 1] * rep.mats[a.id] * basis[a.target - 1]
+            for a in rep.qp.quiver.arrows.values()}
+    return DecRep(rep.qp, rep.dims, mats, rep.vdims)

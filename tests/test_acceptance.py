@@ -11,10 +11,10 @@ from qcluster.dtseries import (conjugate, dt_product_pair, factorization_check,
                                g_of_lambda, initial_class_map, pochhammer,
                                sign_sequence)
 from qcluster.errors import SignAmbiguous
-from qcluster.grassmannian import (CountTable, gr_count, purity_pattern,
-                                   serre_interpolate, to_fq)
+from qcluster.grassmannian import gr_count, purity_pattern, serre_interpolate, to_fq
 from qcluster.qlaurent import QLaurent, lefschetz_decompose
-from qcluster.quiver import from_btilde, jacobi_dims, mutate_qp, mutation_step
+from qcluster.quiver import (from_btilde, jacobi_dims, mutate_qp, mutate_qp_sequence,
+                             mutation_step)
 from qcluster.seed import (cluster_monomial, f_polynomial, frame_monomial,
                            g_vector, mutate)
 from qcluster.torus import SkewForm, is_positive
@@ -70,8 +70,7 @@ def _two_route_cases():
 def route1_results():
     out = {}
     for name, ks, lam in _two_route_cases():
-        out[(name, ks, lam)] = cluster_monomial(corpus_seed(name), ks, lam,
-                                                check=False)
+        out[(name, ks, lam)] = cluster_monomial(corpus_seed(name), ks, lam)
     return out
 
 
@@ -96,7 +95,7 @@ def test_criterion_1_laurent_phenomenon():
                 for k in range(1, n + 1):
                     if ks and ks[-1] == k:
                         continue
-                    stack.append((mutate(cur, k, check=False), ks + (k,), depth + 1))
+                    stack.append((mutate(cur, k), ks + (k,), depth + 1))
     print(f"ACCEPTANCE 1 (Laurent phenomenon, {checked} monomials over "
           f"{len(CORPUS_NAMES)} seeds, |ks| <= {MAX_LEN}): PASS")
 
@@ -108,7 +107,7 @@ def test_criterion_2_two_route_agreement(route1_results):
         lam_m, bt, n = corpus_data(name)
         form = SkewForm(lam_m)
         qp = corpus_qp(name)
-        h1 = h1_aggregate(qp, ks, lam)
+        h1 = h1_aggregate(mutate_qp_sequence(qp, ks), ks, lam)
         bound = tuple(d + 2 for d in h1.dims[:n])
         g = g_of_lambda(bt, ks, lam)
         assert tuple(g) == res.g_vector, (name, ks, lam)
@@ -182,9 +181,8 @@ def test_criterion_6_section6_example():
     m = len(bt)
     ks = (1, 2, 3, 1)
     lam = (1, 1, 1, 0, 0, 0)
-    res = cluster_monomial(corpus_seed(name), ks, lam, check=False)
-    qp = corpus_qp(name)
-    h1 = h1_aggregate(qp, ks, lam)
+    res = cluster_monomial(corpus_seed(name), ks, lam)
+    h1 = h1_aggregate(mutate_qp_sequence(corpus_qp(name), ks), ks, lam)
     to_qr = initial_class_map(bt, ks)
     delta_star = next(d for d in res.f_coefficients if to_qr(d) == (1, 1, 1))
     assert delta_star == (1, 1, 1)
@@ -193,8 +191,7 @@ def test_criterion_6_section6_example():
     for q in (2, 3, 5):
         counts[q] = gr_count(to_fq(h1, q), delta_star + (0,) * (m - n))
     assert counts == {2: 7, 3: 10, 5: 16}, counts          # 3q + 1
-    tbl = CountTable(delta_star, counts)
-    serre = serre_interpolate(tbl, 1)
+    serre = serre_interpolate(counts, 1)
     assert serre == QLaurent({0: 1, 1: 3})                  # 3T + 1
     assert serre.eval_at_one() == 4                         # Euler characteristic
 

@@ -265,6 +265,12 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("expand", {"options": {"route": "mutation", "degree_cap": 1}}, ["--json"]),
     ("mutate", {"options": {"degree_cap": 1}}, []),     # on every command
     ("mutate", {}, ["--degree-cap", "1", "--json"]),
+    ("mutate", {"lambda": [[0]], "btilde": [[0, 0]], "lam": [1]}, []),  # n = 2 > m = 1
+    ("count", {"lambda": [[0]], "btilde": [[0, 0]], "lam": [1]}, []),
+    ("count", {"potential": [[1, 1, ["zz"]]]}, []),    # a word naming no arrow
+    ("expand", {"potential": [[1, 1, ["zz"]]]}, ["--route", "both"]),
+    ("expand", {"potential": [[1, 1, "a1"]]}, ["--route", "both"]),  # a word as a string
+    ("count", {"quiver": {"vertices": 3, "arrows": [["a", 2, 1]]}}, []),  # vertices != m
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole
@@ -277,6 +283,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+def test_count_rank_zero_prints_its_one_trivial_row(tmp_path, capsys):
+    doc = {"n": 0, "lambda": [], "btilde": [], "ks": [], "lam": []}
+    assert main(["count", write_spec(tmp_path, doc)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("gamma ")]
+    assert len(rows) == 1 and rows[0].startswith("gamma [] |")
+    assert rows[0].endswith("| match")
 
 
 @pytest.mark.parametrize("primes", ["x", "2,,3"])

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from qcluster.decorated import (DecRep, check_jacobi, direct_sum, h1_aggregate,
                                 mutate_rep, negative_simple, simple, word_action)
 from qcluster.errors import RelationViolation
-from qcluster.linalg import Mat
-from qcluster.quiver import Arrow, Potential, QPData, Quiver, from_btilde, mutation_step
+from qcluster.grassmannian import gr_count, to_fq
+from qcluster.linalg import Mat, rank
+from qcluster.quiver import (Arrow, Potential, QPData, Quiver, from_btilde, mutate_qp_sequence,
+                             mutation_step)
 
 from .corpus import all_sequences, corpus_data, corpus_qp
 from .oracles import h1_per_summand
@@ -23,6 +25,10 @@ def triangle_qp():
 
 def mutate_at(rep, k):
     return mutate_rep(rep, mutation_step(rep.qp, k))
+
+
+def h1(qp0, ks, lam):
+    return h1_aggregate(mutate_qp_sequence(qp0, ks), ks, lam)
 
 
 def test_negative_simple():
@@ -93,9 +99,9 @@ def test_involution_dims_vdims():
 
 def test_h1_examples():
     qp = a2_qp()
-    assert h1_aggregate(qp, (), (1, 0)).dims == (0, 0)
-    assert h1_aggregate(qp, (1,), (1, 0)).dims == (1, 0)
-    h = h1_aggregate(qp, (1, 2), (0, 1))
+    assert h1(qp, (), (1, 0)).dims == (0, 0)
+    assert h1(qp, (1,), (1, 0)).dims == (1, 0)
+    h = h1(qp, (1, 2), (0, 1))
     assert h.dims == (1, 1)
     aid = next(iter(h.mats))
     assert h.mats[aid].a == ((1,),)
@@ -103,7 +109,7 @@ def test_h1_examples():
 
 def test_h1_triangle_aggregate():
     qp = corpus_qp("triangle_principal")
-    agg = h1_aggregate(qp, (1, 2, 3, 1), (1, 1, 1, 0, 0, 0))
+    agg = h1(qp, (1, 2, 3, 1), (1, 1, 1, 0, 0, 0))
     assert agg.dims == (2, 2, 2, 0, 0, 0)
     assert agg.vdims == (0, 0, 0, 0, 0, 0)
     check_jacobi(agg)
@@ -111,21 +117,47 @@ def test_h1_triangle_aggregate():
 
 def test_h1_frozen_vertex_is_zero():
     qp = corpus_qp("a2_principal")
-    assert h1_aggregate(qp, (1, 2), (0, 0, 1, 0)).dims == (0, 0, 0, 0)
-    assert h1_aggregate(qp, (1, 2), (0, 0, 0, 1)).dims == (0, 0, 0, 0)
+    assert h1(qp, (1, 2), (0, 0, 1, 0)).dims == (0, 0, 0, 0)
+    assert h1(qp, (1, 2), (0, 0, 0, 1)).dims == (0, 0, 0, 0)
+
+
+def test_h1_lam_zero_lives_on_the_qp_the_backward_steps_reach():
+    qp = corpus_qp("triangle_principal")
+    ks = (1, 2, 3, 1)
+    zero, one = h1(qp, ks, (0,) * 6), h1(qp, ks, (1, 0, 0, 0, 0, 0))
+    assert zero.dims == zero.vdims == (0,) * 6
+    assert zero.qp.quiver.arrows == one.qp.quiver.arrows
+    assert zero.qp.potential == one.qp.potential
 
 
 def test_pivot_independence():
     qp = triangle_qp()
     for lam in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        a = h1_aggregate(qp, (1, 2, 3, 1), lam)
-        b = h1_aggregate(qp, (1, 2, 3, 1), lam, reverse_pivots=True)
+        a = h1(qp, (1, 2, 3, 1), lam)
+        b = h1_per_summand(qp, (1, 2, 3, 1), lam, change_bases=True)
         assert a.dims == b.dims and a.vdims == b.vdims
         # ranks of all arrow actions agree as well
-        from qcluster.linalg import rank
         ra = sorted(rank(m) for m in a.mats.values())
         rb = sorted(rank(m) for m in b.mats.values())
         assert ra == rb
+
+
+def test_h1_independent_of_splitting_choices():
+    """mutate_rep picks one splitting of each triangle; changing the basis at
+    every vertex before every backward step makes it pick others, and H^1
+    keeps its dims, decoration, arrow ranks and Grassmannian point counts.
+    The summands here reach dims (3, 2) and (2, 1), so the reversal and the
+    shear both act and the matrices differ."""
+    qp, ks = corpus_qp("kronecker_principal"), (1, 2, 1)
+    for lam in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]:
+        a, b = h1(qp, ks, lam), h1_per_summand(qp, ks, lam, change_bases=True)
+        assert a.dims == b.dims and a.vdims == b.vdims
+        assert sorted(rank(m) for m in a.mats.values()) == \
+            sorted(rank(m) for m in b.mats.values())
+    assert a.mats != b.mats
+    for gamma in [(1, 1, 0, 0), (2, 1, 0, 0), (3, 2, 0, 0), (4, 2, 0, 0)]:
+        for q in (2, 3):
+            assert gr_count(to_fq(a, q), gamma) == gr_count(to_fq(b, q), gamma)
 
 
 def test_word_action_composition():
@@ -145,7 +177,7 @@ def test_direct_sum_dims():
 
 def test_dump_is_deterministic():
     qp = a2_qp()
-    r, again = h1_aggregate(qp, (1, 2), (0, 1)), h1_aggregate(qp, (1, 2), (0, 1))
+    r, again = h1(qp, (1, 2), (0, 1)), h1(qp, (1, 2), (0, 1))
     assert (r.dims, r.mats, r.vdims) == (again.dims, again.mats, again.vdims)
 
 
@@ -165,7 +197,7 @@ def test_h1_aggregate_matches_the_per_summand_sum(name, data):
     lam[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, 2))
     lam = tuple(lam)
     qp = corpus_qp(name)
-    one, summed = h1_aggregate(qp, ks, lam), h1_per_summand(qp, ks, lam)
+    one, summed = h1(qp, ks, lam), h1_per_summand(qp, ks, lam)
     assert one.qp.quiver.arrows == summed.qp.quiver.arrows
     assert one.qp.potential.terms == summed.qp.potential.terms
     assert (one.dims, one.vdims, one.mats) == (summed.dims, summed.vdims, summed.mats)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qcluster.decorated import DecRep, h1_aggregate
 from qcluster.errors import BudgetExceeded, NotPolynomialCount, QClusterError
-from qcluster.grassmannian import (GF, CountTable, FqRep, coefficient_crosscheck,
+from qcluster.grassmannian import (GF, FqRep, coefficient_crosscheck,
                                    gaussian_binomial, gr_count, purity_pattern,
                                    serre_interpolate, subspaces, to_fq)
 from qcluster.linalg import Mat
@@ -166,24 +166,20 @@ def test_gr_count_matches_per_tuple_oracle(data):
 
 
 def test_serre_interpolate_examples():
-    tbl = CountTable((0,), {2: 1, 3: 1, 5: 1})
-    assert serre_interpolate(tbl, 0) == QLaurent({0: 1})
-    tbl = CountTable((1,), {2: 3, 3: 4, 5: 6, 7: 8})
-    assert serre_interpolate(tbl, 1) == QLaurent({0: 1, 1: 1})
-    assert tbl.interpolated == QLaurent({0: 1, 1: 1})
+    assert serre_interpolate({2: 1, 3: 1, 5: 1}, 0) == QLaurent({0: 1})
+    assert serre_interpolate({2: 3, 3: 4, 5: 6, 7: 8}, 1) == QLaurent({0: 1, 1: 1})
     # three lines through a point: 3q + 1
-    tbl = CountTable((1, 1, 1), {2: 7, 3: 10, 5: 16})
-    assert serre_interpolate(tbl, 1) == QLaurent({0: 1, 1: 3})
-    assert serre_interpolate(tbl, 1).eval_at_one() == 4
+    serre = serre_interpolate({2: 7, 3: 10, 5: 16}, 1)
+    assert serre == QLaurent({0: 1, 1: 3})
+    assert serre.eval_at_one() == 4
 
 
 def test_serre_interpolate_failures():
     with pytest.raises(NotPolynomialCount):
-        serre_interpolate(CountTable((0,), {2: 1, 3: 1}), 1)
+        serre_interpolate({2: 1, 3: 1}, 1)
     # held-out mismatch: 2^q is not a polynomial of degree <= 2
-    tbl = CountTable((0,), {2: 4, 3: 8, 5: 32, 7: 128, 8: 256})
     with pytest.raises(NotPolynomialCount):
-        serre_interpolate(tbl, 2)
+        serre_interpolate({2: 4, 3: 8, 5: 32, 7: 128, 8: 256}, 2)
 
 
 def test_purity_pattern():
@@ -194,11 +190,13 @@ def test_purity_pattern():
 
 
 def test_counts_independent_of_splitting_choices():
+    from qcluster.quiver import mutate_qp_sequence
     from .corpus import corpus_qp
+    from .oracles import h1_per_summand
     qp = corpus_qp("triangle_principal")
-    lam = (1, 1, 1, 0, 0, 0)
-    a = h1_aggregate(qp, (1, 2, 3, 1), lam)
-    b = h1_aggregate(qp, (1, 2, 3, 1), lam, reverse_pivots=True)
+    ks, lam = (1, 2, 3, 1), (1, 1, 1, 0, 0, 0)
+    a = h1_aggregate(mutate_qp_sequence(qp, ks), ks, lam)
+    b = h1_per_summand(qp, ks, lam, change_bases=True)
     for gamma in [(0, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0),
                   (2, 1, 1, 0, 0, 0), (2, 2, 2, 0, 0, 0)]:
         for q in (2, 3):
@@ -215,10 +213,10 @@ def test_crosscheck_a2_hard_mode():
     qp0 = corpus_qp("a2")
     ks, lam = (1, 2), (1, 1)
     r = cluster_monomial(s0, ks, lam)
-    h1 = h1_aggregate(qp0, ks, lam)
     qp_r = qp0
     for k in ks:
         qp_r = mutate_qp(qp_r, k)
+    h1 = h1_aggregate(qp_r, ks, lam)
     rep = coefficient_crosscheck(r.f_coefficients, h1, qp_r, primes=(2, 3, 4, 5),
                                  gamma_map=initial_class_map([[0, 1], [-1, 0]], ks))
     assert rep.mode == "hard"

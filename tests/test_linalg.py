@@ -47,16 +47,12 @@ pairs = sizes.flatmap(lambda s: st.tuples(mats(s[0], s[1]), mats(s[0], s[2]),
 @given(pairs)
 def test_column_space_basis_is_the_greedy_choice_in_order(mp):
     a = mp[0]
-    for reverse in (False, True):
-        order = [a.column(j) for j in range(a.cols)]
-        if reverse:
-            order.reverse()
-        greedy = []
-        for col in order:
-            if columns_rank(greedy + [col], a.rows) > len(greedy):
-                greedy.append(col)
-        assert column_echelon(a, reverse)[1] == greedy
-        assert len(greedy) == rank(a)
+    greedy = []
+    for col in (a.column(j) for j in range(a.cols)):
+        if columns_rank(greedy + [col], a.rows) > len(greedy):
+            greedy.append(col)
+    assert column_echelon(a)[1] == greedy
+    assert len(greedy) == rank(a)
 
 
 @PROPERTY
@@ -65,14 +61,13 @@ def test_extend_basis_spans_inner_plus_outer(mp):
     a, b, _ = mp
     inner = [a.column(j) for j in range(a.cols)]
     outer = [b.column(j) for j in range(b.cols)]
-    for reverse in (False, True):
-        ech = Echelon()
-        ech.extend(inner)
-        added = ech.extend(outer, reverse)
-        assert all(v in outer for v in added)
-        assert columns_rank(inner + added, a.rows) == columns_rank(inner + outer, a.rows)
-        assert len(added) == (columns_rank(inner + outer, a.rows)
-                              - columns_rank(inner, a.rows))
+    ech = Echelon()
+    ech.extend(inner)
+    added = ech.extend(outer)
+    assert all(v in outer for v in added)
+    assert columns_rank(inner + added, a.rows) == columns_rank(inner + outer, a.rows)
+    assert len(added) == (columns_rank(inner + outer, a.rows)
+                          - columns_rank(inner, a.rows))
 
 
 @PROPERTY
@@ -80,21 +75,19 @@ def test_extend_basis_spans_inner_plus_outer(mp):
 def test_column_coordinates_are_exact_and_reject_targets_outside_the_span(mp):
     a, _, c = mp
     target = a * c
-    for reverse in (False, True):
-        order = list(range(a.cols))[::-1] if reverse else list(range(a.cols))
-        ech, basis, _, coords = column_echelon(a, reverse)
-        assert Mat.from_columns(basis, a.rows) * coords == a
-        for j in range(target.cols):
-            # combinations are keyed by the order the columns were added in
-            residual, comb = ech.reduce(dict(enumerate(target.column(j))))
-            x = [0] * a.cols
-            for n, coeff in comb.items():
-                x[order[n]] = coeff
-            assert not residual and a.apply(tuple(x)) == target.column(j)
-        for i in range(a.rows):
-            unit = tuple(int(t == i) for t in range(a.rows))
-            outside = columns_rank(basis + [unit], a.rows) > len(basis)
-            assert bool(ech.reduce({i: 1})[0]) == outside
+    ech, basis, _, coords = column_echelon(a)
+    assert Mat.from_columns(basis, a.rows) * coords == a
+    for j in range(target.cols):
+        # combinations are keyed by column index
+        residual, comb = ech.reduce(dict(enumerate(target.column(j))))
+        x = [0] * a.cols
+        for n, coeff in comb.items():
+            x[n] = coeff
+        assert not residual and a.apply(tuple(x)) == target.column(j)
+    for i in range(a.rows):
+        unit = tuple(int(t == i) for t in range(a.rows))
+        outside = columns_rank(basis + [unit], a.rows) > len(basis)
+        assert bool(ech.reduce({i: 1})[0]) == outside
 
 
 @PROPERTY
@@ -103,11 +96,9 @@ def test_kernel_basis_is_killed_and_has_full_size(mp):
     a = mp[0]
     ker = column_echelon(a)[2]
     assert ker == rref_kernel(a)
-    for reverse in (False, True):
-        ker = column_echelon(a, reverse)[2]
-        assert all(not any(a.apply(v)) for v in ker)
-        assert len(ker) == a.cols - rank(a)
-        assert not ker or columns_rank(ker, a.cols) == len(ker)
+    assert all(not any(a.apply(v)) for v in ker)
+    assert len(ker) == a.cols - rank(a)
+    assert not ker or columns_rank(ker, a.cols) == len(ker)
 
 
 @PROPERTY
@@ -117,17 +108,13 @@ def test_unit_coordinates_times_the_basis_give_the_identity(mp):
     combinations of the independent vectors are the inverse of that basis."""
     a = mp[0]
     units = [tuple(int(t == i) for t in range(a.rows)) for i in range(a.rows)]
-    for reverse in (False, True):
-        vectors = [a.column(j) for j in range(a.cols)]
-        if reverse:
-            vectors.reverse()
-        vectors += units[::-1] if reverse else units
-        ech = Echelon()
-        basis = [n for n, v in enumerate(vectors) if ech.add(dict(enumerate(v))) is None]
-        coords = [ech.reduce({i: 1})[1] for i in range(a.rows)]
-        inverse = Mat(a.rows, a.rows, [[comb.get(n, 0) for comb in coords] for n in basis])
-        assert Mat.from_columns([vectors[n] for n in basis], a.rows) * inverse \
-            == Mat.identity(a.rows)
+    vectors = [a.column(j) for j in range(a.cols)] + units
+    ech = Echelon()
+    basis = [n for n, v in enumerate(vectors) if ech.add(dict(enumerate(v))) is None]
+    coords = [ech.reduce({i: 1})[1] for i in range(a.rows)]
+    inverse = Mat(a.rows, a.rows, [[comb.get(n, 0) for comb in coords] for n in basis])
+    assert Mat.from_columns([vectors[n] for n in basis], a.rows) * inverse \
+        == Mat.identity(a.rows)
 
 
 def test_initial_class_map_inverts_the_c_matrix():

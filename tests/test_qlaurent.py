@@ -130,7 +130,7 @@ def test_pochhammer_fraction_field_ops():
 def test_render():
     assert QLaurent({-1: 1, 0: 2, 2: -3}).render() == "q^(-1/2) + 2 - 3*q"
     assert QLaurent().render() == "0"
-    assert QLaurent({1: 3}).render_plain("T") == "3*T"
+    assert QLaurent({1: 3}).render_plain() == "3*T"
 
 
 @PROPERTY

@@ -83,8 +83,8 @@ def test_compatibility_and_commutation_preserved():
             while ks and ks[-1] == k:
                 k = rng.randrange(1, s.n + 1)
             ks.append(k)
-        # mutate() itself verifies compatibility + full commutation when check=True
-        cur = mutate_sequence(s, ks, check=True)
+        # mutate() itself verifies compatibility + full commutation
+        cur = mutate_sequence(s, ks)
         check_compatible(cur.btilde, cur.lam, cur.n)
         verify_commutation(cur)
 
@@ -227,8 +227,6 @@ def test_checked_mutation_verifies_every_pair_at_every_step(monkeypatch):
     monkeypatch.setattr(seed_mod, "verify_commutation", counting_verify)
     monkeypatch.setattr(torus_mod, "_commutes", counting_commutes)
     s0 = corpus_seed("kronecker_principal")
-    s = mutate_sequence(s0, (1, 2, 1), check=True)
+    s = mutate_sequence(s0, (1, 2, 1))
     assert len(checked) == 3 and checked[-1] is s
     assert len(pairs) == 3 * s.m * (s.m - 1) // 2
-    mutate_sequence(s0, (1, 2, 1), check=False)
-    assert len(checked) == 3

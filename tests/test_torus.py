@@ -248,7 +248,7 @@ def commutation_cases(draw):
         b = torus_mul_pairwise(a, a).scale(QLaurent.monomial(draw(st.integers(-2, 2))))
         return a, b, 0
     s = corpus_seed(draw(st.sampled_from(["a2_principal", "kronecker_principal"])))
-    s = mutate_sequence(s, draw(st.sampled_from([(1, 2), (2, 1), (1, 2, 1)])), check=False)
+    s = mutate_sequence(s, draw(st.sampled_from([(1, 2), (2, 1), (1, 2, 1)])))
     return s.vars[0], s.vars[1], 2 * s.lam.entries[0][1] + draw(st.sampled_from([0, 2]))
 
 
