@@ -2,7 +2,7 @@
 # The Donaldson-Thomas route: sign sequences, Pochhammer factors, the pentagon
 # identity, and cluster variables recovered by conjugation.
 
-from qcluster import (SkewForm, cluster_monomial, conjugate, dt_product_pair,
+from qcluster import (SkewForm, cluster_monomial, conjugate, dt_factors,
                       factorization_check, g_of_lambda, initial_seed,
                       pochhammer, sign_sequence)
 
@@ -32,8 +32,8 @@ seed = initial_seed(L, B, 2)
 for ks, lam in [((1,), (1, 0)), ((1, 2), (0, 1)), ((1, 2, 1), (1, 0))]:
     route1 = cluster_monomial(seed, ks, lam)
     bound = (5, 5)
-    A, A_inv = dt_product_pair(L, B, ks, bound)
+    factors = dt_factors(L, B, ks, bound)
     g = g_of_lambda(B, ks, lam)
-    route2 = conjugate(A, g, bound, inverse=A_inv)
+    route2 = conjugate(L, B, factors, g, bound)
     verdict = "AGREE" if route2 == route1.element else "DISAGREE"
     print(f"ks={ks} lam={lam}: {verdict}   {route2.render()}")

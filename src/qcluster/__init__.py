@@ -8,9 +8,9 @@ polynomials in v = q^(1/2).
 """
 
 from .decorated import DecRep, h1_aggregate, mutate_rep, negative_simple
-from .dtseries import (ConeSeries, SignSeqResult, conjugate, dt_product_pair,
-                       factorization_check, framed_extract, g_of_lambda,
-                       initial_class_map, lemma52_step, pochhammer,
+from .dtseries import (ConeSeries, SignSeqResult, conjugate, dt_factors,
+                       dt_product_pair, factorization_check, framed_extract,
+                       g_of_lambda, initial_class_map, lemma52_step, pochhammer,
                        sign_sequence)
 from .grassmannian import (FqRep, coefficient_crosscheck, gr_count, serre_interpolate,
                            to_fq)
@@ -32,9 +32,9 @@ __all__ = [
     "cyclic_derivative", "mutation_step", "reduce_with_trail", "mutate_qp",
     "mutate_qp_sequence", "euler_form", "jacobi_dims",
     "DecRep", "negative_simple", "mutate_rep", "h1_aggregate",
-    "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_product_pair",
-    "conjugate", "lemma52_step", "framed_extract", "factorization_check",
-    "g_of_lambda", "initial_class_map",
+    "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_factors",
+    "dt_product_pair", "conjugate", "lemma52_step", "framed_extract",
+    "factorization_check", "g_of_lambda", "initial_class_map",
     "FqRep", "to_fq", "gr_count", "serre_interpolate",
     "coefficient_crosscheck",
 ]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .decorated import h1_aggregate
-from .dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_product_pair,
+from .dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_factors,
                        factorization_check, g_of_lambda, initial_class_map,
                        pochhammer)
 from .errors import ChecksNotRun, QClusterError
@@ -80,7 +80,7 @@ def _potential(value):
 
 
 class SessionSpec:
-    """Parsed and validated session document.
+    """Parsed and validated session document, its quiver with potential included.
 
     `overrides` holds option values given on the command line; they replace
     the document's `options` entries and pass the same checks.
@@ -123,6 +123,7 @@ class SessionSpec:
             raise QClusterError(f"quiver.vertices must equal m = {self.m}, "
                                 f"got {self.quiver[0]}")
         self.potential = _field(doc, "potential", _potential, [])
+        self._qp = self._build_qp()
 
     def form(self) -> SkewForm:
         return SkewForm(self.lam_matrix)
@@ -131,6 +132,10 @@ class SessionSpec:
         return initial_seed(self.form(), self.btilde, self.n)
 
     def qp(self) -> QPData:
+        """The quiver with potential, validated on every command."""
+        return self._qp
+
+    def _build_qp(self) -> QPData:
         if self.quiver is None:
             quiver = from_btilde(self.btilde, self.n)
         else:
@@ -170,18 +175,15 @@ def cmd_mutate(spec: SessionSpec, out: list[str], report: dict) -> bool:
 
 
 def _dt_route(spec: SessionSpec):
-    """A X^g A^{-1} at one cone bound: the H^1 dims plus TAIL_MARGIN unless given.
-
-    Building H^1 also validates the quiver and potential on every DT run.
-    """
+    """A X^g A^{-1} at one cone bound: the H^1 dims plus TAIL_MARGIN unless given."""
     h1 = h1_aggregate(mutate_qp_sequence(spec.qp(), spec.ks), spec.ks, spec.lam)
     if spec.cone_bound is None:
         bound = tuple(d + TAIL_MARGIN for d in h1.dims[:spec.n])
     else:
         bound = (spec.cone_bound,) * spec.n
-    series, series_inv = dt_product_pair(spec.form(), spec.btilde, spec.ks, bound)
-    return conjugate(series, g_of_lambda(spec.btilde, spec.ks, spec.lam), bound,
-                     inverse=series_inv)
+    form = spec.form()
+    return conjugate(form, spec.btilde, dt_factors(form, spec.btilde, spec.ks, bound),
+                     g_of_lambda(spec.btilde, spec.ks, spec.lam), bound)
 
 
 def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:

@@ -222,22 +222,39 @@ def pochhammer(form: SkewForm, btilde, bound, cls, sign: int) -> ConeSeries:
     return ConeSeries(form, btilde, bound, None, coeffs)
 
 
-def dt_product_pair(form: SkewForm, btilde, ks, bound):
-    """(A, A^{-1}) with the inverse assembled from reversed opposite factors."""
+def dt_factors(form: SkewForm, btilde, ks, bound):
+    """The ordered pairs (E_i, E_i^{-1}) with A = E_1 E_2 ... E_r.
+
+    E_i is the Pochhammer series of the i-th tracked class, with the
+    exponent of the i-th sign; its inverse has the opposite exponent.
+    """
     res = sign_sequence(btilde, ks)
-    fwd = ConeSeries.unit(form, btilde, bound)
-    inv = ConeSeries.unit(form, btilde, bound)
+    pairs = []
     for sign, cls in zip(res.signs, res.s_classes):
         e = +1 if sign == "+" else -1
-        fwd = fwd * pochhammer(form, btilde, bound, cls, e)
-        inv = pochhammer(form, btilde, bound, cls, -e) * inv
+        pairs.append((pochhammer(form, btilde, bound, cls, e),
+                      pochhammer(form, btilde, bound, cls, -e)))
+    return tuple(pairs)
+
+
+def dt_product_pair(form: SkewForm, btilde, ks, bound):
+    """(A, A^{-1}): the factors of dt_factors multiplied out."""
+    fwd = ConeSeries.unit(form, btilde, bound)
+    inv = ConeSeries.unit(form, btilde, bound)
+    for factor, factor_inv in dt_factors(form, btilde, ks, bound):
+        fwd = fwd * factor
+        inv = factor_inv * inv
     return fwd, inv
 
 
-def conjugate(series: ConeSeries, g, bound, inverse: ConeSeries) -> TorusElement:
+def conjugate(form: SkewForm, btilde, factors, g, bound) -> TorusElement:
     """A X^g A^{-1} in the truncated torus, returned as a finite element.
 
-    `inverse` is A^{-1}, as dt_product_pair returns it.  Raises
+    `factors` are the pairs (E_i, E_i^{-1}) of A = E_1 ... E_r, as dt_factors
+    returns them.  X^g is conjugated one factor at a time, innermost first:
+    T <- E_i T E_i^{-1} for i = r, ..., 1.  Truncation at the bound is a
+    quotient by an ideal of the cone ring, so every coefficient within the
+    bound equals that of the dense product (A X^g) A^{-1}.  Raises
     TailNotVanishing unless every coefficient within TAIL_MARGIN of the bound
     (entrywise) vanishes, which certifies the theoretical finiteness.
     """
@@ -245,14 +262,13 @@ def conjugate(series: ConeSeries, g, bound, inverse: ConeSeries) -> TorusElement
         raise TailNotVanishing(
             f"cone bound {tuple(bound)} is below the safety margin {TAIL_MARGIN}",
             suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
-    xg = ConeSeries(series.form, series.btilde, series.bound, g,
-                    {(0,) * series.n: PochhammerFraction.one()})
-    total = series * xg * inverse
+    total = ConeSeries(form, btilde, bound, g,
+                       {(0,) * len(bound): PochhammerFraction.one()})
+    for factor, factor_inv in reversed(factors):
+        total = factor * total * factor_inv
     safe = tuple(b - TAIL_MARGIN for b in bound)
     terms = {}
     for gamma, c in total.coeffs.items():
-        if c.is_zero():
-            continue
         if any(x > s for x, s in zip(gamma, safe)):
             raise TailNotVanishing(
                 f"nonzero coefficient at cone depth {gamma}",
@@ -262,7 +278,7 @@ def conjugate(series: ConeSeries, g, bound, inverse: ConeSeries) -> TorusElement
                 f"coefficient at {gamma} kept a series denominator",
                 suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
         terms[total.exponent_of(gamma)] = c.as_laurent()
-    return TorusElement(series.form, terms)
+    return TorusElement(form, terms)
 
 
 def lemma52_step(form: SkewForm, btilde, x_cls, y: TorusElement, eps: int) -> TorusElement:

@@ -7,10 +7,11 @@ per-tuple Grassmannian count takes only the RREF subspace enumeration from
 the package, which test_grassmannian checks on its own.  The F-decomposition
 rebuild uses the package's torus arithmetic, which test_torus checks on its
 own, and the pairwise cone product reads only the series' coefficients,
-exponents and skew form.  The torus product and division here work one term
-pair at a time in QLaurent arithmetic, apart from the torus product kernel.
-The per-summand H^1 mutates every summand copy on its own and puts the
-copies together here.
+exponents and skew form.  The dense conjugation multiplies whole series with
+the package's cone product, which the pairwise product checks.  The torus
+product and division here work one term pair at a time in QLaurent
+arithmetic, apart from the torus product kernel.  The per-summand H^1
+mutates every summand copy on its own and puts the copies together here.
 """
 
 from fractions import Fraction
@@ -459,6 +460,33 @@ def cone_mul_pairwise(a, b):
                 den = {k: den.get(k, 0) + den0.get(k, 0) for k in den.keys() | den0.keys()}
             out[g] = (num, den)
     return {g: (num, den) for g, (num, den) in out.items() if num}
+
+
+def dense_conjugate(series, g, bound, inverse):
+    """(A X^g) A^{-1} from the whole series A and its inverse, as a TorusElement.
+
+    The dense product the factor-by-factor conjugate replaces, with the same
+    margin and tail checks, each raising TailNotVanishing with the same
+    suggested bound.
+    """
+    from qcluster.dtseries import TAIL_MARGIN, ConeSeries
+    from qcluster.errors import TailNotVanishing
+    from qcluster.qlaurent import PochhammerFraction
+    from qcluster.torus import TorusElement
+
+    if any(b < TAIL_MARGIN for b in bound):
+        raise TailNotVanishing("cone bound below the safety margin",
+                               suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
+    xg = ConeSeries(series.form, series.btilde, series.bound, g,
+                    {(0,) * series.n: PochhammerFraction.one()})
+    total = series * xg * inverse
+    terms = {}
+    for gamma, c in total.coeffs.items():
+        if any(x > b - TAIL_MARGIN for x, b in zip(gamma, bound)) or not c.is_laurent():
+            raise TailNotVanishing(f"tail coefficient at {gamma}",
+                                   suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
+        terms[total.exponent_of(gamma)] = c.as_laurent()
+    return TorusElement(series.form, terms)
 
 
 # --- H^1 as a direct sum of single-summand modules ---

@@ -7,7 +7,7 @@ tolerance is exact (these are symbolic identities and integer counts).
 import pytest
 
 from qcluster.decorated import h1_aggregate, mutate_rep, negative_simple, simple
-from qcluster.dtseries import (conjugate, dt_product_pair, factorization_check,
+from qcluster.dtseries import (conjugate, dt_factors, factorization_check,
                                g_of_lambda, initial_class_map, pochhammer,
                                sign_sequence)
 from qcluster.errors import SignAmbiguous
@@ -111,8 +111,7 @@ def test_criterion_2_two_route_agreement(route1_results):
         bound = tuple(d + 2 for d in h1.dims[:n])
         g = g_of_lambda(bt, ks, lam)
         assert tuple(g) == res.g_vector, (name, ks, lam)
-        series, inv = dt_product_pair(form, bt, ks, bound)
-        element = conjugate(series, g, bound, inverse=inv)
+        element = conjugate(form, bt, dt_factors(form, bt, ks, bound), g, bound)
         assert element == res.element, (name, ks, lam)
         agree += 1
         assert _mutable_acyclic_at_either_end(name, ks) or \

@@ -221,6 +221,14 @@ def test_quiver_btilde_mismatch_rejected(tmp_path, capsys):
     assert "does not realize btilde" in capsys.readouterr().err
 
 
+def test_kronecker_ladder_rung_6_agrees_on_both_routes(tmp_path, capsys):
+    lam, btilde = principal_pair([[0, 2], [-2, 0]])
+    doc = {"n": 2, "lambda": lam, "btilde": btilde, "ks": [2, 1, 2, 1, 2, 1],
+           "lam": [1, 1, 0, 0]}
+    assert main(["expand", write_spec(tmp_path, doc), "--route", "both"]) == 0
+    assert "two-route: AGREE" in capsys.readouterr().out.splitlines()
+
+
 def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     doc = json.loads(json.dumps(A2_DOC))
     doc["options"] = {"route": "dt"}
@@ -271,6 +279,12 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("expand", {"potential": [[1, 1, ["zz"]]]}, ["--route", "both"]),
     ("expand", {"potential": [[1, 1, "a1"]]}, ["--route", "both"]),  # a word as a string
     ("count", {"quiver": {"vertices": 3, "arrows": [["a", 2, 1]]}}, []),  # vertices != m
+    ("mutate", {"potential": [[1, 1, ["zz"]]]}, []),   # every command checks the QP
+    ("expand", {"potential": [[1, 1, ["zz"]]]}, ["--route", "mutation"]),
+    ("expand", {"potential": [[1, 1, ["zz"]]]}, ["--route", "dt"]),
+    ("mutate", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, []),  # not btilde's
+    ("expand", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, ["--route", "mutation"]),
+    ("expand", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, ["--route", "dt"]),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.dtseries import (ConeSeries, conjugate, dt_product_pair,
+from qcluster.dtseries import (ConeSeries, conjugate, dt_factors, dt_product_pair,
                                factorization_check, framed_extract, g_of_lambda,
                                initial_class_map, lemma52_step, pochhammer,
                                sign_sequence)
@@ -84,7 +84,7 @@ def test_dt_product_single_and_empty():
 def test_conjugate_identity_series():
     bound = (4, 4)
     one = ConeSeries.unit(L2, B2, bound)
-    out = conjugate(one, (2, -1), bound, one)
+    out = conjugate(L2, B2, [(one, one)], (2, -1), bound)
     assert out == TorusElement.monomial(L2, (2, -1))
 
 
@@ -92,15 +92,15 @@ def test_conjugate_a2_matches_mutation():
     s0 = corpus_seed("a2")
     r = cluster_monomial(s0, (1,), (1, 0))
     bound = (3, 3)
-    series, inv = dt_product_pair(L2, B2, (1,), bound)
-    out = conjugate(series, g_of_lambda(B2, (1,), (1, 0)), bound, inverse=inv)
+    factors = dt_factors(L2, B2, (1,), bound)
+    out = conjugate(L2, B2, factors, g_of_lambda(B2, (1,), (1, 0)), bound)
     assert out == r.element
 
 
 def test_conjugate_tail_not_vanishing_on_tiny_bound():
     with pytest.raises(TailNotVanishing) as exc:
         one = ConeSeries.unit(L2, B2, (0, 0))
-        conjugate(one, (1, 0), (0, 0), one)
+        conjugate(L2, B2, [(one, one)], (1, 0), (0, 0))
     assert exc.value.suggested_bound is not None
 
 
@@ -124,10 +124,10 @@ def test_lemma52_examples():
 
 def test_lemma52_agrees_with_conjugate():
     bound = (4, 4)
-    series, inv = dt_product_pair(L2, B2, (1,), bound)
+    factors = dt_factors(L2, B2, (1,), bound)
     y = TorusElement.monomial(L2, (-1, 1))
     fast = lemma52_step(L2, B2, (1, 0), y, -1)
-    slow = conjugate(series, (-1, 1), bound, inverse=inv)
+    slow = conjugate(L2, B2, factors, (-1, 1), bound)
     assert fast == slow
 
 
@@ -141,7 +141,7 @@ def test_lemma52_plus_exponent_against_minus_factor():
     fast = lemma52_step(L2, B2, (1, 0), y, +1)
     minus = pochhammer(L2, B2, bound, (1, 0), -1)
     plus = pochhammer(L2, B2, bound, (1, 0), +1)
-    slow = conjugate(minus, y_exp, bound, inverse=plus)
+    slow = conjugate(L2, B2, [(minus, plus)], y_exp, bound)
     assert fast == slow
     assert fast == y + y * TorusElement.monomial(L2, (0, -1), QLaurent.monomial(1))
 

@@ -3,20 +3,23 @@
 The corpus has five hand-picked seeds; here hypothesis draws a skew B with
 n <= 3 and |entries| <= 2, a short mutation sequence and a unit or all-ones
 lam, and checks the mutation route against the DT route, positivity and the
-commutative q -> 1 oracle.  For an acyclic B with a small H^1, every `count`
-row must match in hard mode.
+commutative q -> 1 oracle.  The factor-by-factor conjugation must equal the
+dense product at any cone bound, too small ones included.  For an acyclic B
+with a small H^1, every `count` row must match in hard mode.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcluster.cli import SessionSpec, cmd_count
-from qcluster.dtseries import TAIL_MARGIN, conjugate, dt_product_pair, g_of_lambda
+from qcluster.dtseries import (TAIL_MARGIN, conjugate, dt_factors, dt_product_pair,
+                               g_of_lambda)
+from qcluster.errors import TailNotVanishing
 from qcluster.seed import cluster_monomial, initial_seed
 from qcluster.torus import SkewForm, is_positive
 
 from .corpus import principal_pair
-from .oracles import commutative_cluster_monomial, specialize_v1
+from .oracles import commutative_cluster_monomial, dense_conjugate, specialize_v1
 
 # Longer sequences on wild rank-3 seeds take seconds each on the DT route.
 MAX_KS = {1: 1, 2: 4, 3: 3}
@@ -77,11 +80,36 @@ def test_random_principal_seeds_agree_on_both_routes(case):
     result = cluster_monomial(initial_seed(form, btilde, n), ks, lam)
     bound = tuple(max(gamma[j] for gamma in result.f_coefficients) + TAIL_MARGIN
                   for j in range(n))
-    series, inverse = dt_product_pair(form, btilde, ks, bound)
-    assert conjugate(series, g_of_lambda(btilde, ks, lam), bound, inverse=inverse) \
+    factors = dt_factors(form, btilde, ks, bound)
+    assert conjugate(form, btilde, factors, g_of_lambda(btilde, ks, lam), bound) \
         == result.element
     assert is_positive(result.element)
     assert specialize_v1(result.element) == commutative_cluster_monomial(btilde, ks, lam)
+
+
+def _outcome(run):
+    """("element", the conjugate) or ("tail", the suggested bound)."""
+    try:
+        return "element", run()
+    except TailNotVanishing as exc:
+        return "tail", exc.suggested_bound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_principal_cases(), st.data())
+def test_factor_by_factor_conjugate_matches_dense_product(case, data):
+    """At a random cone bound from TAIL_MARGIN - 1 to TAIL_MARGIN + 3 per
+    direction: many bounds are too small, below the margin or for the
+    monomial's tail, and then both sides must raise alike."""
+    B, ks, lam = case
+    lam_matrix, btilde = principal_pair(B)
+    form = SkewForm(lam_matrix)
+    bound = tuple(data.draw(st.integers(TAIL_MARGIN - 1, TAIL_MARGIN + 3)) for _ in B)
+    g = g_of_lambda(btilde, ks, lam)
+    series, inverse = dt_product_pair(form, btilde, ks, bound)
+    factors = dt_factors(form, btilde, ks, bound)
+    assert _outcome(lambda: conjugate(form, btilde, factors, g, bound)) \
+        == _outcome(lambda: dense_conjugate(series, g, bound, inverse))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
