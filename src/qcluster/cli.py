@@ -75,8 +75,15 @@ def _word(value):
     return tuple(str(x) for x in value)
 
 
+def _coefficient(num, den) -> Fraction:
+    num, den = _int(num), _int(den)
+    if den == 0:
+        raise ValueError(f"coefficient {num}/0 has denominator 0")
+    return Fraction(num, den)
+
+
 def _potential(value):
-    return [(Fraction(_int(num), _int(den)), _word(word)) for num, den, word in value]
+    return [(_coefficient(num, den), _word(word)) for num, den, word in value]
 
 
 class SessionSpec:
@@ -150,7 +157,7 @@ class SessionSpec:
                             f"a_ji - a_ij = {diff} != {self.btilde[i - 1][j - 1]}")
         terms = {}
         for coeff, word in self.potential:
-            terms[word] = terms.get(word, Fraction(0)) + coeff
+            terms[word] = terms.get(word, 0) + coeff
         qp = QPData(quiver, Potential(self.degree_cap, terms))
         qp.validate()
         return qp

@@ -11,7 +11,6 @@ one QP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch, RelationViolation
 from .linalg import Echelon, Mat, column_echelon, hstack, vstack
@@ -65,7 +64,7 @@ def word_action(rep: DecRep, word) -> Mat:
 
 
 def combination_action(rep: DecRep, comb: dict) -> Mat | None:
-    """Action of a {path: Fraction} combination (parallel paths)."""
+    """Action of a {path: coefficient} combination (parallel paths)."""
     if not comb:
         return None
     first = next(iter(comb))
@@ -275,7 +274,7 @@ def direct_sum(reps: list[DecRep]) -> DecRep:
     mats = {}
     for a in qp.quiver.arrows.values():
         rows, cols = dims[a.source - 1], dims[a.target - 1]
-        entries = [[Fraction(0)] * cols for _ in range(rows)]
+        entries = [[0] * cols for _ in range(rows)]
         roff = coff = 0
         for r in reps:
             blk = r.mats[a.id]

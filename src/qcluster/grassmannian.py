@@ -101,7 +101,8 @@ class GF:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def from_fraction(self, fr: Fraction) -> int:
+    def from_fraction(self, fr: int | Fraction) -> int:
+        """The rational fr, an int or a Fraction, as an element of the prime field."""
         den = fr.denominator % self.p
         if den == 0:
             raise QClusterError(f"denominator divisible by {self.p}")

@@ -1,9 +1,11 @@
 """Minimal exact linear algebra over the rationals.
 
-Matrices carry explicit shapes so zero-dimensional spaces behave; entries
-are fractions.Fraction throughout.  Vectors are column tuples.  Every span,
-basis, kernel and coordinate question goes through one incremental
-`Echelon`; `rref` serves only `rank`.
+Matrices carry explicit shapes so zero-dimensional spaces behave.  One rule
+holds for every exact rational stored here and in `quiver` and `decorated`:
+it is an int when it is integral and a fractions.Fraction only when it is
+not (`exact`).  Every division goes through Fraction, so no value is ever a
+float.  Vectors are column tuples.  Every span, basis, kernel and coordinate
+question goes through one incremental `Echelon`; `rref` serves only `rank`.
 """
 
 from __future__ import annotations
@@ -11,8 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def exact(x):
+    """The rational x as an int when it is integral, else as the Fraction x."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Mat:
-    """An immutable rows x cols matrix of Fractions."""
+    """An immutable rows x cols matrix of exact rationals (see `exact`)."""
 
     __slots__ = ("rows", "cols", "a")
 
@@ -20,16 +27,15 @@ class Mat:
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self.a = tuple((Fraction(0),) * cols for _ in range(rows))
+            self.a = tuple((0,) * cols for _ in range(rows))
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise ValueError("entry grid does not match shape")
-            self.a = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
-                           for r in entries)
+            self.a = tuple(tuple(map(exact, r)) for r in entries)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return Mat(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
@@ -66,12 +72,11 @@ class Mat:
         return Mat(self.rows, self.cols, [[-x for x in r] for r in self.a])
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
         return Mat(self.rows, self.cols, [[c * x for x in r] for r in self.a])
 
     def __mul__(self, other: "Mat") -> "Mat":
         assert self.cols == other.rows, "shape mismatch in matrix product"
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
+        out = [[0] * other.cols for _ in range(self.rows)]
         for i in range(self.rows):
             row = self.a[i]
             for t in range(self.cols):
@@ -97,7 +102,7 @@ def hstack(mats: list[Mat]) -> Mat:
     rows = mats[0].rows if mats else 0
     assert all(m.rows == rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     off = 0
     for m in mats:
         for i in range(rows):
@@ -123,7 +128,7 @@ def rref(mat: Mat):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
+        inv = Fraction(1, a[r][c])
         a[r] = [x * inv for x in a[r]]
         for i in range(mat.rows):
             if i != r and a[i][c] != 0:
@@ -162,8 +167,8 @@ class Echelon:
         The residual is zero at every leading index; it is {} exactly when
         vec lies in the span.
         """
-        res = {i: Fraction(x) for i, x in vec.items() if x}
-        comb: dict[int, Fraction] = {}
+        res = {i: x for i, x in vec.items() if x}
+        comb = {}
         # each row is zero at the leads of the rows before it, so one pass in
         # insertion order leaves the residual zero at every lead
         for lead, (row, row_comb) in self.rows.items():
@@ -189,10 +194,10 @@ class Echelon:
         if not res:
             return comb
         lead = min(res)
-        inv = 1 / res[lead]
-        comb = {m: -x * inv for m, x in comb.items()}
+        inv = exact(Fraction(1, res[lead]))
+        comb = {m: exact(-x * inv) for m, x in comb.items()}
         comb[n] = inv
-        self.rows[lead] = ({i: x * inv for i, x in res.items()}, comb)
+        self.rows[lead] = ({i: exact(x * inv) for i, x in res.items()}, comb)
         return None
 
     def extend(self, vectors) -> list[tuple]:
@@ -221,10 +226,10 @@ def column_echelon(mat: Mat):
             coords.append([0] * mat.cols)
             coords[-1][j] = 1
             continue
-        vec = [Fraction(0)] * mat.cols
-        vec[j] = Fraction(1)
+        vec = [0] * mat.cols
+        vec[j] = 1
         for i, c in comb.items():
-            vec[i] = -c
+            vec[i] = exact(-c)
             coords[place[i]][j] = c
         kernel.append(tuple(vec))
     return ech, basis, kernel, Mat(len(basis), mat.cols, coords)

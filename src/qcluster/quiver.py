@@ -4,7 +4,8 @@ Words are tuples of arrow ids; a word (s_1, ..., s_r) is a path when
 source(s_l) = target(s_{l+1}), i.e. the rightmost letter is traversed first
 (function-composition order, matching the right-module action).  Cyclic
 words are stored in their lexicographically minimal rotation.  Potentials
-carry rational coefficients and are truncated at a configurable degree cap.
+carry rational coefficients, ints when integral (`linalg.exact`), and are
+truncated at a configurable degree cap.
 DWZ mutation at k is one `mutation_step`: premutation and reduction, with
 the bookkeeping a representation needs to follow it; `mutate_qp` keeps only
 the reduced QP.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegreeCapExceeded, LoopAtVertex, NotSkewSymmetric, QClusterError
-from .linalg import Echelon
+from .linalg import Echelon, exact
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,11 @@ def canonical_rotation(word):
 
 
 class Potential:
-    """A finite sum of cyclic words with Fraction coefficients, capped at D."""
+    """A finite sum of cyclic words with exact rational coefficients, capped at D.
+
+    A coefficient is stored as `linalg.exact` gives it: an int when it is
+    integral, a Fraction only when it is not.
+    """
 
     __slots__ = ("degree_cap", "terms")
 
@@ -125,14 +130,13 @@ class Potential:
         self.degree_cap = degree_cap
         out = {}
         for w, c in (terms or {}).items():
-            c = Fraction(c)
             if c == 0 or len(w) > degree_cap:
                 continue
             if len(w) == 0:
                 raise QClusterError("length-0 potential terms are not allowed")
             w = canonical_rotation(tuple(w))
-            out[w] = out.get(w, Fraction(0)) + c
-        self.terms = {w: c for w, c in out.items() if c != 0}
+            out[w] = out.get(w, 0) + c
+        self.terms = {w: exact(c) for w, c in out.items() if c != 0}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -144,7 +148,7 @@ class Potential:
         cap = min(self.degree_cap, other.degree_cap)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
         return Potential(cap, out)
 
     def __eq__(self, other):
@@ -229,19 +233,19 @@ def quiver_mutate(q: Quiver, k: int) -> Quiver:
 
 
 def cyclic_derivative(p: Potential, q: Quiver, aid: str):
-    """d/d(aid) of the potential: {path word: Fraction}.
+    """d/d(aid) of the potential: {path word: coefficient}.
 
     For each cyclic word and each occurrence of the arrow, contribute the
     word with that occurrence deleted, rotated to start just after it.
     """
-    out: dict[tuple, Fraction] = {}
+    out = {}
     for w, c in p.terms.items():
         L = len(w)
         for pos in range(L):
             if w[pos] == aid:
                 rest = tuple(w[(pos + i) % L] for i in range(1, L))
                 if rest:
-                    out[rest] = out.get(rest, Fraction(0)) + c
+                    out[rest] = out.get(rest, 0) + c
                 else:
                     raise QClusterError("derivative of a loop word is a lazy path")
     return {w: c for w, c in out.items() if c != 0}
@@ -285,7 +289,7 @@ class MutationStep:
             words = {}
             for w, c in cyclic_derivative(self.w2, self.pre.quiver, cid).items():
                 flat = tuple(x for letter in w for x in expand.get(letter, (letter,)))
-                words[flat] = words.get(flat, Fraction(0)) + c
+                words[flat] = words.get(flat, 0) + c
             out[pair] = words
         return out
 
@@ -319,11 +323,11 @@ def mutation_step(qp: QPData, k: int) -> MutationStep:
     w1 = {}
     for (bid, aid), cid in comp.items():
         word = canonical_rotation((cid, rev[aid], rev[bid]))
-        w1[word] = w1.get(word, Fraction(0)) + 1
+        w1[word] = w1.get(word, 0) + 1
     w2 = {}
     for w, c in qp.potential.terms.items():
         w2_word = _replace_passages(w, out_ids, in_ids, comp)
-        w2[w2_word] = w2.get(w2_word, Fraction(0)) + c
+        w2[w2_word] = w2.get(w2_word, 0) + c
     w2 = Potential(cap, w2)
     pre = QPData(Quiver(q.m, arrows), Potential(cap, w1) + w2)
     reduced, trail = reduce_with_trail(pre)
@@ -356,29 +360,29 @@ def _replace_passages(word, out_ids, in_ids, comp):
 
 
 def _substitute(pot: Potential, subs) -> Potential:
-    """Apply arrow -> arrow + correction (a {path: Fraction} map) to W."""
+    """Apply arrow -> arrow + correction (a {path: coefficient} map) to W."""
     cap = pot.degree_cap
-    out: dict[tuple, Fraction] = {}
+    out = {}
     for w, c in pot.terms.items():
         acc = {(): c}
         for letter in w:
-            options = {(letter,): Fraction(1)}
+            options = {(letter,): 1}
             if letter in subs:
                 for path, coeff in subs[letter].items():
-                    options[path] = options.get(path, Fraction(0)) + coeff
-            nxt: dict[tuple, Fraction] = {}
+                    options[path] = options.get(path, 0) + coeff
+            nxt = {}
             for pref, pc in acc.items():
                 for path, oc in options.items():
                     joined = pref + path
                     if len(joined) > cap:
                         continue
-                    nxt[joined] = nxt.get(joined, Fraction(0)) + pc * oc
+                    nxt[joined] = nxt.get(joined, 0) + pc * oc
             acc = nxt
         for word, coeff in acc.items():
             if not word:
                 continue
             key = canonical_rotation(word)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
     return Potential(cap, out)
 
 
@@ -415,12 +419,12 @@ def reduce_with_trail(qp: QPData):
                 break
             subs = {}
             if dy:
-                subs[x] = {p: -coeff / c for p, coeff in dy.items()}
+                subs[x] = {p: exact(Fraction(-coeff, c)) for p, coeff in dy.items()}
             if dx:
-                subs[y] = {p: -coeff / c for p, coeff in dx.items()}
+                subs[y] = {p: exact(Fraction(-coeff, c)) for p, coeff in dx.items()}
             trail.append(("subst", subs))
             pot = _substitute(pot, subs)
-            c = pot.terms.get(w, Fraction(0))
+            c = pot.terms.get(w, 0)
             if c == 0:
                 raise DegreeCapExceeded(
                     "quadratic pivot vanished during reduction")
@@ -521,7 +525,7 @@ def jacobi_dims(qp: QPData, up_to: int):
                         for p, coeff in der.items():
                             w = left + p + right
                             if len(w) <= up_to:
-                                vec[col[w]] = vec.get(col[w], Fraction(0)) + coeff
+                                vec[col[w]] = vec.get(col[w], 0) + coeff
                         ech.add(vec)
     pivot_cols = set(ech.rows)
     col_len = {idx: len(w) for w, idx in col.items()}

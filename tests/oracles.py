@@ -17,6 +17,27 @@ mutates every summand copy on its own and puts the copies together here.
 from fractions import Fraction
 
 
+# --- linear algebra over Q in Fraction arithmetic ---
+
+def rational_rref(rows, ncols):
+    """(nonzero reduced row echelon rows, pivot columns) of rational rows."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
 # --- commutative multivariate Laurent polynomials as {exponent tuple: int} ---
 
 def cadd(p1, p2):

@@ -285,6 +285,7 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("mutate", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, []),  # not btilde's
     ("expand", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, ["--route", "mutation"]),
     ("expand", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, ["--route", "dt"]),
+    ("count", {"potential": [[1, 0, ["c", "b", "a"]]]}, []),  # a coefficient over 0
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole
@@ -297,6 +298,32 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+def test_zero_denominator_is_named(tmp_path, capsys):
+    doc = dict(A2_DOC, potential=[[1, 0, ["c", "b", "a"]]])
+    assert main(["count", write_spec(tmp_path, doc)]) == 2
+    assert "error: malformed potential: coefficient 1/0 has denominator 0" \
+        in capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("ks", ["1231", "1321", "213", "12312"])
+def test_potential_coefficient_leaves_the_reports_unchanged(tmp_path, capsys, ks):
+    """The triangle's full cycle times 2, 1/3, -5/7 or 7/2 is right-equivalent
+    to the cycle itself (rescale one arrow), so `expand --route both` and
+    `count` print the reports of coefficient 1.  The potentials carry
+    non-integral coefficients, and so do the reduction's substitutions for
+    2, -5/7 and 7/2."""
+    for lam in ([1, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 1]):
+        reports = {}
+        for num, den in ((1, 1), (2, 1), (1, 3), (-5, 7), (7, 2)):
+            doc = dict(TRIANGLE_DOC, ks=[int(k) for k in ks], lam=lam,
+                       potential=[[num, den, ["c", "b", "a"]]])
+            spec = write_spec(tmp_path, doc)
+            for argv in (["expand", spec, "--route", "both"], ["count", spec]):
+                assert main(argv) == 0
+                out = capsys.readouterr().out
+                assert out == reports.setdefault(argv[0], out), (num, den, argv[0])
 
 
 def test_count_rank_zero_prints_its_one_trivial_row(tmp_path, capsys):

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.dtseries import (ConeSeries, conjugate, dt_factors, dt_product_pair,
-                               factorization_check, framed_extract, g_of_lambda,
-                               initial_class_map, lemma52_step, pochhammer,
-                               sign_sequence)
+from qcluster.dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_factors,
+                               dt_product_pair, factorization_check, framed_extract,
+                               g_of_lambda, initial_class_map, lemma52_step,
+                               pochhammer, sign_sequence)
 from qcluster.errors import CommutationMismatch, TailNotVanishing
 from qcluster.qlaurent import PochhammerFraction, QLaurent
 from qcluster.seed import cluster_monomial
@@ -102,6 +102,18 @@ def test_conjugate_tail_not_vanishing_on_tiny_bound():
         one = ConeSeries.unit(L2, B2, (0, 0))
         conjugate(L2, B2, [(one, one)], (1, 0), (0, 0))
     assert exc.value.suggested_bound is not None
+
+
+def test_conjugate_rejects_a_coefficient_that_kept_a_series_denominator():
+    """A factor whose only coefficient is 1/(1 - T) leaves that denominator
+    on X^g: the result would not be a Laurent polynomial."""
+    bound = (TAIL_MARGIN + 2,) * 2
+    series = ConeSeries(L2, B2, bound,
+                        coeffs={(0, 0): PochhammerFraction(QLaurent.monomial(0), {1: 1})})
+    with pytest.raises(TailNotVanishing) as exc:
+        conjugate(L2, B2, [(series, ConeSeries.unit(L2, B2, bound))], (1, 0), bound)
+    assert str(exc.value) == "coefficient at (0, 0) kept a series denominator"
+    assert exc.value.suggested_bound == (2 * TAIL_MARGIN + 2,) * 2
 
 
 def test_lemma52_examples():
