@@ -87,10 +87,13 @@ def _potential(value):
 
 
 class SessionSpec:
-    """Parsed and validated session document, its quiver with potential included.
+    """Parsed and validated session document.
 
-    `overrides` holds option values given on the command line; they replace
-    the document's `options` entries and pass the same checks.
+    `form`, `seed` and `qp` are built once, for every command, so a pair
+    that is not compatible or a quiver with potential that does not fit the
+    document exits 2 before any route runs.  `overrides` holds option values
+    given on the command line; they replace the document's `options` entries
+    and pass the same checks.
     """
 
     def __init__(self, doc: dict, overrides=None):
@@ -130,17 +133,9 @@ class SessionSpec:
             raise QClusterError(f"quiver.vertices must equal m = {self.m}, "
                                 f"got {self.quiver[0]}")
         self.potential = _field(doc, "potential", _potential, [])
-        self._qp = self._build_qp()
-
-    def form(self) -> SkewForm:
-        return SkewForm(self.lam_matrix)
-
-    def seed(self):
-        return initial_seed(self.form(), self.btilde, self.n)
-
-    def qp(self) -> QPData:
-        """The quiver with potential, validated on every command."""
-        return self._qp
+        self.qp = self._build_qp()
+        self.form = SkewForm(self.lam_matrix)
+        self.seed = initial_seed(self.form, self.btilde, self.n)
 
     def _build_qp(self) -> QPData:
         if self.quiver is None:
@@ -168,7 +163,7 @@ def _render_matrix(rows) -> list[str]:
 
 
 def cmd_mutate(spec: SessionSpec, out: list[str], report: dict) -> bool:
-    seed = mutate_sequence(spec.seed(), spec.ks)
+    seed = mutate_sequence(spec.seed, spec.ks)
     out.append("Lambda':")
     out.extend(_render_matrix(seed.lam.entries))
     out.append("B~':")
@@ -183,13 +178,13 @@ def cmd_mutate(spec: SessionSpec, out: list[str], report: dict) -> bool:
 
 def _dt_route(spec: SessionSpec):
     """A X^g A^{-1} at one cone bound: the H^1 dims plus TAIL_MARGIN unless given."""
-    h1 = h1_aggregate(mutate_qp_sequence(spec.qp(), spec.ks), spec.ks, spec.lam)
+    h1 = h1_aggregate(mutate_qp_sequence(spec.qp, spec.ks), spec.ks, spec.lam)
     if spec.cone_bound is None:
         bound = tuple(d + TAIL_MARGIN for d in h1.dims[:spec.n])
     else:
         bound = (spec.cone_bound,) * spec.n
-    form = spec.form()
-    return conjugate(form, spec.btilde, dt_factors(form, spec.btilde, spec.ks, bound),
+    factors = dt_factors(spec.form, spec.btilde, spec.ks, bound)
+    return conjugate(spec.form, spec.btilde, factors,
                      g_of_lambda(spec.btilde, spec.ks, spec.lam), bound)
 
 
@@ -197,13 +192,13 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
     ok = True
     result = None
     if spec.route in ("mutation", "both"):
-        result = cluster_monomial(spec.seed(), spec.ks, spec.lam)
+        result = cluster_monomial(spec.seed, spec.ks, spec.lam)
         element = result.element
         gvec, fcoeffs = result.g_vector, result.f_coefficients
     if spec.route == "dt":
         element = _dt_route(spec)
-        gvec = g_vector(element, spec.seed())
-        fcoeffs = f_polynomial(element, gvec, spec.seed())
+        gvec = g_vector(element, spec.seed)
+        fcoeffs = f_polynomial(element, gvec, spec.seed)
     out.append(f"element = {element.render()}")
     report["element"] = element.render()
     out.append("g = [" + ", ".join(str(x) for x in gvec) + "]")
@@ -240,8 +235,8 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
 def cmd_count(spec: SessionSpec, out: list[str], report: dict) -> bool:
     """The per-stratum table.  Raises ChecksNotRun, with out and report
     filled, when a row's check did not run."""
-    result = cluster_monomial(spec.seed(), spec.ks, spec.lam)
-    qp_r = mutate_qp_sequence(spec.qp(), spec.ks)
+    result = cluster_monomial(spec.seed, spec.ks, spec.lam)
+    qp_r = mutate_qp_sequence(spec.qp, spec.ks)
     h1 = h1_aggregate(qp_r, spec.ks, spec.lam)
     gamma_map = initial_class_map(spec.btilde, spec.ks)
     check = coefficient_crosscheck(result.f_coefficients, h1, qp_r,

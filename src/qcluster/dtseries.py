@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (BoundTooSmall, CommutationMismatch, DimensionMismatch,
-                     SignAmbiguous, TailNotVanishing)
+from .errors import BoundTooSmall, DimensionMismatch, SignAmbiguous, TailNotVanishing
 from .linalg import Echelon
 from .qlaurent import PochhammerFraction, QLaurent, den_product, fraction_sum
 from .seed import _matrix_mutation
@@ -167,15 +166,6 @@ class ConeSeries:
         out = {g: fraction_sum(terms) for g, terms in parts.items()}
         return ConeSeries(self.form, self.btilde, bound, base, out)
 
-    def __add__(self, other: "ConeSeries") -> "ConeSeries":
-        self._compat(other)
-        if self.base != other.base:
-            raise DimensionMismatch("cone series sums need a common base")
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out[g] + c if g in out else c
-        return ConeSeries(self.form, self.btilde, self.bound, self.base, out)
-
     def __eq__(self, other):
         if not isinstance(other, ConeSeries):
             return NotImplemented
@@ -238,7 +228,11 @@ def dt_factors(form: SkewForm, btilde, ks, bound):
 
 
 def dt_product_pair(form: SkewForm, btilde, ks, bound):
-    """(A, A^{-1}): the factors of dt_factors multiplied out."""
+    """(A, A^{-1}): the factors of dt_factors multiplied out.
+
+    No route calls it (conjugate takes the factors one at a time); the tests
+    use it, and bench/tracer.py traces it by name.
+    """
     fwd = ConeSeries.unit(form, btilde, bound)
     inv = ConeSeries.unit(form, btilde, bound)
     for factor, factor_inv in dt_factors(form, btilde, ks, bound):
@@ -279,41 +273,6 @@ def conjugate(form: SkewForm, btilde, factors, g, bound) -> TorusElement:
                 suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
         terms[total.exponent_of(gamma)] = c.as_laurent()
     return TorusElement(form, terms)
-
-
-def lemma52_step(form: SkewForm, btilde, x_cls, y: TorusElement, eps: int) -> TorusElement:
-    """Closed form y (1 + q^{eps/2} x) for x y = q^eps y x, eps = +-1.
-
-    x is the embedded monomial X^{B~ x_cls}; the precondition is that it
-    q-commutes with every monomial of y with the single exponent eps.
-    """
-    if eps not in (1, -1):
-        raise CommutationMismatch("eps must be +1 or -1")
-    m = form.dim
-    n = len(x_cls)
-    bx = tuple(sum(btilde[i][j] * x_cls[j] for j in range(n)) for i in range(m))
-    for e in y.terms:
-        if form.pair(bx, e) != eps:
-            raise CommutationMismatch(
-                f"Lambda(x, {e}) = {form.pair(bx, e)} != {eps}")
-    x = TorusElement.monomial(form, bx, QLaurent.monomial(eps))
-    return y + y * x
-
-
-def framed_extract(series: ConeSeries, lam, bound, inverse: ConeSeries) -> ConeSeries:
-    """The framed series A^{sfr} with A w_{(0,1)} A^{-1} = w_{(0,1)} A^{sfr}.
-
-    Works in the extended lattice Z^n x Z with the framing pairing
-    chi((0,1),(gamma,0)) = -sum_i lam_i gamma_i; only framing degree one is
-    ever needed, so the extension stays implicit in the v-powers: the framed
-    series is A, its coefficient at gamma twisted by v^{-2 lam.gamma}, times
-    A^{-1} (`inverse`, as dt_product_pair returns it).
-    """
-    twisted = {g: c.shift(-2 * sum(l * x for l, x in zip(lam, g)))
-               for g, c in series.coeffs.items()}
-    product = ConeSeries(series.form, series.btilde, series.bound, None,
-                         twisted) * inverse
-    return ConeSeries(series.form, series.btilde, bound, None, product.coeffs)
 
 
 def initial_class_map(btilde, ks):

@@ -61,10 +61,6 @@ class TailNotVanishing(QClusterError):
         self.suggested_bound = suggested_bound
 
 
-class CommutationMismatch(QClusterError):
-    """lemma52_step precondition (single q-commutation exponent) failed."""
-
-
 class BudgetExceeded(QClusterError):
     pass
 

@@ -219,10 +219,7 @@ def lefschetz_decompose(p: QLaurent) -> LefschetzDecomposition:
     degs = sorted(p.terms)
     if any((d - degs[0]) % 2 for d in degs):
         return LefschetzDecomposition(None, None, "mixed-parity")
-    center, odd = divmod(degs[0] + degs[-1], 2)
-    if odd:
-        # single-parity exponents always give an even min+max; defensive only
-        return LefschetzDecomposition(None, None, "mixed-parity")
+    center = (degs[0] + degs[-1]) // 2     # exact: the exponents share one parity
     for d, c in p.terms.items():
         if p.terms.get(2 * center - d, 0) != c:
             return LefschetzDecomposition(None, None, "asymmetric")
@@ -237,9 +234,6 @@ def lefschetz_decompose(p: QLaurent) -> LefschetzDecomposition:
             mults[k] = c
             rest = rest - c * lefschetz_string(center, k)
         k -= 2
-        if k < 0 and not rest.is_zero():
-            # cannot happen for symmetric input; defensive
-            return LefschetzDecomposition(None, None, "asymmetric")
     return LefschetzDecomposition(center, mults, None)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegreeCapExceeded, LoopAtVertex, NotSkewSymmetric, QClusterError
-from .linalg import Echelon, exact
+from .linalg import exact
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,9 @@ class Potential:
     """A finite sum of cyclic words with exact rational coefficients, capped at D.
 
     A coefficient is stored as `linalg.exact` gives it: an int when it is
-    integral, a Fraction only when it is not.
+    integral, a Fraction only when it is not.  Each word is rotated to its
+    canonical form here, and equal words merged, so callers pass words in
+    any rotation.
     """
 
     __slots__ = ("degree_cap", "terms")
@@ -202,34 +204,6 @@ def from_btilde(btilde, n: int) -> Quiver:
             elif b < 0 and i > n:
                 counts[(i, j)] = counts.get((i, j), 0) - b
     return _numbered_quiver(m, counts)
-
-
-def quiver_mutate(q: Quiver, k: int) -> Quiver:
-    """Reverse at k, add composites i->k->j, cancel 2-cycles maximally."""
-    if q.has_loop_at(k):
-        raise LoopAtVertex(f"loop at vertex {k}")
-    counts = {}
-    for a in q.arrows.values():
-        if a.source == k:
-            key = (a.target, k)
-        elif a.target == k:
-            key = (k, a.source)
-        else:
-            key = (a.source, a.target)
-        counts[key] = counts.get(key, 0) + 1
-    for a in q.arrows.values():
-        if a.target == k:
-            for b in q.arrows.values():
-                if b.source == k:
-                    key = (a.source, b.target)
-                    counts[key] = counts.get(key, 0) + 1
-    for (i, j) in sorted(counts):
-        if i < j and (j, i) in counts:
-            cancel = min(counts[(i, j)], counts[(j, i)])
-            counts[(i, j)] -= cancel
-            counts[(j, i)] -= cancel
-    counts = {(i, j): c for (i, j), c in counts.items() if c > 0 and i != j}
-    return _numbered_quiver(q.m, counts)
 
 
 def cyclic_derivative(p: Potential, q: Quiver, aid: str):
@@ -320,10 +294,7 @@ def mutation_step(qp: QPData, k: int) -> MutationStep:
     out_ids = {a.id for a in outgoing}
     in_ids = {a.id for a in incoming}
     cap = qp.potential.degree_cap
-    w1 = {}
-    for (bid, aid), cid in comp.items():
-        word = canonical_rotation((cid, rev[aid], rev[bid]))
-        w1[word] = w1.get(word, 0) + 1
+    w1 = {(cid, rev[aid], rev[bid]): 1 for (bid, aid), cid in comp.items()}
     w2 = {}
     for w, c in qp.potential.terms.items():
         w2_word = _replace_passages(w, out_ids, in_ids, comp)
@@ -379,10 +350,8 @@ def _substitute(pot: Potential, subs) -> Potential:
                     nxt[joined] = nxt.get(joined, 0) + pc * oc
             acc = nxt
         for word, coeff in acc.items():
-            if not word:
-                continue
-            key = canonical_rotation(word)
-            out[key] = out.get(key, 0) + coeff
+            if word:
+                out[word] = out.get(word, 0) + coeff
     return Potential(cap, out)
 
 
@@ -459,83 +428,3 @@ def euler_form(q: Quiver, g1, g2) -> int:
     for arr in q.arrows.values():
         total -= g1[arr.target - 1] * g2[arr.source - 1]
     return total
-
-
-# Paths of one length that _paths_up_to builds before it gives up.
-_PATH_LIMIT = 200000
-
-
-def _paths_up_to(q: Quiver, L: int):
-    """All path words of length 0..L; length-0 paths are vertex markers."""
-    by_len = [[((), v) for v in range(1, q.m + 1)]]
-    for length in range(1, L + 1):
-        prev = by_len[-1]
-        cur = []
-        for word, src in prev:
-            for a in q.arrows.values():
-                if a.target == src:
-                    cur.append((word + (a.id,), a.source))
-            if len(cur) > _PATH_LIMIT:
-                raise DegreeCapExceeded("path enumeration budget exceeded")
-        by_len.append(cur)
-    return by_len
-
-
-def jacobi_dims(qp: QPData, up_to: int):
-    """Filtered dimensions of CQ/(dW) by path length, degrees 0..up_to."""
-    pot = qp.potential
-    if not pot.is_zero() and up_to > pot.degree_cap - pot.max_degree() + 1:
-        raise DegreeCapExceeded(
-            f"up_to {up_to} exceeds cap {pot.degree_cap} - max degree "
-            f"{pot.max_degree()} + 1")
-    q = qp.quiver
-    by_len = _paths_up_to(q, up_to)
-    if pot.is_zero():
-        return [len(by_len[d]) for d in range(up_to + 1)]
-
-    # idempotents are never hit by the ideal, so index only words of length >= 1
-    all_paths = []
-    for d in range(1, up_to + 1):
-        all_paths.extend(word for word, _ in by_len[d])
-    col = {w: i for i, w in enumerate(sorted(all_paths, key=lambda w: (-len(w), w)))}
-
-    derivs = []
-    for aid in q.arrows:
-        d = cyclic_derivative(pot, q, aid)
-        if d:
-            derivs.append(d)
-    ech = Echelon()
-    for der in derivs:
-        lens = {len(p) for p in der}
-        src, tgt = q.word_endpoints(next(iter(der)))
-        min_len = min(lens)
-        for dl in range(up_to + 1):
-            for left, lsrc in by_len[dl]:
-                if left and q.arrows[left[-1]].source != tgt:
-                    continue
-                if not left and lsrc != tgt:
-                    continue
-                for dr in range(up_to + 1 - dl - min_len):
-                    for right, rsrc in by_len[dr]:
-                        if right and q.arrows[right[0]].target != src:
-                            continue
-                        if not right and rsrc != src:
-                            continue
-                        vec = {}
-                        for p, coeff in der.items():
-                            w = left + p + right
-                            if len(w) <= up_to:
-                                vec[col[w]] = vec.get(col[w], 0) + coeff
-                        ech.add(vec)
-    pivot_cols = set(ech.rows)
-    col_len = {idx: len(w) for w, idx in col.items()}
-    total_rank = len(pivot_cols)
-    cum_prev = 0
-    out = []
-    for d in range(up_to + 1):
-        n_le = sum(len(by_len[l]) for l in range(d + 1))
-        rank_gt = sum(1 for idx in pivot_cols if col_len[idx] > d)
-        cum = n_le - (total_rank - rank_gt)
-        out.append(cum - cum_prev)
-        cum_prev = cum
-    return out

@@ -297,12 +297,6 @@ def _commutes(left, right, bits: int, k: int) -> bool:
     return not any(x for _, x in acc.values())
 
 
-def q_commute(a: TorusElement, b: TorusElement, k: int) -> bool:
-    """True iff a b = v^k b a, from one pass of the kernel over the term pairs."""
-    a._check(b)
-    return first_noncommuting([a, b], [[0, k], [-k, 0]]) is None
-
-
 def first_noncommuting(elements, k):
     """The first pair i < j, in order, with a_i a_j != v^{k[i][j]} a_j a_i, or None.
 

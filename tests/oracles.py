@@ -12,9 +12,15 @@ the package's cone product, which the pairwise product checks.  The torus
 product and division here work one term pair at a time in QLaurent
 arithmetic, apart from the torus product kernel.  The per-summand H^1
 mutates every summand copy on its own and puts the copies together here.
+The Jacobi dimensions row-reduce the derivative ideal with the package's
+`linalg.Echelon`.  Lemma 5.2's closed form and the framed series of Thm 5.3
+use the package's torus and cone arithmetic, and the tests check both
+against `conjugate` and the mutation route.
 """
 
 from fractions import Fraction
+
+from qcluster.errors import QClusterError
 
 
 # --- linear algebra over Q in Fraction arithmetic ---
@@ -382,6 +388,94 @@ def gr_count_per_tuple(rep, gamma):
     return count
 
 
+# --- graded dimensions of the Jacobian algebra ---
+
+# Paths of one length that _paths_up_to builds before it gives up.
+_PATH_LIMIT = 200000
+
+
+def _paths_up_to(q, L):
+    """All path words of length 0..L; length-0 paths are vertex markers."""
+    from qcluster.errors import DegreeCapExceeded
+
+    by_len = [[((), v) for v in range(1, q.m + 1)]]
+    for length in range(1, L + 1):
+        prev = by_len[-1]
+        cur = []
+        for word, src in prev:
+            for a in q.arrows.values():
+                if a.target == src:
+                    cur.append((word + (a.id,), a.source))
+            if len(cur) > _PATH_LIMIT:
+                raise DegreeCapExceeded("path enumeration budget exceeded")
+        by_len.append(cur)
+    return by_len
+
+
+def jacobi_dims(qp, up_to):
+    """Filtered dimensions of CQ/(dW) by path length, degrees 0..up_to."""
+    from qcluster.errors import DegreeCapExceeded
+    from qcluster.linalg import Echelon
+    from qcluster.quiver import cyclic_derivative
+
+    pot = qp.potential
+    if not pot.is_zero() and up_to > pot.degree_cap - pot.max_degree() + 1:
+        raise DegreeCapExceeded(
+            f"up_to {up_to} exceeds cap {pot.degree_cap} - max degree "
+            f"{pot.max_degree()} + 1")
+    q = qp.quiver
+    by_len = _paths_up_to(q, up_to)
+    if pot.is_zero():
+        return [len(by_len[d]) for d in range(up_to + 1)]
+
+    # idempotents are never hit by the ideal, so index only words of length >= 1
+    all_paths = []
+    for d in range(1, up_to + 1):
+        all_paths.extend(word for word, _ in by_len[d])
+    col = {w: i for i, w in enumerate(sorted(all_paths, key=lambda w: (-len(w), w)))}
+
+    derivs = []
+    for aid in q.arrows:
+        d = cyclic_derivative(pot, q, aid)
+        if d:
+            derivs.append(d)
+    ech = Echelon()
+    for der in derivs:
+        lens = {len(p) for p in der}
+        src, tgt = q.word_endpoints(next(iter(der)))
+        min_len = min(lens)
+        for dl in range(up_to + 1):
+            for left, lsrc in by_len[dl]:
+                if left and q.arrows[left[-1]].source != tgt:
+                    continue
+                if not left and lsrc != tgt:
+                    continue
+                for dr in range(up_to + 1 - dl - min_len):
+                    for right, rsrc in by_len[dr]:
+                        if right and q.arrows[right[0]].target != src:
+                            continue
+                        if not right and rsrc != src:
+                            continue
+                        vec = {}
+                        for p, coeff in der.items():
+                            w = left + p + right
+                            if len(w) <= up_to:
+                                vec[col[w]] = vec.get(col[w], 0) + coeff
+                        ech.add(vec)
+    pivot_cols = set(ech.rows)
+    col_len = {idx: len(w) for w, idx in col.items()}
+    total_rank = len(pivot_cols)
+    cum_prev = 0
+    out = []
+    for d in range(up_to + 1):
+        n_le = sum(len(by_len[l]) for l in range(d + 1))
+        rank_gt = sum(1 for idx in pivot_cols if col_len[idx] > d)
+        cum = n_le - (total_rank - rank_gt)
+        out.append(cum - cum_prev)
+        cum_prev = cum
+    return out
+
+
 # --- the quantum torus, one term pair at a time ---
 
 def torus_mul_pairwise(a, b):
@@ -508,6 +602,50 @@ def dense_conjugate(series, g, bound, inverse):
                                    suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
         terms[total.exponent_of(gamma)] = c.as_laurent()
     return TorusElement(series.form, terms)
+
+
+class CommutationMismatch(QClusterError):
+    """lemma52_step precondition (single q-commutation exponent) failed."""
+
+
+def lemma52_step(form, btilde, x_cls, y, eps):
+    """Closed form y (1 + q^{eps/2} x) for x y = q^eps y x, eps = +-1.
+
+    x is the embedded monomial X^{B~ x_cls}; the precondition is that it
+    q-commutes with every monomial of y with the single exponent eps.
+    """
+    from qcluster.qlaurent import QLaurent
+    from qcluster.torus import TorusElement
+
+    if eps not in (1, -1):
+        raise CommutationMismatch("eps must be +1 or -1")
+    m = form.dim
+    n = len(x_cls)
+    bx = tuple(sum(btilde[i][j] * x_cls[j] for j in range(n)) for i in range(m))
+    for e in y.terms:
+        if form.pair(bx, e) != eps:
+            raise CommutationMismatch(
+                f"Lambda(x, {e}) = {form.pair(bx, e)} != {eps}")
+    x = TorusElement.monomial(form, bx, QLaurent.monomial(eps))
+    return y + y * x
+
+
+def framed_extract(series, lam, bound, inverse):
+    """The framed series A^{sfr} with A w_{(0,1)} A^{-1} = w_{(0,1)} A^{sfr}.
+
+    Works in the extended lattice Z^n x Z with the framing pairing
+    chi((0,1),(gamma,0)) = -sum_i lam_i gamma_i; only framing degree one is
+    ever needed, so the extension stays implicit in the v-powers: the framed
+    series is A, its coefficient at gamma twisted by v^{-2 lam.gamma}, times
+    A^{-1} (`inverse`, as dt_product_pair returns it).
+    """
+    from qcluster.dtseries import ConeSeries
+
+    twisted = {g: c.shift(-2 * sum(l * x for l, x in zip(lam, g)))
+               for g, c in series.coeffs.items()}
+    product = ConeSeries(series.form, series.btilde, series.bound, None,
+                         twisted) * inverse
+    return ConeSeries(series.form, series.btilde, bound, None, product.coeffs)
 
 
 # --- H^1 as a direct sum of single-summand modules ---

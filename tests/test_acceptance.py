@@ -13,15 +13,14 @@ from qcluster.dtseries import (conjugate, dt_factors, factorization_check,
 from qcluster.errors import SignAmbiguous
 from qcluster.grassmannian import gr_count, purity_pattern, serre_interpolate, to_fq
 from qcluster.qlaurent import QLaurent, lefschetz_decompose
-from qcluster.quiver import (from_btilde, jacobi_dims, mutate_qp, mutate_qp_sequence,
-                             mutation_step)
+from qcluster.quiver import from_btilde, mutate_qp, mutate_qp_sequence, mutation_step
 from qcluster.seed import (cluster_monomial, f_polynomial, frame_monomial,
                            g_vector, mutate)
 from qcluster.torus import SkewForm, is_positive
 
 from .corpus import CORPUS_NAMES, all_sequences, corpus_data, corpus_qp, corpus_seed
 from .oracles import (commutative_cluster_monomial, expand_t_power_quotient,
-                      specialize_v1)
+                      jacobi_dims, specialize_v1)
 
 MAX_LEN = 6
 

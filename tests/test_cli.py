@@ -120,6 +120,17 @@ def test_json_error_object(tmp_path, capsys):
     assert "suggested cone bound: [3, 3]" in captured.err
 
 
+def test_incompatible_pair_is_named_on_the_dt_route(tmp_path, capsys):
+    """No cone bound can fix a pair with B~^t Lambda != I, so none is suggested."""
+    spec = write_spec(tmp_path, dict(A2_DOC, **{"lambda": [[0, 2], [-2, 0]]}))
+    assert main(["expand", spec, "--route", "dt", "--json"]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "IncompatiblePair"
+    assert report["error"]["suggested_bound"] is None
+    assert "suggested cone bound" not in captured.err
+
+
 def test_golden_under_json_compares_the_json(tmp_path, capsys):
     spec = write_spec(tmp_path, A2_DOC)
     golden = tmp_path / "golden"
@@ -286,6 +297,13 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("expand", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, ["--route", "mutation"]),
     ("expand", {"quiver": {"vertices": 2, "arrows": [["a", 1, 2]]}}, ["--route", "dt"]),
     ("count", {"potential": [[1, 0, ["c", "b", "a"]]]}, []),  # a coefficient over 0
+    ("mutate", {"lambda": [[0, 2], [-2, 0]]}, []),     # B~^t Lambda != I: incompatible pair
+    ("mutate", {"lambda": [[0, 2], [-2, 0]]}, ["--json"]),
+    ("expand", {"lambda": [[0, 2], [-2, 0]]}, ["--route", "mutation"]),
+    ("expand", {"lambda": [[0, 2], [-2, 0]]}, ["--route", "dt"]),
+    ("expand", {"lambda": [[0, 2], [-2, 0]]}, ["--route", "both", "--json"]),
+    ("count", {"lambda": [[0, 2], [-2, 0]]}, []),
+    ("count", {"lambda": [[0, 2], [-2, 0]]}, ["--json"]),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole

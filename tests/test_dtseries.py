@@ -1,19 +1,22 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster.dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_factors,
-                               dt_product_pair, factorization_check, framed_extract,
-                               g_of_lambda, initial_class_map, lemma52_step,
-                               pochhammer, sign_sequence)
-from qcluster.errors import CommutationMismatch, TailNotVanishing
+                               dt_product_pair, factorization_check, g_of_lambda,
+                               initial_class_map, pochhammer, sign_sequence)
+from qcluster.errors import TailNotVanishing
 from qcluster.qlaurent import PochhammerFraction, QLaurent
 from qcluster.seed import cluster_monomial
 from qcluster.torus import SkewForm, TorusElement
 
-from .corpus import all_sequences, corpus_data, corpus_seed
-from .oracles import (cone_mul_pairwise, expand_t_power_quotient,
-                      fraction_is_laurent, fractions_equal)
+from .corpus import CORPUS_NAMES, all_sequences, corpus_data, corpus_seed
+from .oracles import (CommutationMismatch, cone_mul_pairwise, expand_t_power_quotient,
+                      fraction_is_laurent, fractions_equal, framed_extract,
+                      lemma52_step)
 
 L2 = SkewForm([[0, 1], [-1, 0]])
 B2 = [[0, 1], [-1, 0]]
@@ -156,6 +159,35 @@ def test_lemma52_plus_exponent_against_minus_factor():
     slow = conjugate(L2, B2, [(minus, plus)], y_exp, bound)
     assert fast == slow
     assert fast == y + y * TorusElement.monomial(L2, (0, -1), QLaurent.monomial(1))
+
+
+def test_lemma52_oracle_agrees_with_conjugate_on_the_corpus():
+    """Every corpus form and unit class x, and a seeded sample of each sign
+    eps = Lambda(B~ x, y) = +-1 over y in {-1, 0, 1}^m: Lemma 5.2's closed
+    form equals conjugating X^y by (E_+, E_-) at eps = -1 and by (E_-, E_+)
+    at eps = +1.  The whole sweep is 3144 cases."""
+    rng = random.Random(52)
+    checked = 0
+    for name in CORPUS_NAMES:
+        lam, bt, n = corpus_data(name)
+        form, m = SkewForm(lam), len(bt)
+        bound = (TAIL_MARGIN + 2,) * n
+        for i in range(n):
+            x = tuple(int(t == i) for t in range(n))
+            bx = tuple(row[i] for row in bt)
+            plus = pochhammer(form, bt, bound, x, +1)
+            minus = pochhammer(form, bt, bound, x, -1)
+            by_eps = {1: [], -1: []}
+            for y in itertools.product((-1, 0, 1), repeat=m):
+                by_eps.get(form.pair(bx, y), []).append(y)
+            for eps, factors in ((-1, [(plus, minus)]), (1, [(minus, plus)])):
+                ys = by_eps[eps]
+                assert ys, (name, x, eps)
+                for y in rng.sample(ys, min(len(ys), 12)):
+                    fast = lemma52_step(form, bt, x, TorusElement.monomial(form, y), eps)
+                    assert fast == conjugate(form, bt, factors, y, bound), (name, x, y)
+                    checked += 1
+    assert checked > 200
 
 
 def test_framed_extract_trivial_cases():

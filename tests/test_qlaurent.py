@@ -105,6 +105,43 @@ def test_lefschetz_reexpansion_random():
         assert p.is_nonnegative()
 
 
+@st.composite
+def lefschetz_inputs(draw):
+    """A random nonzero polynomial, or a sum of strings P(N,k) of one parity of k
+    with multiplicities of either sign (so some are not decomposable)."""
+    if draw(st.booleans()):
+        return draw(nonzero_laurents)
+    center = draw(st.integers(-3, 3))
+    parity = draw(st.integers(0, 1))
+    mults = draw(st.dictionaries(st.sampled_from(range(parity, 7, 2)),
+                                 st.integers(-2, 3), min_size=1, max_size=3))
+    p = QLaurent()
+    for k, c in mults.items():
+        p = p + c * lefschetz_string(center, k)
+    return p if not p.is_zero() else lefschetz_string(center, parity)
+
+
+@PROPERTY
+@given(lefschetz_inputs())
+def test_lefschetz_decompose_rebuilds_or_names_a_reason(p):
+    dec = lefschetz_decompose(p)
+    if dec.ok:
+        rebuilt = QLaurent()
+        for k, c in dec.multiplicities.items():
+            assert c > 0
+            rebuilt = rebuilt + c * lefschetz_string(dec.center, k)
+        assert rebuilt == p
+        return
+    assert dec.center is None and dec.multiplicities is None
+    degs = sorted(p.terms)
+    mixed = any((d - degs[0]) % 2 for d in degs)
+    assert dec.reason == "mixed-parity" if mixed else dec.reason in (
+        "asymmetric", "negative-multiplicity")
+    if dec.reason == "asymmetric":
+        mid = degs[0] + degs[-1]
+        assert any(p.terms.get(mid - d, 0) != c for d, c in p.terms.items())
+
+
 def test_pochhammer_fraction_cancellation():
     one_minus_t = QLaurent({0: 1, 2: -1})
     fr = PochhammerFraction(one_minus_t, {1: 1})

@@ -6,11 +6,11 @@ import pytest
 from qcluster.errors import DegreeCapExceeded, LoopAtVertex, NotSkewSymmetric
 from qcluster.quiver import (Arrow, Potential, QPData, Quiver, canonical_rotation,
                              cyclic_derivative, euler_form, from_btilde,
-                             jacobi_dims, mutate_qp, mutation_step,
-                             quiver_mutate, reduce_with_trail)
+                             mutate_qp, mutation_step, reduce_with_trail)
 from qcluster.seed import _matrix_mutation
 
 from .corpus import CORPUS_NAMES, corpus_data, corpus_qp
+from .oracles import jacobi_dims
 
 
 def triangle():
@@ -38,11 +38,11 @@ def test_from_btilde_examples():
 
 def test_quiver_mutate_examples():
     empty = Quiver(3, [])
-    assert quiver_mutate(empty, 1) == empty
+    assert mutate_qp(QPData(empty, Potential(12)), 1).quiver == empty
     tri = triangle()
-    assert quiver_mutate(quiver_mutate(tri, 2), 2) == tri
+    assert mutate_qp(mutate_qp(triangle_qp(), 2), 2).quiver == tri
     with pytest.raises(LoopAtVertex):
-        quiver_mutate(Quiver(1, [Arrow("l", 1, 1)]), 1)
+        mutate_qp(QPData(Quiver(1, [Arrow("l", 1, 1)]), Potential(12)), 1)
 
 
 def test_quiver_mutation_matches_matrix_rule():
@@ -50,12 +50,12 @@ def test_quiver_mutation_matches_matrix_rule():
     for name in CORPUS_NAMES:
         _, bt, n = corpus_data(name)
         m = len(bt)
-        q = from_btilde(bt, n)
+        qp = corpus_qp(name)
         for _ in range(6):
             k = rng.randrange(1, n + 1)
             bt = _matrix_mutation(bt, m, n, k)
-            q = quiver_mutate(q, k)
-            assert q == from_btilde(bt, n)
+            qp = mutate_qp(qp, k)
+            assert qp.quiver == from_btilde(bt, n)
 
 
 def test_cyclic_derivative_examples():
@@ -130,7 +130,7 @@ def test_mutate_qp_examples():
     acyc = QPData(Quiver(2, [Arrow("a", 1, 2)]), Potential(12))
     red2 = mutate_qp(acyc, 1)
     assert no_2_cycle(red2.quiver) and red2.potential.is_zero()
-    assert red2.quiver == quiver_mutate(acyc.quiver, 1)
+    assert red2.quiver == Quiver(2, [Arrow("a", 2, 1)])
 
 
 def test_mutate_qp_involution_observables():

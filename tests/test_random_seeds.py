@@ -122,7 +122,7 @@ def test_random_acyclic_seeds_count_in_hard_mode(case):
     lam_matrix, btilde = principal_pair(B)
     spec = SessionSpec({"n": len(B), "lambda": lam_matrix, "btilde": btilde,
                         "ks": list(ks), "lam": list(lam)})
-    f = cluster_monomial(spec.seed(), ks, lam).f_coefficients
+    f = cluster_monomial(spec.seed, ks, lam).f_coefficients
     assume(sum(max(gamma[j] for gamma in f) for j in range(len(B))) <= 6)
     report = {}
     assert cmd_count(spec, [], report)

@@ -8,7 +8,7 @@ from qcluster.errors import DimensionMismatch, NotDivisible
 from qcluster.qlaurent import QLaurent
 from qcluster.seed import mutate_sequence
 from qcluster.torus import (SkewForm, TorusElement, _l1, _width, exact_right_divide,
-                            is_positive, power_product, q_commute)
+                            first_noncommuting, is_positive, power_product)
 
 from .corpus import corpus_seed
 from .oracles import (cadd, cmul, specialize_v1, torus_divide_longhand,
@@ -257,7 +257,7 @@ def commutation_cases(draw):
 def test_q_commute_matches_products(case):
     a, b, k = case
     want = torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
-    assert q_commute(a, b, k) == want
+    assert (first_noncommuting([a, b], [[0, k], [-k, 0]]) is None) == want
 
 
 # Wide coefficients: up to +-2^64 on v-degrees -6..6, plus fixed coefficients
@@ -300,7 +300,7 @@ def test_wide_q_commute_matches_products(pair, k, power):
     if power:       # a commutes with a scaled a * a at k = 0
         b, k = torus_mul_pairwise(a, a).scale(QLaurent.monomial(k)), 0
     want = torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
-    assert q_commute(a, b, k) == want
+    assert (first_noncommuting([a, b], [[0, k], [-k, 0]]) is None) == want
     if power:
         assert want
 
