@@ -25,7 +25,7 @@ from .quiver import (Arrow, Potential, QPData, Quiver, from_btilde,
                      mutate_qp_sequence)
 from .seed import (cluster_monomial, f_polynomial, g_vector, initial_seed,
                    mutate_sequence)
-from .torus import SkewForm, is_positive
+from .torus import SkewForm, grlex_key, is_positive
 
 
 ROUTES = ("mutation", "dt", "both")
@@ -212,7 +212,7 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
     report["positive"] = pos
     ok = ok and pos
     lef_all = True
-    for e in sorted(element.terms, key=lambda t: (sum(t), t)):
+    for e in sorted(element.terms, key=grlex_key):
         dec = lefschetz_decompose(element.terms[e])
         label = "X[" + ",".join(str(x) for x in e) + "]"
         if dec.ok:

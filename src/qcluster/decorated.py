@@ -44,15 +44,6 @@ def negative_simple(qp: QPData, j: int) -> DecRep:
     return _decoration(qp, (int(v == j) for v in range(1, qp.quiver.m + 1)))
 
 
-def simple(qp: QPData, j: int) -> DecRep:
-    """(S_j, 0)."""
-    m = qp.quiver.m
-    dims = tuple(1 if v == j else 0 for v in range(1, m + 1))
-    mats = {a.id: Mat.zero(dims[a.source - 1], dims[a.target - 1])
-            for a in qp.quiver.arrows.values()}
-    return DecRep(qp, dims, mats, (0,) * m)
-
-
 def word_action(rep: DecRep, word) -> Mat:
     """Action of a path word: M_{target} -> M_{source}, first letter first."""
     q = rep.qp.quiver
@@ -272,16 +263,9 @@ def direct_sum(reps: list[DecRep]) -> DecRep:
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(m))
     vdims = tuple(sum(r.vdims[v] for r in reps) for v in range(m))
     mats = {}
-    for a in qp.quiver.arrows.values():
-        rows, cols = dims[a.source - 1], dims[a.target - 1]
-        entries = [[0] * cols for _ in range(rows)]
-        roff = coff = 0
-        for r in reps:
-            blk = r.mats[a.id]
-            for i in range(blk.rows):
-                for jj in range(blk.cols):
-                    entries[roff + i][coff + jj] = blk.a[i][jj]
-            roff += blk.rows
-            coff += blk.cols
-        mats[a.id] = Mat(rows, cols, entries)
+    for aid in qp.quiver.arrows:
+        blocks = [r.mats[aid] for r in reps]
+        mats[aid] = vstack([hstack([blk if j == i else Mat.zero(row.rows, blk.cols)
+                                    for j, blk in enumerate(blocks)])
+                            for i, row in enumerate(blocks)])
     return DecRep(qp, dims, mats, vdims)

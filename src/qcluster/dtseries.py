@@ -202,10 +202,7 @@ def pochhammer(form: SkewForm, btilde, bound, cls, sign: int) -> ConeSeries:
     """The truncated expansion of (-T^{1/2} w_cls; T)_infty^{sign}."""
     if not any(cls):
         raise BoundTooSmall("pochhammer requires a nonzero class")
-    n = len(bound)
-    depth = 0
-    while all((depth + 1) * c <= b for c, b in zip(cls, bound)):
-        depth += 1
+    depth = min(b // c for c, b in zip(cls, bound) if c)
     coeffs = {}
     for nn, c in enumerate(_pochhammer_coefficients(depth, sign)):
         coeffs[tuple(nn * x for x in cls)] = c

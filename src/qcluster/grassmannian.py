@@ -2,8 +2,9 @@
 
 Subspaces are enumerated through reduced row echelon representatives, arrow
 invariance is read from per-arrow tables of which subspaces contain which
-images, and Serre polynomials are recovered by exact Lagrange interpolation
-with a held-out consistency point.
+images, and Serre polynomials are fitted through every point by one exact
+solve over Q (`linalg.Echelon`), so each point past the first
+degree_bound + 1 is a held-out consistency check.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from .decorated import DecRep
 from .errors import BudgetExceeded, NotPolynomialCount, QClusterError
+from .linalg import Echelon
 from .qlaurent import QLaurent
 from .quiver import QPData, euler_form
 
@@ -23,7 +25,7 @@ _IRREDUCIBLE = {
     (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
     (3, 2): (1, 0, 1),        # x^2 + 1
     (5, 2): (2, 1, 1),        # x^2 + x + 2
-    (7, 2): (1, 1, 1),        # x^2 + x + 1
+    (7, 2): (1, 0, 1),        # x^2 + 1
 }
 
 
@@ -331,45 +333,28 @@ def _dot_row(field: GF, row, vec):
 
 
 def serre_interpolate(counts: dict[int, int], degree_bound: int) -> QLaurent:
-    """The integer polynomial in T through the {q: count} points, held-out verified.
+    """The integer polynomial in T of degree <= degree_bound through every
+    {q: count} point.
 
-    Fits degree <= degree_bound through the smallest degree_bound + 1
-    points, then checks every remaining point (the largest acts as the
-    held-out consistency point) and integrality of all coefficients.
+    The columns (x^d) over the sorted prime powers x, d = 0..degree_bound,
+    go into one Echelon and the count vector is reduced against them: a
+    nonzero residual means no such polynomial passes through every point
+    (the held-out check), and the combination is the coefficient list,
+    which must be integral.
     """
     points = sorted(counts.items())
     if len(points) < degree_bound + 2:
         raise NotPolynomialCount(
             f"need at least {degree_bound + 2} prime powers, have {len(points)}")
-    fit = points[:degree_bound + 1]
-    rest = points[degree_bound + 1:]
-    coeffs = [Fraction(0)] * (degree_bound + 1)
-    for i, (xi, yi) in enumerate(fit):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(fit):
-            if j == i:
-                continue
-            denom *= xi - xj
-            basis = _poly_mul_linear(basis, -xj)
-        scale = Fraction(yi) / denom
-        for d_, c in enumerate(basis):
-            coeffs[d_] += scale * c
-    for x, y in rest:
-        if sum(c * x ** d_ for d_, c in enumerate(coeffs)) != y:
-            raise NotPolynomialCount(f"held-out point T={x} mismatches the fit")
-    if any(c.denominator != 1 for c in coeffs):
+    powers = Echelon()
+    powers.extend([tuple(x ** d for x, _ in points) for d in range(degree_bound + 1)])
+    residual, coeffs = powers.reduce(dict(enumerate(y for _, y in points)))
+    if residual:
+        raise NotPolynomialCount(
+            f"the counts fit no polynomial of degree <= {degree_bound}")
+    if any(c.denominator != 1 for c in coeffs.values()):
         raise NotPolynomialCount("interpolated coefficients are not integers")
-    return QLaurent({d_: int(c) for d_, c in enumerate(coeffs) if c})
-
-
-def _poly_mul_linear(coeffs, const):
-    """coeffs(T) * (T + const)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i + 1] += c
-        out[i] += c * const
-    return out
+    return QLaurent({d: int(c) for d, c in coeffs.items()})
 
 
 @dataclass
@@ -413,8 +398,7 @@ def purity_pattern(p: QLaurent) -> bool:
     if p.is_zero():
         return True
     degs = sorted(p.terms)
-    return (all((d - degs[0]) % 2 == 0 for d in degs)
-            and all(c >= 0 for c in p.terms.values()))
+    return all((d - degs[0]) % 2 == 0 for d in degs) and p.is_nonnegative()
 
 
 def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData, gamma_map,

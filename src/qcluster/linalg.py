@@ -5,7 +5,8 @@ holds for every exact rational stored here and in `quiver` and `decorated`:
 it is an int when it is integral and a fractions.Fraction only when it is
 not (`exact`).  Every division goes through Fraction, so no value is ever a
 float.  Vectors are column tuples.  Every span, basis, kernel and coordinate
-question goes through one incremental `Echelon`; `rref` serves only `rank`.
+question goes through one incremental `Echelon`, and so does the Serre
+polynomial fit in `grassmannian`; `rref` serves only `rank`.
 """
 
 from __future__ import annotations

@@ -203,37 +203,31 @@ class LefschetzDecomposition:
         return self.reason is None
 
 
-def lefschetz_string(center: int, k: int) -> QLaurent:
-    """P(N,k) = q^{N/2}(q^{-k/2} + q^{(2-k)/2} + ... + q^{k/2}) as a v-polynomial."""
-    return QLaurent({center + e: 1 for e in range(-k, k + 1, 2)})
-
-
 def lefschetz_decompose(p: QLaurent) -> LefschetzDecomposition:
-    """Greedy top-down peel of p into non-negative multiples of P(N,k).
+    """p as non-negative multiples of the strings P(N,k), read off by differences.
 
     The candidate center N = (min deg + max deg)/2 is forced; parity of all
-    exponents must agree, the coefficients must be bar-symmetric about N, and
-    the peeled multiplicities must be non-negative.
+    exponents must agree and the coefficients must be bar-symmetric about N.
+    The strings through v^{N+k} are those with length k' >= k, so the
+    multiplicity of P(N,k) is c_{N+k} - c_{N+k+2}, and each must be
+    non-negative.
     """
     assert not p.is_zero(), "lefschetz_decompose requires a nonzero input"
     degs = sorted(p.terms)
     if any((d - degs[0]) % 2 for d in degs):
         return LefschetzDecomposition(None, None, "mixed-parity")
     center = (degs[0] + degs[-1]) // 2     # exact: the exponents share one parity
-    for d, c in p.terms.items():
-        if p.terms.get(2 * center - d, 0) != c:
+    c = p.terms
+    for d, x in c.items():
+        if c.get(2 * center - d, 0) != x:
             return LefschetzDecomposition(None, None, "asymmetric")
-    rest = p
     mults: dict[int, int] = {}
-    k = degs[-1] - center
-    while not rest.is_zero():
-        c = rest.terms.get(center + k, 0)
-        if c < 0:
+    for k in range(degs[-1] - center, -1, -2):
+        mult = c.get(center + k, 0) - c.get(center + k + 2, 0)
+        if mult < 0:
             return LefschetzDecomposition(None, None, "negative-multiplicity")
-        if c:
-            mults[k] = c
-            rest = rest - c * lefschetz_string(center, k)
-        k -= 2
+        if mult:
+            mults[k] = mult
     return LefschetzDecomposition(center, mults, None)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import DegreeCapExceeded, LoopAtVertex, NotSkewSymmetric, QClusterError
 from .linalg import exact
@@ -78,25 +79,17 @@ class Quiver:
         return src == tgt
 
     def subquiver_is_acyclic(self, vertices) -> bool:
-        """No oriented cycle inside the given vertex subset."""
+        """No oriented cycle, loops included, inside the given vertex subset."""
         verts = set(vertices)
-        adj = {v: set() for v in verts}
+        preds = {v: set() for v in verts}
         for a in self.arrows.values():
-            if a.source in verts and a.target in verts and a.source != a.target:
-                adj[a.source].add(a.target)
-            elif a.source in verts and a.source == a.target:
-                return False
-        state = {v: 0 for v in verts}
-
-        def visit(v):
-            state[v] = 1
-            for w in adj[v]:
-                if state[w] == 1 or (state[w] == 0 and visit(w)):
-                    return True
-            state[v] = 2
+            if a.source in verts and a.target in verts:
+                preds[a.target].add(a.source)
+        try:
+            TopologicalSorter(preds).prepare()
+        except CycleError:
             return False
-
-        return not any(state[v] == 0 and visit(v) for v in verts)
+        return True
 
     def __eq__(self, other):
         """Equality up to arrow renaming: same vertex count and multiplicities."""

@@ -27,23 +27,16 @@ def _check_btilde(btilde, m, n):
                 raise NotSkewSymmetric("upper n x n block of btilde must be skew-symmetric")
 
 
-def _compatibility_product(btilde, lam: SkewForm, n: int):
-    """B~^t Lambda_M as an n x m matrix."""
-    m = lam.dim
-    return [[sum(btilde[i][k] * lam.entries[i][j] for i in range(m))
-             for j in range(m)] for k in range(n)]
-
-
 def check_compatible(btilde, lam: SkewForm, n: int) -> None:
-    """Require B~^t Lambda_M = (I_n | 0)."""
-    prod = _compatibility_product(btilde, lam, n)
+    """Require B~^t Lambda_M = (I_n | 0): row k is Lambda_M(column k of B~, .)."""
     m = lam.dim
     for k in range(n):
-        for j in range(m):
+        row = lam.apply(tuple(btilde[i][k] for i in range(m)))
+        for j, got in enumerate(row):
             want = 1 if j == k else 0
-            if prod[k][j] != want:
+            if got != want:
                 raise IncompatiblePair(
-                    f"(B~^t Lambda)[{k + 1}][{j + 1}] = {prod[k][j]}, expected {want}")
+                    f"(B~^t Lambda)[{k + 1}][{j + 1}] = {got}, expected {want}")
 
 
 class QuantumSeed:
@@ -62,10 +55,6 @@ class QuantumSeed:
     def btilde_column(self, k: int):
         """Column k (1-based) of B~ as a length-m tuple."""
         return tuple(self.btilde[i][k - 1] for i in range(self.m))
-
-    def var(self, i: int) -> TorusElement:
-        """Cluster variable / coefficient X_i = M(e_i), 1-based."""
-        return self.vars[i - 1]
 
     def __eq__(self, other):
         return (isinstance(other, QuantumSeed) and self.m == other.m and self.n == other.n
@@ -147,14 +136,12 @@ def mutate(s: QuantumSeed, k: int) -> QuantumSeed:
 
     # Lambda' read off from commutation: both exchange monomials q-commute
     # with X_j with the common exponent Lambda_M(p1 - e_k, e_j) for j != k.
-    c1 = tuple(a - b for a, b in zip(p1, ek))
+    row = s.lam.apply(tuple(a - b for a, b in zip(p1, ek)))
     lam_new = [list(r) for r in s.lam.entries]
     for j in range(s.m):
         if j != k - 1:
-            ej = tuple(1 if t == j else 0 for t in range(s.m))
-            val = s.lam.pair(c1, ej)
-            lam_new[k - 1][j] = val
-            lam_new[j][k - 1] = -val
+            lam_new[k - 1][j] = row[j]
+            lam_new[j][k - 1] = -row[j]
     lam_new = SkewForm(lam_new)
 
     vars_new = list(s.vars)

@@ -44,12 +44,7 @@ class SkewForm:
 
     def pair(self, e, f) -> int:
         """Lambda(e, f)."""
-        total = 0
-        for i, ei in enumerate(e):
-            if ei:
-                row = self.entries[i]
-                total += ei * sum(row[j] * fj for j, fj in enumerate(f) if fj)
-        return total
+        return sum(map(mul, self.apply(e), f))
 
     def apply(self, e) -> tuple[int, ...]:
         """The covector Lambda(e, .) as a row: (Lambda e)_j = sum_i e_i L_ij."""
@@ -168,10 +163,7 @@ class TorusElement:
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         self._check(other)
-        bits = _width(_l1(self) * _l1(other))
-        acc: dict = {}
-        _product_into(acc, _with_rows(self.form, _packed(self, bits)), _packed(other, bits), bits)
-        return _element(self.form, acc, bits)
+        return power_product(self.form, ((self, 1), (other, 1)))
 
     # -- rendering ------------------------------------------------------
 

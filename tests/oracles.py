@@ -13,9 +13,10 @@ product and division here work one term pair at a time in QLaurent
 arithmetic, apart from the torus product kernel.  The per-summand H^1
 mutates every summand copy on its own and puts the copies together here.
 The Jacobi dimensions row-reduce the derivative ideal with the package's
-`linalg.Echelon`.  Lemma 5.2's closed form and the framed series of Thm 5.3
-use the package's torus and cone arithmetic, and the tests check both
-against `conjugate` and the mutation route.
+`linalg.Echelon`; Serre polynomials are interpolated by Lagrange's formula
+in Fraction arithmetic, not by that echelon.  Lemma 5.2's closed form and
+the framed series of Thm 5.3 use the package's torus and cone arithmetic,
+and the tests check both against `conjugate` and the mutation route.
 """
 
 from fractions import Fraction
@@ -144,6 +145,13 @@ def laurent_divide_exact(num, den):
             else:
                 rem.pop(k, None)
     return quot
+
+
+def lefschetz_string(center, k):
+    """P(N,k) = q^{N/2}(q^{-k/2} + q^{(2-k)/2} + ... + q^{k/2}) as a v-polynomial."""
+    from qcluster.qlaurent import QLaurent
+
+    return QLaurent({center + e: 1 for e in range(-k, k + 1, 2)})
 
 
 def pochhammer_denominator(den):
@@ -386,6 +394,53 @@ def gr_count_per_tuple(rep, gamma):
                for aid, src, tgt in rep.arrows for u in choice[tgt - 1]):
             count += 1
     return count
+
+
+# --- Serre polynomials by Lagrange interpolation ---
+
+def serre_interpolate_lagrange(counts, degree_bound):
+    """The integer polynomial in T through the {q: count} points, held-out verified.
+
+    Fits degree <= degree_bound through the smallest degree_bound + 1
+    points, then checks every remaining point (the largest acts as the
+    held-out consistency point) and integrality of all coefficients.
+    """
+    from qcluster.errors import NotPolynomialCount
+    from qcluster.qlaurent import QLaurent
+
+    points = sorted(counts.items())
+    if len(points) < degree_bound + 2:
+        raise NotPolynomialCount(
+            f"need at least {degree_bound + 2} prime powers, have {len(points)}")
+    fit = points[:degree_bound + 1]
+    rest = points[degree_bound + 1:]
+    coeffs = [Fraction(0)] * (degree_bound + 1)
+    for i, (xi, yi) in enumerate(fit):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(fit):
+            if j == i:
+                continue
+            denom *= xi - xj
+            basis = _poly_mul_linear(basis, -xj)
+        scale = Fraction(yi) / denom
+        for d_, c in enumerate(basis):
+            coeffs[d_] += scale * c
+    for x, y in rest:
+        if sum(c * x ** d_ for d_, c in enumerate(coeffs)) != y:
+            raise NotPolynomialCount(f"held-out point T={x} mismatches the fit")
+    if any(c.denominator != 1 for c in coeffs):
+        raise NotPolynomialCount("interpolated coefficients are not integers")
+    return QLaurent({d_: int(c) for d_, c in enumerate(coeffs) if c})
+
+
+def _poly_mul_linear(coeffs, const):
+    """coeffs(T) * (T + const)."""
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i + 1] += c
+        out[i] += c * const
+    return out
 
 
 # --- graded dimensions of the Jacobian algebra ---
@@ -646,6 +701,20 @@ def framed_extract(series, lam, bound, inverse):
     product = ConeSeries(series.form, series.btilde, series.bound, None,
                          twisted) * inverse
     return ConeSeries(series.form, series.btilde, bound, None, product.coeffs)
+
+
+# --- decorated representations ---
+
+def simple(qp, j):
+    """(S_j, 0)."""
+    from qcluster.decorated import DecRep
+    from qcluster.linalg import Mat
+
+    m = qp.quiver.m
+    dims = tuple(1 if v == j else 0 for v in range(1, m + 1))
+    mats = {a.id: Mat.zero(dims[a.source - 1], dims[a.target - 1])
+            for a in qp.quiver.arrows.values()}
+    return DecRep(qp, dims, mats, (0,) * m)
 
 
 # --- H^1 as a direct sum of single-summand modules ---

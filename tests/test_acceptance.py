@@ -6,7 +6,7 @@ tolerance is exact (these are symbolic identities and integer counts).
 
 import pytest
 
-from qcluster.decorated import h1_aggregate, mutate_rep, negative_simple, simple
+from qcluster.decorated import h1_aggregate, mutate_rep, negative_simple
 from qcluster.dtseries import (conjugate, dt_factors, factorization_check,
                                g_of_lambda, initial_class_map, pochhammer,
                                sign_sequence)
@@ -20,7 +20,7 @@ from qcluster.torus import SkewForm, is_positive
 
 from .corpus import CORPUS_NAMES, all_sequences, corpus_data, corpus_qp, corpus_seed
 from .oracles import (commutative_cluster_monomial, expand_t_power_quotient,
-                      jacobi_dims, specialize_v1)
+                      jacobi_dims, simple, specialize_v1)
 
 MAX_LEN = 6
 

@@ -92,6 +92,13 @@ def test_count_reports_match(tmp_path, capsys):
     assert "gamma [1,0]" in out and "| match" in out
 
 
+def test_count_over_gf49(tmp_path, capsys):
+    spec = write_spec(tmp_path, A2_DOC)
+    assert main(["count", spec, "--primes", "2,3,49"]) == 0
+    out = capsys.readouterr().out
+    assert "q=49:1" in out and "MISMATCH" not in out
+
+
 def test_identity_check(capsys):
     assert main(["identity-check", "--cone-bound", "6"]) == 0
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster.decorated import (DecRep, check_jacobi, direct_sum, h1_aggregate,
-                                mutate_rep, negative_simple, simple, word_action)
+                                mutate_rep, negative_simple, word_action)
 from qcluster.errors import RelationViolation
 from qcluster.grassmannian import gr_count, to_fq
 from qcluster.linalg import Mat, rank
@@ -11,7 +11,7 @@ from qcluster.quiver import (Arrow, Potential, QPData, Quiver, from_btilde, muta
                              mutation_step)
 
 from .corpus import all_sequences, corpus_data, corpus_qp
-from .oracles import h1_per_summand
+from .oracles import h1_per_summand, simple
 
 
 def a2_qp():

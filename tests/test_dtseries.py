@@ -280,9 +280,10 @@ def test_sign_classes_match_backward_mutation_on_a2():
     # torsion membership on small modules: mutating the simple S_{k_i} of
     # qp_{i-1} back to qp_0 realizes the tracked class as module dims (+)
     # or as pure decoration (-)
-    from qcluster.decorated import mutate_rep, simple
+    from qcluster.decorated import mutate_rep
     from qcluster.quiver import mutate_qp, mutation_step
     from .corpus import corpus_qp
+    from .oracles import simple
     qp0 = corpus_qp("a2")
     for ks in [(1, 2, 1), (1, 2, 1, 2), (1, 2, 1, 2, 1)]:
         res = sign_sequence(B2, ks)

@@ -13,11 +13,12 @@ from qcluster.linalg import Mat
 from qcluster.qlaurent import QLaurent
 from qcluster.quiver import Arrow, Potential, QPData, Quiver
 
-from .oracles import count_submodules_by_closure, gr_count_per_tuple
+from .oracles import (count_submodules_by_closure, gr_count_per_tuple,
+                      serre_interpolate_lagrange)
 
 
 def test_gf_axioms():
-    for q in (2, 3, 4, 5, 7, 8, 9):
+    for q in (2, 3, 4, 5, 7, 8, 9, 25, 49):
         f = GF(q)
         for a in range(q):
             assert f.add(a, 0) == a and f.mul(a, 1) == a
@@ -180,6 +181,38 @@ def test_serre_interpolate_failures():
     # held-out mismatch: 2^q is not a polynomial of degree <= 2
     with pytest.raises(NotPolynomialCount):
         serre_interpolate({2: 4, 3: 8, 5: 32, 7: 128, 8: 256}, 2)
+
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_serre_interpolate_agrees_with_lagrange(data):
+    """The one-solve fit against Lagrange's formula.  The counts are those of
+    an integer polynomial of degree up to one past the bound, at one prime
+    power fewer than the fit needs up to two more, and either exact, with
+    one count off by 1, or plus the integer-valued T(T-1)/2 (coefficients
+    1/2)."""
+    degree_bound = data.draw(st.integers(0, 4))
+    degree = data.draw(st.integers(0, degree_bound + 1))
+    coeffs = data.draw(st.lists(st.integers(-20, 20), min_size=degree + 1,
+                                max_size=degree + 1))
+    size = degree_bound + data.draw(st.sampled_from([2, 3, 4, 1]))
+    qs = data.draw(st.permutations(PRIME_POWERS))[:size]
+    counts = {q: sum(c * q ** d for d, c in enumerate(coeffs)) for q in qs}
+    change = data.draw(st.sampled_from(["none", "off-by-one", "half"]))
+    if change == "half":
+        counts = {q: y + q * (q - 1) // 2 for q, y in counts.items()}
+    elif change == "off-by-one":
+        counts[qs[0]] += 1
+    try:
+        want = serre_interpolate_lagrange(counts, degree_bound)
+    except NotPolynomialCount:
+        with pytest.raises(NotPolynomialCount):
+            serre_interpolate(counts, degree_bound)
+    else:
+        assert serre_interpolate(counts, degree_bound) == want
 
 
 def test_purity_pattern():

@@ -3,11 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.qlaurent import (PochhammerFraction, QLaurent,
-                               lefschetz_decompose, lefschetz_string)
+from qcluster.qlaurent import PochhammerFraction, QLaurent, lefschetz_decompose
 
 from .oracles import (fraction_is_laurent, fractions_equal, laurent_divide_exact,
-                      pochhammer_denominator)
+                      lefschetz_string, pochhammer_denominator)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=4).map(QLaurent)

@@ -58,6 +58,20 @@ def test_quiver_mutation_matches_matrix_rule():
             assert qp.quiver == from_btilde(bt, n)
 
 
+def test_subquiver_is_acyclic():
+    # a path far longer than the recursion limit
+    path = Quiver(3000, [Arrow(f"a{v}", v, v + 1) for v in range(1, 3000)])
+    assert path.subquiver_is_acyclic(range(1, 3001))
+    loop = Quiver(2, [Arrow("a", 1, 2), Arrow("l", 2, 2)])
+    assert not loop.subquiver_is_acyclic([1, 2])
+    assert loop.subquiver_is_acyclic([1])
+    two_cycle = Quiver(2, [Arrow("a", 1, 2), Arrow("b", 2, 1)])
+    assert not two_cycle.subquiver_is_acyclic([1, 2])
+    # leaving out one vertex of the triangle cuts its only cycle
+    assert not triangle().subquiver_is_acyclic([1, 2, 3])
+    assert triangle().subquiver_is_acyclic([1, 3])
+
+
 def test_cyclic_derivative_examples():
     tri = triangle()
     W = Potential(12, {("a", "b", "c"): 1})
