@@ -1,15 +1,21 @@
 """Quiver Grassmannian point counts over small finite fields.
 
-Subspaces are enumerated through reduced row echelon representatives, arrow
-invariance is read from per-arrow tables of which subspaces contain which
-images, and Serre polynomials are fitted through every point by one exact
-solve over Q (`linalg.Echelon`), so each point past the first
-degree_bound + 1 is a held-out consistency check.
+A count enumerates subspaces, as reduced row echelon representatives, only
+at the vertices outside an independent set I, reading arrow invariance
+between them from per-arrow tables of which subspaces contain which images.
+Each vertex of I is counted in closed form: a Gaussian binomial between the
+sum of the images and the intersection of the preimages of its neighbours'
+subspaces, whose dimensions come from elimination over GF(q).  Serre
+polynomials are fitted through every point by one exact solve over Q
+(`linalg.Echelon`), so each point past the first degree_bound + 1 is a
+held-out consistency check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -130,6 +136,7 @@ def _poly_mul_mod(da, db, modulus, p):
     return prod[:k]
 
 
+@functools.cache
 def gaussian_binomial(d: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^d."""
     if k < 0 or k > d:
@@ -168,9 +175,14 @@ class FqRep:
     """A DecRep's matrices reduced into GF(q), plus the tables gr_count builds.
 
     The tables are filled on first use and shared by every stratum counted
-    on this FqRep: subspace lists and point incidences keyed by (vertex,
-    sub-dimension), arrow tables keyed by (arrow id, sub-dimension at the
-    source, sub-dimension at the target).
+    on this FqRep.  At the enumerated vertices: subspace lists and point
+    incidences keyed by (vertex, sub-dimension), arrow tables keyed by
+    (arrow id, sub-dimension at the source, sub-dimension at the target).
+    At the vertices counted in closed form: images keyed by (arrow id,
+    sub-dimension at the target), preimage rows keyed by (arrow id,
+    sub-dimension at the source), and bounds keyed by (vertex, its
+    neighbours' sub-dimensions), each a dict from the neighbours' subspace
+    indices to (dim L, dim H), or None when L does not lie in H.
     """
 
     field: GF
@@ -180,10 +192,47 @@ class FqRep:
     subspace_lists: dict = field(default_factory=dict, repr=False, compare=False)
     incidences: dict = field(default_factory=dict, repr=False, compare=False)
     arrow_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    images: dict = field(default_factory=dict, repr=False, compare=False)
+    preimages: dict = field(default_factory=dict, repr=False, compare=False)
+    bounds: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def links(self) -> dict:
+        """Vertex of nonzero dimension -> (arrows out of it as (id, target),
+        arrows into it as (id, source), its neighbours), over the arrows
+        between two such vertices; a loop makes a vertex its own neighbour."""
+        links = {v: ([], [], set()) for v, d in enumerate(self.dims, start=1) if d}
+        for aid, src, tgt in self.arrows:
+            if src in links and tgt in links:
+                links[src][0].append((aid, tgt))
+                links[tgt][1].append((aid, src))
+                links[src][2].add(tgt)
+                links[tgt][2].add(src)
+        return {v: (tuple(outs), tuple(ins), tuple(sorted(nbrs)))
+                for v, (outs, ins, nbrs) in links.items()}
+
+    @functools.cached_property
+    def independent_sets(self) -> list:
+        """(I, the other vertices) for every set I of vertices of nonzero
+        dimension with no arrow between two of them and no loop, largest
+        first."""
+        sets = [()]
+        for v, (_, _, nbrs) in self.links.items():
+            if v not in nbrs:
+                sets += [ind + (v,) for ind in sets if not set(ind) & set(nbrs)]
+        sets.sort(key=len, reverse=True)
+        return [(frozenset(ind), tuple(v for v in self.links if v not in ind))
+                for ind in sets]
+
+
+@functools.cache
+def _field(q: int) -> GF:
+    """GF(q), built on first use and shared by every FqRep over it."""
+    return GF(q)
 
 
 def to_fq(rep: DecRep, q: int) -> FqRep:
-    field = GF(q)
+    field = _field(q)
     mats = {}
     arrows = []
     for a in rep.qp.quiver.arrows.values():
@@ -197,28 +246,40 @@ def gr_count(rep: FqRep, gamma, budget: int = BUDGET) -> int:
     """Points of Gr(rep, gamma): subspace tuples with quotient dims gamma.
 
     A tuple (U_v) is a submodule when the arrow a: i -> j (acting
-    M_j -> M_i) satisfies  a(U_j) <= U_i.  Sets of subspaces at a vertex
-    are int bitsets over its subspace list.  An arrow table maps each U_j
-    to the set of U_i containing a(U_j); the count chooses one vertex at a
-    time, from the intersection of the tables of its arrows to vertices
-    already chosen, and the last vertex adds the size of that set.  The
-    budget bounds the full tuple product, checked before any table is built.
+    M_j -> M_i) satisfies  a(U_j) <= U_i.  The vertices of the independent
+    set I that `enumeration_size` picks are counted in closed form and the
+    others are enumerated.  Sets of subspaces at an enumerated vertex are
+    int bitsets over its subspace list.  An arrow table maps each U_j to the
+    set of U_i containing a(U_j); the search chooses one enumerated vertex
+    at a time, from the intersection of the tables of its arrows to
+    vertices already chosen.  Once every neighbour of a vertex v in I is
+    chosen, v multiplies the count by the number of k_v-subspaces U_v with
+    L_v <= U_v <= H_v, where
+
+        L_v = the sum of a(U_j) over the arrows a: v -> j,
+        H_v = the intersection of a^{-1}(U_i) over the arrows a: i -> v,
+
+    which is the Gaussian binomial [dim H_v - dim L_v, k_v - dim L_v]_q, or
+    0 unless L_v <= H_v.  The last enumerated vertex adds the size of its
+    set when no vertex of I waits for it.  The budget bounds the enumerated
+    product, checked before any table is built.
     """
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return 0
-    if not rep.dims:
-        return 1        # the quiver has no vertex: one empty tuple
-    total = enumeration_size(rep.dims, gamma, rep.field.q)
+    sub_dims = [d - g for d, g in zip(rep.dims, gamma)]
+    total, closed = _plan(rep, sub_dims)
     if total > budget:
         raise BudgetExceeded(f"enumeration size {total} exceeds budget {budget}")
-    sub_dims = [d - g for d, g in zip(rep.dims, gamma)]
-    sizes = [len(_subspace_list(rep, v, k)) for v, k in enumerate(sub_dims, start=1)]
-    # the largest list goes last, where its candidates are counted, not visited
-    order = sorted(range(1, len(sizes) + 1), key=lambda v: sizes[v - 1])
+    sizes = {v: len(_subspace_list(rep, v, sub_dims[v - 1]))
+             for v in rep.links if v not in closed}
+    # the largest list goes last, where its candidates may be counted, not visited
+    order = sorted(sizes, key=sizes.get)
     position = {v: t for t, v in enumerate(order)}
-    masks = [(1 << sizes[v - 1]) - 1 for v in order]
+    masks = [(1 << sizes[v]) - 1 for v in order]
     constraints = [[] for _ in order]   # (table, earlier position) per position
     for aid, src, tgt in rep.arrows:
+        if src not in position or tgt not in position:
+            continue
         table = _arrow_table(rep, aid, src, tgt, sub_dims[src - 1], sub_dims[tgt - 1])
         s, t = position[src], position[tgt]
         if s == t:
@@ -227,7 +288,16 @@ def gr_count(rep: FqRep, gamma, budget: int = BUDGET) -> int:
         elif s > t:
             constraints[s].append((table, t))
         else:
-            constraints[t].append((_transpose(table, sizes[src - 1]), s))
+            constraints[t].append((_transpose(table, sizes[src]), s))
+    weight = 1                          # the vertices of I with no neighbour
+    waiting = [[] for _ in order]       # factors of I, at their last neighbour's position
+    for v in closed:
+        nbrs = rep.links[v][2]
+        if nbrs:
+            waiting[max(position[u] for u in nbrs)].append(
+                _closed_factor(rep, v, sub_dims, position))
+        else:
+            weight *= gaussian_binomial(rep.dims[v - 1], sub_dims[v - 1], rep.field.q)
     last = len(order) - 1
     choice = [0] * len(order)
 
@@ -235,26 +305,89 @@ def gr_count(rep: FqRep, gamma, budget: int = BUDGET) -> int:
         cand = masks[t]
         for table, earlier in constraints[t]:
             cand &= table[choice[earlier]]
-        if t == last:
+        if t == last and not waiting[t]:
             return cand.bit_count()
         found = 0
         while cand:
             low = cand & -cand
             choice[t] = low.bit_length() - 1
-            found += count_from(t + 1)
             cand ^= low
+            w = 1
+            for factor in waiting[t]:
+                w *= factor(choice)
+                if not w:
+                    break
+            if w:
+                found += w if t == last else w * count_from(t + 1)
         return found
 
-    return count_from(0)
+    return weight * count_from(0) if order else weight
 
 
-def enumeration_size(dims, gamma, q: int) -> int:
-    """Subspace tuples with quotient dims gamma over F_q: the product of
-    Gaussian binomials that gr_count's budget bounds."""
-    total = 1
-    for d, g in zip(dims, gamma):
-        total *= gaussian_binomial(d, d - g, q)
-    return total
+def enumeration_size(rep: FqRep, gamma) -> int:
+    """The subspace tuples gr_count enumerates for gamma, which its budget
+    bounds: the product of Gaussian binomials over the vertices outside
+    the independent set it counts in closed form."""
+    return _plan(rep, [d - g for d, g in zip(rep.dims, gamma)])[0]
+
+
+def _plan(rep: FqRep, sub_dims) -> tuple[int, frozenset]:
+    """(enumerated product, I) for the independent set I that leaves the
+    smallest product of Gaussian binomials over the other vertices of
+    nonzero dimension; the first such set of `rep.independent_sets`."""
+    q = rep.field.q
+    return min(((math.prod(gaussian_binomial(rep.dims[v - 1], sub_dims[v - 1], q)
+                           for v in others), ind)
+                for ind, others in rep.independent_sets), key=lambda plan: plan[0])
+
+
+def _closed_factor(rep: FqRep, v: int, sub_dims, position: dict):
+    """The number of choices of U_v, for v in I, as a function of the
+    enumerated choices (subspace indices by position)."""
+    outs, ins, nbrs = rep.links[v]
+    field, d, k = rep.field, rep.dims[v - 1], sub_dims[v - 1]
+    spots = [position[u] for u in nbrs]
+    gens = [(_images(rep, aid, tgt, sub_dims[tgt - 1]), position[tgt]) for aid, tgt in outs]
+    cons = [(_preimages(rep, aid, src, sub_dims[src - 1]), position[src])
+            for aid, src in ins]
+    known = rep.bounds.setdefault((v, tuple(sub_dims[u - 1] for u in nbrs)), {})
+
+    def factor(choice):
+        key = tuple(choice[t] for t in spots)
+        if key not in known:
+            known[key] = _bounds(field, d,
+                                 [vec for table, t in gens for vec in table[choice[t]]],
+                                 [row for table, t in cons for row in table[choice[t]]])
+        dims = known[key]
+        return 0 if dims is None else gaussian_binomial(dims[1] - dims[0], k - dims[0], field.q)
+
+    return factor
+
+
+def _bounds(field: GF, d: int, gens: list, rows: list):
+    """(dim L, dim H) for L the span of `gens` and H the common kernel of
+    `rows` in F_q^d, or None when L does not lie in H."""
+    if any(_dot_row(field, row, vec) for row in rows for vec in gens):
+        return None
+    return _rank(field, gens), d - _rank(field, rows)
+
+
+def _rank(field: GF, vectors) -> int:
+    """Rank over GF(q), by elimination against rows scaled to lead 1."""
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    basis = []                          # (pivot, row), each zero at earlier pivots
+    for vec in vectors:
+        for p, row in basis:
+            c = vec[p]
+            if c:
+                m = mul[neg[c]]
+                vec = [add[x][m[y]] for x, y in zip(vec, row)]
+        for p, x in enumerate(vec):
+            if x:
+                m = mul[inv[x]]
+                basis.append((p, [m[y] for y in vec]))
+                break
+    return len(basis)
 
 
 def _subspace_list(rep: FqRep, v: int, k: int) -> list:
@@ -262,6 +395,47 @@ def _subspace_list(rep: FqRep, v: int, k: int) -> list:
     if key not in rep.subspace_lists:
         rep.subspace_lists[key] = list(subspaces(rep.field, rep.dims[v - 1], k))
     return rep.subspace_lists[key]
+
+
+def _images(rep: FqRep, aid, tgt: int, k: int) -> list:
+    """For each k-subspace U at the arrow's target, the nonzero images under
+    the arrow of U's RREF rows."""
+    key = (aid, k)
+    if key not in rep.images:
+        mat = rep.mats[aid]
+        table = []
+        for rows in _subspace_list(rep, tgt, k):
+            images = (tuple(_dot_row(rep.field, mat_row, u) for mat_row in mat)
+                      for u in rows)
+            table.append([img for img in images if any(img)])
+        rep.images[key] = table
+    return rep.images[key]
+
+
+def _preimages(rep: FqRep, aid, src: int, k: int) -> list:
+    """For each k-subspace U at the arrow's source, the nonzero rows whose
+    common kernel is the preimage of U: for each non-pivot column c of U,
+    the functional x -> (a(x) reduced by U's RREF rows)_c."""
+    key = (aid, k)
+    if key not in rep.preimages:
+        add, mul, neg = rep.field._add, rep.field._mul, rep.field._neg
+        mat = rep.mats[aid]
+        table = []
+        for rows in _subspace_list(rep, src, k):
+            pivots = [r.index(1) for r in rows]
+            functionals = []
+            for c, func in enumerate(mat):
+                if c in pivots:
+                    continue
+                for r, p in zip(rows, pivots):
+                    if r[c]:
+                        m = mul[neg[r[c]]]
+                        func = [add[x][m[y]] for x, y in zip(func, mat[p])]
+                if any(func):
+                    functionals.append(func)
+            table.append(functionals)
+        rep.preimages[key] = table
+    return rep.preimages[key]
 
 
 def _incidence(rep: FqRep, v: int, k: int) -> dict:
@@ -439,6 +613,8 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData, gamma_map,
     counts = {delta: {} for delta in deltas}
     for q in primes:
         rep = to_fq(h1, q)
+        if q == max(primes):
+            largest = rep
         for delta in deltas:
             try:
                 counts[delta][q] = gr_count(rep, pad(delta), budget)
@@ -454,7 +630,7 @@ def coefficient_crosscheck(f_coefficients, h1: DecRep, qp_r: QPData, gamma_map,
         checked, note = True, ""
         if len(counts[delta]) < len(primes):
             # enumeration sizes grow with q, so the largest q needs the most
-            size = enumeration_size(h1.dims, pad(delta), max(primes))
+            size = enumeration_size(largest, pad(delta))
             checked, note = False, f"enumeration size {size} exceeds budget {budget}"
         else:
             try:

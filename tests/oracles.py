@@ -4,14 +4,17 @@ Nothing here imports from qcluster's algebra internals: commutative cluster
 mutation is redone from scratch on exponent dictionaries, power series are
 expanded by long division, and submodules are enumerated by closure.  The
 per-tuple Grassmannian count takes only the RREF subspace enumeration from
-the package, which test_grassmannian checks on its own.  The F-decomposition
-rebuild uses the package's torus arithmetic, which test_torus checks on its
-own, and the pairwise cone product reads only the series' coefficients,
-exponents and skew form.  The dense conjugation multiplies whole series with
-the package's cone product, which the pairwise product checks.  The torus
-product and division here work one term pair at a time in QLaurent
-arithmetic, apart from the torus product kernel.  The per-summand H^1
-mutates every summand copy on its own and puts the copies together here.
+the package, which test_grassmannian checks on its own.  The table-driven
+count enumerates every vertex through the package's per-arrow subspace
+tables, which `gr_count` reads between enumerated vertices and the per-tuple
+count checks.  The F-decomposition rebuild uses the package's torus
+arithmetic, which test_torus checks on its own, and the pairwise cone
+product reads only the series' coefficients, exponents and skew form.  The
+dense conjugation multiplies whole series with the package's cone product,
+which the pairwise product checks.  The torus product and division here
+work one term pair at a time in QLaurent arithmetic, apart from the torus
+product kernel.  The per-summand H^1 mutates every summand copy on its own
+and puts the copies together here.
 The Jacobi dimensions row-reduce the derivative ideal with the package's
 `linalg.Echelon`; Serre polynomials are interpolated by Lagrange's formula
 in Fraction arithmetic, not by that echelon.  Lemma 5.2's closed form and
@@ -394,6 +397,67 @@ def gr_count_per_tuple(rep, gamma):
                for aid, src, tgt in rep.arrows for u in choice[tgt - 1]):
             count += 1
     return count
+
+
+def gr_count_tables(rep, gamma, budget=500000):
+    """Points of Gr(rep, gamma) by a table-driven search over every vertex.
+
+    A tuple (U_v) is a submodule when the arrow a: i -> j (acting
+    M_j -> M_i) satisfies  a(U_j) <= U_i.  Sets of subspaces at a vertex
+    are int bitsets over its subspace list.  An arrow table maps each U_j
+    to the set of U_i containing a(U_j); the count chooses one vertex at a
+    time, from the intersection of the tables of its arrows to vertices
+    already chosen, and the last vertex adds the size of that set.  The
+    budget bounds the full tuple product, checked before any table is built.
+    """
+    from qcluster.errors import BudgetExceeded
+    from qcluster.grassmannian import (_arrow_table, _subspace_list, _transpose,
+                                       gaussian_binomial)
+
+    if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
+        return 0
+    if not rep.dims:
+        return 1        # the quiver has no vertex: one empty tuple
+    total = 1
+    for d, g in zip(rep.dims, gamma):
+        total *= gaussian_binomial(d, d - g, rep.field.q)
+    if total > budget:
+        raise BudgetExceeded(f"enumeration size {total} exceeds budget {budget}")
+    sub_dims = [d - g for d, g in zip(rep.dims, gamma)]
+    sizes = [len(_subspace_list(rep, v, k)) for v, k in enumerate(sub_dims, start=1)]
+    # the largest list goes last, where its candidates are counted, not visited
+    order = sorted(range(1, len(sizes) + 1), key=lambda v: sizes[v - 1])
+    position = {v: t for t, v in enumerate(order)}
+    masks = [(1 << sizes[v - 1]) - 1 for v in order]
+    constraints = [[] for _ in order]   # (table, earlier position) per position
+    for aid, src, tgt in rep.arrows:
+        table = _arrow_table(rep, aid, src, tgt, sub_dims[src - 1], sub_dims[tgt - 1])
+        s, t = position[src], position[tgt]
+        if s == t:
+            # a loop: U_v must lie in its own table entry
+            masks[s] &= sum(1 << i for i, allowed in enumerate(table) if allowed >> i & 1)
+        elif s > t:
+            constraints[s].append((table, t))
+        else:
+            constraints[t].append((_transpose(table, sizes[src - 1]), s))
+    last = len(order) - 1
+    choice = [0] * len(order)
+
+    def count_from(t):
+        cand = masks[t]
+        for table, earlier in constraints[t]:
+            cand &= table[choice[earlier]]
+        if t == last:
+            return cand.bit_count()
+        found = 0
+        while cand:
+            low = cand & -cand
+            choice[t] = low.bit_length() - 1
+            found += count_from(t + 1)
+            cand ^= low
+        return found
+
+    return count_from(0)
 
 
 # --- Serre polynomials by Lagrange interpolation ---

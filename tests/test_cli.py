@@ -25,8 +25,8 @@ A2_DOC = {
     "options": {"route": "both", "primes": [2, 3, 4, 5]},
 }
 
-TRIANGLE_DOC = json.loads(
-    (Path(__file__).parent.parent / "demos" / "specs" / "triangle.json").read_text())
+SPECS = Path(__file__).parent.parent / "demos" / "specs"
+TRIANGLE_DOC = json.loads((SPECS / "triangle.json").read_text())
 
 
 def test_mutate_renders_seed(tmp_path, capsys):
@@ -175,18 +175,21 @@ def test_h1_bound_broken_by_the_result_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_count_budget_exceeded_marks_skipped(tmp_path, capsys):
-    """Gr(1, 2) has q + 1 points, over a budget of 2 at every prime power."""
+    """H^1 has dims (2, 2).  The stratum [1,1] enumerates the q + 1 lines at
+    one vertex, over a budget of 2 at every prime power, and counts the other
+    in closed form; every other stratum enumerates one subspace."""
     doc = json.loads(json.dumps(A2_DOC))
-    doc["lam"] = [2, 0]
+    doc["ks"], doc["lam"] = [1, 2], [0, 2]
     doc["options"]["budget"] = 2
     spec = write_spec(tmp_path, doc)
     assert main(["count", spec]) == 2
     captured = capsys.readouterr()
+    assert "h1 dims: [2, 2]" in captured.out
     rows = [line for line in captured.out.splitlines() if line.startswith("gamma ")]
-    assert rows[1].startswith("gamma [1,0] |")
-    assert rows[1].endswith("| SKIPPED: enumeration size 6 exceeds budget 2")
-    assert rows[0].endswith("| match") and rows[2].endswith("| match")
-    assert "error: 1 of 3 strata were not checked" in captured.err
+    skipped = [row for row in rows if not row.endswith("| match")]
+    assert len(skipped) == 1 and skipped[0].startswith("gamma [1,1] |")
+    assert skipped[0].endswith("| SKIPPED: enumeration size 6 exceeds budget 2")
+    assert "error: 1 of 6 strata were not checked" in captured.err
 
 
 @pytest.mark.parametrize("as_json", [False, True])
@@ -196,8 +199,13 @@ def test_count_budget_exceeded_marks_skipped(tmp_path, capsys):
                                 "SKIPPED: needs 8 prime powers, have 4",
                                 "SKIPPED: needs 8 prime powers, have 4",
                                 "SKIPPED: needs 6 prime powers, have 4"]),
-    # every stratum but the two trivial ones is over a budget of 1
-    (dict(TRIANGLE_DOC, options=dict(TRIANGLE_DOC["options"], budget=1)), [None] * 16),
+    # a budget of 1 skips the strata that enumerate lines at F_7^2: one
+    # vertex of the triangle is counted in closed form, and [1,1,1]
+    # enumerates lines at both other vertices
+    (dict(TRIANGLE_DOC, options=dict(TRIANGLE_DOC["options"], budget=1)),
+     ["SKIPPED: enumeration size 8 exceeds budget 1"] * 3
+     + ["SKIPPED: enumeration size 64 exceeds budget 1"]
+     + ["SKIPPED: enumeration size 8 exceeds budget 1"] * 3),
 ])
 def test_count_rows_not_checked_exit_2(tmp_path, capsys, doc, skipped, as_json):
     """The report is printed with ok false, and stderr says why."""
@@ -229,6 +237,41 @@ def test_count_a3_exponent_from_the_acyclic_end(tmp_path, capsys, ks):
     assert "mode: hard" in out
     rows = [line for line in out.splitlines() if line.startswith("gamma ")]
     assert rows and all(line.endswith("| match") for line in rows)
+
+
+# every prime power up to 31 that GF supports
+WALL_PRIMES = "2,3,4,5,7,8,9,11,13,17,19,23,25,29,31"
+
+
+def test_count_kronecker_h1_dimension_8(capsys):
+    """The README's Kronecker case, H^1 of dims (5, 3).  Seven strata have
+    max_dim 6 or 8; at the default seven prime powers the two of degree 6
+    cannot be interpolated, and fifteen prime powers check every stratum."""
+    spec = str(SPECS / "kronecker_121.json")
+    assert main(["count", spec, "--primes", WALL_PRIMES]) == 0
+    out = capsys.readouterr().out
+    assert "mode: hard" in out and "h1 dims: [5, 3, 0, 0]" in out
+    rows = [line for line in out.splitlines() if line.startswith("gamma ")]
+    assert len(rows) == 14 and all(row.endswith("| match") for row in rows)
+    assert main(["count", spec]) == 2
+    captured = capsys.readouterr()
+    verdicts = [line.rsplit(" | ", 1)[1] for line in captured.out.splitlines()
+                if line.startswith("gamma ")]
+    assert sorted(set(verdicts)) == ["SKIPPED: needs 8 prime powers, have 7", "match"]
+    assert "error: 2 of 14 strata were not checked" in captured.err
+
+
+def test_count_rank3_with_a_double_arrow(tmp_path, capsys):
+    """H^1 of dims (1, 4, 1): the 4-dimensional vertex is counted in closed
+    form, so no subspace table is built at it."""
+    lam, btilde = principal_pair([[0, -1, 0], [1, 0, 2], [0, -2, 0]])
+    doc = {"n": 3, "lambda": lam, "btilde": btilde, "ks": [2, 1, 3],
+           "lam": [1, 1, 1, 0, 0, 0]}
+    assert main(["count", write_spec(tmp_path, doc)]) == 0
+    out = capsys.readouterr().out
+    assert "mode: hard" in out and "h1 dims: [1, 4, 1, 0, 0, 0]" in out
+    rows = [line for line in out.splitlines() if line.startswith("gamma ")]
+    assert rows and all(row.endswith("| match") for row in rows)
 
 
 def test_quiver_btilde_mismatch_rejected(tmp_path, capsys):

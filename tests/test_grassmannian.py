@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from qcluster.decorated import DecRep, h1_aggregate
 from qcluster.errors import BudgetExceeded, NotPolynomialCount, QClusterError
 from qcluster.grassmannian import (GF, FqRep, coefficient_crosscheck,
-                                   gaussian_binomial, gr_count, purity_pattern,
-                                   serre_interpolate, subspaces, to_fq)
+                                   enumeration_size, gaussian_binomial, gr_count,
+                                   purity_pattern, serre_interpolate, subspaces,
+                                   to_fq)
 from qcluster.linalg import Mat
 from qcluster.qlaurent import QLaurent
-from qcluster.quiver import Arrow, Potential, QPData, Quiver
+from qcluster.quiver import Arrow, Potential, QPData, Quiver, mutate_qp_sequence
 
+from .corpus import CORPUS_NAMES, all_sequences, corpus_data, corpus_qp
 from .oracles import (count_submodules_by_closure, gr_count_per_tuple,
-                      serre_interpolate_lagrange)
+                      gr_count_tables, serre_interpolate_lagrange)
 
 
 def test_gf_axioms():
@@ -82,10 +84,39 @@ def test_gr_count_examples():
 
 
 def test_gr_count_budget():
-    q = Quiver(1, [])
-    rep = DecRep(QPData(q, Potential(12)), (6,), {}, (0,))
+    # the budget bounds the enumerated product: the one vertex of Gr(3, 6)
+    # is counted in closed form, and of two vertices joined by an arrow one
+    # is enumerated, here the 31 planes in F_5^3
+    one = DecRep(QPData(Quiver(1, []), Potential(12)), (6,), {}, (0,))
+    assert gr_count(to_fq(one, 5), (3,), budget=1) == gaussian_binomial(6, 3, 5)
+    two = DecRep(QPData(Quiver(2, [Arrow("a", 1, 2)]), Potential(12)), (3, 3),
+                 {"a": Mat(3, 3, [[0] * 3] * 3)}, (0, 0))
+    fq = to_fq(two, 5)
+    assert enumeration_size(fq, (1, 1)) == 31
+    assert gr_count(fq, (1, 1), budget=31) == 31 ** 2
     with pytest.raises(BudgetExceeded):
-        gr_count(to_fq(rep, 5), (3,), budget=10)
+        gr_count(fq, (1, 1), budget=30)
+
+
+def test_enumeration_size_leaves_out_the_largest_independent_product():
+    # on the path 1 - 2 - 3 with every U_v a line in F_q^2, I = {1, 3}
+    # leaves one binomial q + 1 where I = {2} would leave (q + 1)^2
+    quiver = Quiver(3, [Arrow("a", 1, 2), Arrow("b", 3, 2)])
+    rep = DecRep(QPData(quiver, Potential(12)), (2, 2, 2),
+                 {"a": Mat(2, 2, [[1, 0], [0, 1]]), "b": Mat(2, 2, [[1, 1], [0, 1]])},
+                 (0, 0, 0))
+    for q in (2, 3, 4):
+        fq = to_fq(rep, q)
+        assert fq.independent_sets[0] == ({1, 3}, (2,))
+        assert enumeration_size(fq, (1, 1, 1)) == q + 1
+        # a full or empty subspace at 2 costs nothing to enumerate
+        assert enumeration_size(fq, (1, 0, 1)) == 1
+
+
+def test_fields_are_shared_per_q():
+    rep = a2_indec()
+    assert to_fq(rep, 4).field is to_fq(rep, 4).field
+    assert to_fq(rep, 4).field is not to_fq(rep, 5).field
 
 
 def test_gr_count_label_permutation_invariance():
@@ -164,6 +195,26 @@ def test_gr_count_matches_per_tuple_oracle(data):
     gammas = list(itertools.product(*[range(d + 1) for d in rep.dims]))
     for gamma in data.draw(st.permutations(gammas)):
         assert gr_count(rep, gamma) == gr_count_per_tuple(rep, gamma)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_gr_count_matches_table_oracle_on_corpus_h1(name):
+    """Every stratum of the H^1 modules of a corpus seed, for every sequence
+    of length <= 4 and the all-ones mutable lam with H^1 of total dimension
+    <= 6, at q = 2, 3, 4, 5: the triangle counts its 3-cycle with |I| = 1,
+    the Kronecker seed the double arrow."""
+    qp = corpus_qp(name)
+    n = corpus_data(name)[2]
+    lam = (1,) * n + (0,) * (qp.quiver.m - n)
+    for ks in all_sequences(n, 4):
+        h1 = h1_aggregate(mutate_qp_sequence(qp, ks), ks, lam)
+        if sum(h1.dims) > 6:
+            continue
+        gammas = list(itertools.product(*[range(d + 1) for d in h1.dims]))
+        for q in (2, 3, 4, 5):
+            fq, oracle = to_fq(h1, q), to_fq(h1, q)
+            for gamma in gammas:
+                assert gr_count(fq, gamma) == gr_count_tables(oracle, gamma), (ks, q, gamma)
 
 
 def test_serre_interpolate_examples():
