@@ -6,15 +6,23 @@ X^{base + B~ gamma}, with c_gamma exact PochhammerFraction coefficients.
 All commutation factors come from the ambient skew form through the
 embedding w_gamma -> X^{B~ gamma}; no separate Euler-form bookkeeping is
 needed (the compatible pair already encodes it).
+
+A product of series groups its term pairs by output degree and hands them to
+qlaurent.product_sums: one packing width per product, from the proven bound
+max over outputs of sum L1(n1) L1(n2) 2^(missing factors), each numerator
+packed once, one integer multiply per pair, and one divmod per tried
+(1 - T^k) when each output is cancelled (the width rule makes that test
+exact; see qlaurent).  Each series computes its exponents and covectors once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, gt, mul
 
 from .errors import BoundTooSmall, DimensionMismatch, SignAmbiguous, TailNotVanishing
 from .linalg import Echelon
-from .qlaurent import PochhammerFraction, QLaurent, den_product, fraction_sum
+from .qlaurent import PochhammerFraction, QLaurent, product_sums
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
 
@@ -101,7 +109,7 @@ def g_of_lambda(btilde, ks, lam):
 class ConeSeries:
     """A truncated element of the completed motivic torus inside T_Lambda."""
 
-    __slots__ = ("form", "base", "btilde", "bound", "coeffs")
+    __slots__ = ("form", "base", "btilde", "bound", "coeffs", "_rows")
 
     def __init__(self, form: SkewForm, btilde, bound, base=None, coeffs=None):
         self.form = form
@@ -114,6 +122,7 @@ class ConeSeries:
                 c = PochhammerFraction(c)
             if not c.is_zero() and all(g <= b for g, b in zip(gamma, self.bound)):
                 self.coeffs[tuple(gamma)] = c
+        self._rows = None
 
     @property
     def n(self) -> int:
@@ -134,6 +143,16 @@ class ConeSeries:
     def exponent_of(self, gamma):
         return tuple(b + e for b, e in zip(self.base, self.embed(gamma)))
 
+    def rows(self):
+        """(gamma, exponent, covector Lambda(exponent, .), coefficient) per term.
+
+        Computed on first use and kept: a series is immutable.
+        """
+        if self._rows is None:
+            self._rows = [(g, e, self.form.apply(e), c) for g, c in self.coeffs.items()
+                          for e in (self.exponent_of(g),)]
+        return self._rows
+
     def _compat(self, other: "ConeSeries"):
         if (self.form != other.form or self.btilde != other.btilde
                 or self.bound != other.bound):
@@ -143,28 +162,23 @@ class ConeSeries:
         """The truncated product; each output coefficient is cancelled once.
 
         X^{e1} X^{e2} = v^{Lambda(e1, e2)} X^{e1+e2}, so the term of a pair
-        (g1, g2) is c1 c2 v^{Lambda(e1, e2)} at g1 + g2.  The right-hand
-        exponents and the left-hand covectors Lambda(e1, .) are computed once;
-        each output's terms are then summed by one fraction_sum.
+        (g1, g2) is c1 c2 v^{Lambda(e1, e2)} at g1 + g2; with each series'
+        exponents and covectors Lambda(e1, .) at hand, a pair's twist is one
+        dot product.  qlaurent.product_sums sums every output's pairs on
+        packed numerators and cancels it once.
         """
         self._compat(other)
-        base = tuple(a + b for a, b in zip(self.base, other.base))
         bound = self.bound
-        right = [(g2, c2.num, c2.den, other.exponent_of(g2))
-                 for g2, c2 in other.coeffs.items()]
-        parts: dict[tuple, list] = {}
-        for g1, c1 in self.coeffs.items():
-            cov = self.form.apply(self.exponent_of(g1))
-            num1, den1 = c1.num, c1.den
-            for g2, num2, den2, e2 in right:
-                g = tuple(a + b for a, b in zip(g1, g2))
-                if any(x > b for x, b in zip(g, bound)):
+        right = other.rows()
+        outputs: dict[tuple, list] = {}
+        for g1, _, cov, c1 in self.rows():
+            for g2, e2, _, c2 in right:
+                g = tuple(map(add, g1, g2))
+                if any(map(gt, g, bound)):
                     continue
-                tw = sum(a * b for a, b in zip(cov, e2))
-                parts.setdefault(g, []).append(
-                    ((num1 * num2).shift(tw), den_product(den1, den2)))
-        out = {g: fraction_sum(terms) for g, terms in parts.items()}
-        return ConeSeries(self.form, self.btilde, bound, base, out)
+                outputs.setdefault(g, []).append((c1, c2, sum(map(mul, cov, e2))))
+        base = tuple(map(add, self.base, other.base))
+        return ConeSeries(self.form, self.btilde, bound, base, product_sums(outputs))
 
     def __eq__(self, other):
         if not isinstance(other, ConeSeries):

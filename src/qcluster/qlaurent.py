@@ -1,8 +1,24 @@
-"""Exact Laurent polynomials in v = q^(1/2), and Lefschetz-string analysis.
+"""Exact Laurent polynomials in v = q^(1/2), Lefschetz strings, Pochhammer fractions.
 
-Everything here is integer arithmetic on sparse exponent->coefficient maps;
-no floating point and no rounding anywhere.  The same class doubles as the
-coefficient ring in the variable T^(1/2) for motivic weights (q <-> T).
+Everything here is integer arithmetic; no floating point and no rounding
+anywhere.  QLaurent is a sparse exponent->coefficient map; the same class
+doubles as the coefficient ring in the variable T^(1/2) for motivic weights
+(q <-> T).
+
+Packing (Kronecker substitution), shared with the torus kernel: a Laurent
+polynomial sum_k c_k v^k is (lo, x) with lo its lowest degree and
+x = sum_k c_k 2^((k - lo) bits), its value at v = 2^bits over v^lo, read back
+in balanced digits.  The width rule: bits = B.bit_length() + 2 for a proven
+bound B on L1 (the sum of the absolute values of the coefficients), so every
+digit, and every residue-class sum below, is less than 2^(bits-2) in size.
+
+A PochhammerFraction is num / prod_k (1 - T^k)^m_k with T = v^2.  Its
+construction, sums and equality, and the sums of pair products behind cone
+products, bring every numerator over the per-k maximum denominator on packed
+integers, add them into one integer per output and apply the one
+cancellation rule, `_cancel`: one divmod by 1 - 2^(2k bits) per tried
+(1 - T^k), exact by the width rule (proof there).  The canonical (num, den)
+is the one that repeated exact division gives.
 """
 
 from __future__ import annotations
@@ -231,14 +247,73 @@ def lefschetz_decompose(p: QLaurent) -> LefschetzDecomposition:
     return LefschetzDecomposition(center, mults, None)
 
 
+def _l1(p: QLaurent) -> int:
+    """The sum of the absolute values of the coefficients of p."""
+    return sum(map(abs, p.terms.values()))
+
+
+def pack_width(bound: int) -> int:
+    """Slot width in bits for digits of absolute value at most bound: bound < 2^(bits-2)."""
+    return bound.bit_length() + 2
+
+
+def pack(c: dict, bits: int) -> list:
+    """The raw coefficient {deg: int} as [lo, sum_k c_k 2^((k - lo) bits)]."""
+    lo = min(c)
+    x = 0
+    for k, z in c.items():
+        x += z << ((k - lo) * bits)
+    return [lo, x]
+
+
+def unpack(lo: int, x: int, bits: int) -> QLaurent:
+    """The Laurent polynomial of a packed (lo, x), read in balanced digits.
+
+    A digit >= 2^(bits-1) is negative and borrows one from the next.
+    """
+    res = QLaurent()
+    _read_digits(res.terms, lo, x, x.bit_length() // bits + 1, bits)
+    return res
+
+
+def _read_digits(out: dict, lo: int, x: int, n: int, bits: int):
+    """Store the nonzero balanced digits of x, at most n of them, from degree lo up.
+
+    Past 32 digits x is split at digit h = n // 2 into its balanced low
+    part, the residue of x mod 2^(h bits) of least absolute value, and the
+    rest, so the work stays linear in the digits up to a log factor
+    instead of one shift of all of x per digit.
+    """
+    if n > 32:
+        h = n // 2
+        s = h * bits
+        low = x & ((1 << s) - 1)
+        if low >> (s - 1):
+            low -= 1 << s
+        _read_digits(out, lo, low, h, bits)
+        _read_digits(out, lo + h, (x - low) >> s, n - h, bits)
+        return
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    full = 1 << bits
+    while x:
+        z = x & mask
+        if z >= half:
+            z -= full
+        if z:
+            out[lo] = z
+        x = (x - z) >> bits
+        lo += 1
+
+
 def _lcm_den(dens) -> dict[int, int]:
-    """The common denominator of fractions: per-k maximum multiplicities."""
+    """The common denominator of fractions: per-k maximum multiplicities, k ascending."""
     out: dict[int, int] = {}
     for den in dens:
         for k, m in den.items():
             if m > out.get(k, 0):
                 out[k] = m
-    return out
+    return dict(sorted(out.items()))
 
 
 def den_product(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
@@ -249,38 +324,151 @@ def den_product(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _over(num: QLaurent, have: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    """The terms of num/have rewritten over `den`, a denominator containing `have`.
+def _missing(den: dict[int, int], have: dict[int, int]) -> tuple:
+    """The factors of den that have lacks, as ((k, multiplicity), ...), k ascending."""
+    return tuple([(k, m - h) for k, m in den.items() if m > (h := have.get(k, 0))])
 
-    Each missing (1 - T^k) is multiplied in as p - p.shift(2k).
+
+def _cofactor_l1(missing: tuple) -> int:
+    """A bound on the L1 of prod (1 - T^k)^m over missing: each factor has L1 2."""
+    return 1 << sum(m for _, m in missing)
+
+
+def _accumulate(acc: dict, key, lo: int, x: int, bits: int):
+    """Add the packed (lo, x) into acc[key] = [lo, x], which keeps the lower lo."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [lo, x]
+    elif lo >= cur[0]:
+        cur[1] += x << ((lo - cur[0]) * bits)
+    else:
+        cur[1] = x + (cur[1] << ((cur[0] - lo) * bits))
+        cur[0] = lo
+
+
+def _over_den(groups: dict, bits: int) -> tuple[int, int]:
+    """The packed sum of each group's numerator times its cofactor.
+
+    groups maps a `_missing` tuple to the packed sum of the numerators that
+    lack those factors of the common denominator; each missing (1 - T^k)
+    is multiplied in as x - x 2^(2k bits), one shift and one subtraction.
     """
-    p = num.terms
-    for k, m in den.items():
-        for _ in range(m - have.get(k, 0)):
-            q = dict(p)
-            for e, c in p.items():
-                s = q.get(e + 2 * k, 0) - c
-                if s:
-                    q[e + 2 * k] = s
-                else:
-                    del q[e + 2 * k]
-            p = q
-    return p
+    if not groups:
+        return 0, 0
+    lo = min(low for low, _ in groups.values())
+    total = 0
+    for missing, (low, x) in groups.items():
+        for k, m in missing:
+            for _ in range(m):
+                x -= x << (2 * k * bits)
+        total += x << ((low - lo) * bits)
+    return lo, total
+
+
+def _cancel(lo: int, x: int, bound: int, den: dict[int, int], bits: int):
+    """(num, den) of the packed numerator (lo, x) over prod_k (1 - T^k)^den[k].
+
+    The one cancellation rule: for k ascending, (1 - T^k) is divided out as
+    long as it divides the numerator, up to its multiplicity; den lists k
+    ascending.  `bound` is at least the numerator's L1 and below 2^(bits-2).
+
+    A polynomial P = sum_i c_i v^i is divisible by 1 - v^(2k) iff every
+    residue class sum s_r = sum_{i = r mod 2k} c_i vanishes, and
+    P = Q (1 - v^(2k)) + sum_r s_r v^r.  At v = B = 2^bits the remainder
+    has |s_r| <= L1(P) < B/4, so its value is less than B^(2k) - 1 in size
+    and is 0 only if every s_r is: one divmod of x by 1 - B^(2k) decides
+    divisibility exactly and gives Q's packing.  Each digit of Q is a partial
+    sum of one residue class, so it fits the width, and
+    L1(Q) <= ceil(#digits(Q) / 2k) L1(P).  That bound is carried forward;
+    when it outgrows the width, Q is unpacked, its true L1 taken and, if that
+    does not fit either, Q is repacked at its own width.
+    """
+    left = {}
+    if x:
+        for k, m in den.items():
+            while m:
+                if bound >> (bits - 2):          # bound >= 2^(bits-2): too wide
+                    num = unpack(lo, x, bits)
+                    bound = _l1(num)
+                    if pack_width(bound) > bits:
+                        bits = pack_width(bound)
+                        lo, x = pack(num.terms, bits)
+                q, r = divmod(x, 1 - (1 << (2 * k * bits)))
+                if r:
+                    break
+                x, m = q, m - 1
+                bound *= -(-(x.bit_length() // bits + 1) // (2 * k))
+            if m:
+                left[k] = m
+    return unpack(lo, x, bits), left
+
+
+def _over_common(parts):
+    """The fractions num/have of parts over their common denominator, packed.
+
+    Returns (lo, x, bound, den, bits): den is the per-k maximum of the
+    denominators, x packs sum_i num_i prod (1 - T^k)^(den_k - have_ik) at a
+    width that holds bound = sum_i L1(num_i) 2^(missing factors of part i),
+    which is at least the sum's L1, and so every digit.
+    """
+    den = _lcm_den(have for _, have in parts)
+    keyed = [(_missing(den, have), num) for num, have in parts if num.terms]
+    bound = sum(_cofactor_l1(missing) * _l1(num) for missing, num in keyed)
+    bits = pack_width(bound)
+    groups: dict = {}
+    for missing, num in keyed:
+        _accumulate(groups, missing, *pack(num.terms, bits), bits)
+    return (*_over_den(groups, bits), bound, den, bits)
 
 
 def fraction_sum(parts) -> "PochhammerFraction":
-    """sum_i num_i / den_i over a sequence of (num_i, den_i) pairs, cancelled once.
+    """sum_i num_i / den_i over a sequence of (num_i, den_i) pairs, cancelled once."""
+    return PochhammerFraction.of(*_cancel(*_over_common(parts)))
 
-    Every numerator is brought over the per-k maximum of the den_i and added
-    into one dict; the single PochhammerFraction built from it runs the only
-    cancellation pass.
+
+def product_sums(outputs: dict) -> dict:
+    """{key: sum a b v^s over the parts (a, b, s) of key}, each cancelled once.
+
+    The parts are pairs of PochhammerFractions and a power of v.  Each
+    output's common denominator is the per-k maximum of its parts'
+    denominators.  One width serves every output, from the proven bound
+    max over outputs of sum_parts L1(num_a) L1(num_b) 2^(missing factors)
+    (`_cofactor_l1`), so each
+    distinct numerator is packed once.  A part then costs one integer
+    multiply of the two numerators, added into its output under its missing
+    factors; the parts of an output that miss the same factors are
+    multiplied by their cofactor once.  Outputs are summed, cancelled and
+    unpacked one at a time.
     """
-    den = _lcm_den(d for _, d in parts)
-    total: dict[int, int] = {}
-    for num, have in parts:
-        for e, c in _over(num, have, den).items():
-            total[e] = total.get(e, 0) + c
-    return PochhammerFraction(QLaurent(total), den)
+    fracs = {id(c): c for parts in outputs.values() for a, b, _ in parts for c in (a, b)}
+    l1s = {i: _l1(c.num) for i, c in fracs.items()}
+    plan = []
+    top = 0
+    for key, parts in outputs.items():
+        haves = [den_product(a.den, b.den) for a, b, _ in parts]
+        den = _lcm_den(haves)
+        bound = 0
+        keyed = []
+        for (a, b, s), have in zip(parts, haves):
+            l1a, l1b = l1s[id(a)], l1s[id(b)]
+            if l1a and l1b:
+                missing = _missing(den, have)
+                bound += l1a * l1b * _cofactor_l1(missing)
+                keyed.append((missing, a, b, s))
+        plan.append((key, den, bound, keyed))
+        top = max(top, bound)
+    bits = pack_width(top)
+    packed = {i: pack(c.num.terms, bits) for i, c in fracs.items() if l1s[i]}
+    out = {}
+    for key, den, bound, keyed in plan:
+        groups: dict = {}
+        for missing, a, b, s in keyed:
+            lo1, x1 = packed[id(a)]
+            lo2, x2 = packed[id(b)]
+            _accumulate(groups, missing, lo1 + lo2 + s, x1 * x2, bits)
+        out[key] = PochhammerFraction.of(
+            *_cancel(*_over_den(groups, bits), bound, den, bits))
+    return out
 
 
 class PochhammerFraction:
@@ -289,8 +477,8 @@ class PochhammerFraction:
     The numerator is a QLaurent in v; the denominator is a multiset of
     cyclotomic-style factors stored as {k: multiplicity}.  Sums and products
     of q-Pochhammer series coefficients stay in this shape, and whether a
-    coefficient is an honest Laurent polynomial is decided exactly by
-    iterated exact division (no power-series windows needed).
+    coefficient is an honest Laurent polynomial is decided exactly by the
+    one cancellation rule, `_cancel` (no power-series windows needed).
     """
 
     __slots__ = ("num", "den")
@@ -298,15 +486,15 @@ class PochhammerFraction:
     def __init__(self, num: QLaurent, den: dict[int, int] | None = None):
         """num / den, with every (1 - T^k) factor that divides num cancelled."""
         self.num, self.den = num, {}
-        if num.is_zero():
-            return
-        for k, m in sorted((den or {}).items()):
-            while m > 0:
-                q = self.num.divide_exact(QLaurent({0: 1, 2 * k: -1}))
-                if q is None:
-                    self.den[k] = m
-                    break
-                self.num, m = q, m - 1
+        if num.terms and den:
+            self.num, self.den = _cancel(*_over_common(((num, den),)))
+
+    @staticmethod
+    def of(num: QLaurent, den: dict[int, int]) -> "PochhammerFraction":
+        """The fraction with this (num, den), taken as already cancelled."""
+        res = PochhammerFraction.__new__(PochhammerFraction)
+        res.num, res.den = num, den
+        return res
 
     @staticmethod
     def zero() -> "PochhammerFraction":
@@ -330,17 +518,13 @@ class PochhammerFraction:
     def __eq__(self, other):
         if not isinstance(other, PochhammerFraction):
             return NotImplemented
-        den = _lcm_den((self.den, other.den))
-        return _over(self.num, self.den, den) == _over(other.num, other.den, den)
+        return not _over_common(((self.num, self.den), (-other.num, other.den)))[1]
 
     def __add__(self, other: "PochhammerFraction") -> "PochhammerFraction":
         return fraction_sum(((self.num, self.den), (other.num, other.den)))
 
     def __neg__(self) -> "PochhammerFraction":
-        res = PochhammerFraction.__new__(PochhammerFraction)
-        res.num = -self.num
-        res.den = dict(self.den)
-        return res
+        return PochhammerFraction.of(-self.num, dict(self.den))
 
     def __sub__(self, other):
         return self + (-other)
@@ -348,14 +532,11 @@ class PochhammerFraction:
     def __mul__(self, other):
         if isinstance(other, QLaurent):
             other = PochhammerFraction(other)
-        return PochhammerFraction(self.num * other.num, den_product(self.den, other.den))
+        return product_sums({0: [(self, other, 0)]})[0]
 
     def shift(self, k: int) -> "PochhammerFraction":
         """Multiply by v^k."""
-        res = PochhammerFraction.__new__(PochhammerFraction)
-        res.num = self.num.shift(k)
-        res.den = dict(self.den)
-        return res
+        return PochhammerFraction.of(self.num.shift(k), dict(self.den))
 
     def __repr__(self):
         if not self.den:

@@ -140,11 +140,19 @@ class Potential:
         return max((len(w) for w in self.terms), default=0)
 
     def __add__(self, other: "Potential") -> "Potential":
-        cap = min(self.degree_cap, other.degree_cap)
-        out = dict(self.terms)
+        """The sum at the smaller cap; both operands' words are canonical already."""
+        res = Potential(min(self.degree_cap, other.degree_cap))
+        cap = res.degree_cap
+        out = {w: c for w, c in self.terms.items() if len(w) <= cap}
         for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return Potential(cap, out)
+            if len(w) <= cap:
+                s = exact(out.get(w, 0) + c)
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
+        res.terms = out
+        return res
 
     def __eq__(self, other):
         return isinstance(other, Potential) and self.terms == other.terms
@@ -391,8 +399,9 @@ def reduce_with_trail(qp: QPData):
                 raise DegreeCapExceeded(
                     "quadratic pivot vanished during reduction")
         trail.append(("delete", (x, y)))
-        pot = Potential(pot.degree_cap,
-                        {w_: c_ for w_, c_ in pot.terms.items() if w_ != w})
+        rest = Potential(pot.degree_cap)
+        rest.terms = {w_: c_ for w_, c_ in pot.terms.items() if w_ != w}
+        pot = rest
         q = Quiver(q.m, [a for a in q.arrows.values() if a.id not in (x, y)])
     out = QPData(q, pot)
     out.validate()

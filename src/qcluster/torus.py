@@ -6,13 +6,14 @@ is monomial-order long division under graded lex (torus monomials are units,
 so each leading term cancels in one step).
 
 The product, the q-commutation test, ordered power products and the division
-all run one kernel on packed coefficients (Kronecker substitution): a
-coefficient sum_k c_k v^k is (lo, x) with lo its lowest degree and
-x = sum_k c_k 2^((k - lo) bits), so a term pair costs one integer multiply.
-Digits are read back balanced (a digit >= 2^(bits-1) is negative, with a
-borrow).  The width is bits = B.bit_length() + 2 for a proven bound B on every
-digit: L1(a) L1(b) for a * b, where L1 sums the absolute values of all integer
-coefficients, and twice that for the commutation test.
+all run one kernel on packed coefficients (Kronecker substitution, the
+packing of qlaurent): a coefficient sum_k c_k v^k is (lo, x) with lo its
+lowest degree and x = sum_k c_k 2^((k - lo) bits), so a term pair costs one
+integer multiply.  Digits are read back balanced (a digit >= 2^(bits-1) is
+negative, with a borrow).  The width is bits = B.bit_length() + 2 for a
+proven bound B on every digit: L1(a) L1(b) for a * b, where L1 sums the
+absolute values of all integer coefficients, and twice that for the
+commutation test.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from operator import add, mul
 
 from .errors import DimensionMismatch, NotDivisible
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, pack, pack_width, unpack
 
 
 class SkewForm:
@@ -192,42 +193,9 @@ def _l1(a: TorusElement) -> int:
     return sum(abs(z) for c in a.terms.values() for z in c.terms.values())
 
 
-def _width(bound: int) -> int:
-    """Slot width in bits for digits of absolute value at most bound."""
-    return bound.bit_length() + 2
-
-
-def _pack(c: dict, bits: int) -> list:
-    """The raw coefficient {deg: int} as [lo, sum_k c_k 2^((k - lo) bits)]."""
-    lo = min(c)
-    x = 0
-    for k, z in c.items():
-        x += z << ((k - lo) * bits)
-    return [lo, x]
-
-
-def _unpack(lo: int, x: int, bits: int) -> QLaurent:
-    """The coefficient of a packed (lo, x), read in balanced digits."""
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    out = {}
-    while x:
-        z = x & mask
-        if z >= half:
-            z -= full
-        if z:
-            out[lo] = z
-        x = (x - z) >> bits
-        lo += 1
-    res = QLaurent()
-    res.terms = out
-    return res
-
-
 def _packed(a: TorusElement, bits: int) -> dict:
     """The terms of a as {exponent: [lo, x]}, the form the kernel accumulates in."""
-    return {e: _pack(c.terms, bits) for e, c in a.terms.items()}
+    return {e: pack(c.terms, bits) for e, c in a.terms.items()}
 
 
 def _with_rows(form: SkewForm, packed: dict):
@@ -278,7 +246,7 @@ def _element(form: SkewForm, packed: dict, bits: int, shift: int = 0) -> TorusEl
     res = TorusElement(form)
     for e, (lo, x) in packed.items():
         if x:
-            res.terms[e] = _unpack(lo + shift, x, bits)
+            res.terms[e] = unpack(lo + shift, x, bits)
     return res
 
 
@@ -299,7 +267,7 @@ def first_noncommuting(elements, k):
         return None
     form = elements[0].form
     top = max(map(_l1, elements))
-    bits = _width(2 * top * top)
+    bits = pack_width(2 * top * top)
     packed = [_packed(a, bits) for a in elements]
     for i, a in enumerate(packed):
         left = _with_rows(form, a)
@@ -319,7 +287,7 @@ def power_product(form: SkewForm, factors, shift: int = 0) -> TorusElement:
     bound = 1
     for a, k in factors:
         bound *= _l1(a) ** k
-    bits = _width(bound)
+    bits = pack_width(bound)
     acc = {(0,) * form.dim: [0, 1]}
     for a, k in factors:
         right = _packed(a, bits)
@@ -354,7 +322,7 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
         raise NotDivisible("quotient exponent box is empty", remainder=n)
     ed, cd = d.leading()
     l1n, l1d, l1q = _l1(n), _l1(d), 0
-    bits = _width(2 * l1n * l1d)
+    bits = pack_width(2 * l1n * l1d)
     dterms = _packed(d, bits)
     rem = _packed(n, bits)
     quot = TorusElement(form)
@@ -367,19 +335,19 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
         # want cq with (cq * cd).shift(Lambda(eq, ed)) == rem[er]
         row = form.apply(eq)
         lr, xr = rem[er]
-        cq = _unpack(lr - sum(map(mul, row, ed)), xr, bits).divide_exact(cd)
+        cq = unpack(lr - sum(map(mul, row, ed)), xr, bits).divide_exact(cd)
         if cq is None:
             raise NotDivisible("coefficient quotient is not Laurent",
                                remainder=_element(form, rem, bits))
         quot.terms[eq] = cq
         l1q += sum(map(abs, cq.terms.values()))
         bound = l1n + l1q * l1d
-        if _width(bound) > bits:
-            wide = _width(2 * bound)
+        if pack_width(bound) > bits:
+            wide = pack_width(2 * bound)
             rem = _packed(_element(form, rem, bits), wide)
             bits = wide
             dterms = _packed(d, bits)
-        lq, xq = _pack(cq.terms, bits)
+        lq, xq = pack(cq.terms, bits)
         _product_into(rem, [(eq, row, lq, -xq)], dterms, bits)
         for e in dterms:
             e = tuple(map(add, eq, e))

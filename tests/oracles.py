@@ -20,6 +20,8 @@ The Jacobi dimensions row-reduce the derivative ideal with the package's
 in Fraction arithmetic, not by that echelon.  Lemma 5.2's closed form and
 the framed series of Thm 5.3 use the package's torus and cone arithmetic,
 and the tests check both against `conjugate` and the mutation route.
+The Pochhammer fractions cancel by repeated QLaurent.divide_exact, the
+rule the packed cancellation replaced.
 """
 
 from fractions import Fraction
@@ -174,6 +176,95 @@ def fractions_equal(num1, den1, num2, den2):
 
 def fraction_is_laurent(num, den):
     return laurent_divide_exact(num, pochhammer_denominator(den)) is not None
+
+
+# --- Pochhammer fractions by repeated exact division ---
+# The cancellation and summation PochhammerFraction and the cone product ran
+# before they moved to packed numerators, kept as they were: each
+# (1 - T^k) is tried with QLaurent.divide_exact, which
+# test_divide_exact_matches_long_division checks against long division.
+
+def _lcm_den(dens):
+    """The common denominator of fractions: per-k maximum multiplicities."""
+    out = {}
+    for den in dens:
+        for k, m in den.items():
+            if m > out.get(k, 0):
+                out[k] = m
+    return out
+
+
+def _over(num, have, den):
+    """The terms of num/have rewritten over `den`, a denominator containing `have`.
+
+    Each missing (1 - T^k) is multiplied in as p - p.shift(2k).
+    """
+    p = num.terms
+    for k, m in den.items():
+        for _ in range(m - have.get(k, 0)):
+            q = dict(p)
+            for e, c in p.items():
+                s = q.get(e + 2 * k, 0) - c
+                if s:
+                    q[e + 2 * k] = s
+                else:
+                    del q[e + 2 * k]
+            p = q
+    return p
+
+
+def cancel_by_division(num, den):
+    """(num, den) with every (1 - T^k) that divides num cancelled, k ascending."""
+    from qcluster.qlaurent import QLaurent
+
+    out = {}
+    if num.is_zero():
+        return num, out
+    for k, m in sorted((den or {}).items()):
+        while m > 0:
+            q = num.divide_exact(QLaurent({0: 1, 2 * k: -1}))
+            if q is None:
+                out[k] = m
+                break
+            num, m = q, m - 1
+    return num, out
+
+
+def fraction_sum_by_division(parts):
+    """sum_i num_i / den_i over (num_i, den_i) pairs as (num, den), cancelled once.
+
+    Every numerator is brought over the per-k maximum of the den_i and added
+    into one dict, which one cancellation pass then reduces.
+    """
+    from qcluster.qlaurent import QLaurent
+
+    den = _lcm_den(d for _, d in parts)
+    total = {}
+    for num, have in parts:
+        for e, c in _over(num, have, den).items():
+            total[e] = total.get(e, 0) + c
+    return cancel_by_division(QLaurent(total), den)
+
+
+def cone_mul_by_division(a, b):
+    """a * b for two ConeSeries as {cone degree: (num, den)} of the nonzero outputs.
+
+    The terms c1 c2 v^{Lambda(e1, e2)} of each output are collected with
+    their product denominators and summed by fraction_sum_by_division.
+    """
+    parts = {}
+    for g1, c1 in a.coeffs.items():
+        e1 = a.exponent_of(g1)
+        for g2, c2 in b.coeffs.items():
+            g = tuple(x + y for x, y in zip(g1, g2))
+            if any(x > bd for x, bd in zip(g, a.bound)):
+                continue
+            den = {k: c1.den.get(k, 0) + c2.den.get(k, 0)
+                   for k in c1.den.keys() | c2.den.keys()}
+            parts.setdefault(g, []).append(
+                ((c1.num * c2.num).shift(a.form.pair(e1, b.exponent_of(g2))), den))
+    out = {g: fraction_sum_by_division(terms) for g, terms in parts.items()}
+    return {g: (num, den) for g, (num, den) in out.items() if not num.is_zero()}
 
 
 def specialize_v1(element):

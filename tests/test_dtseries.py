@@ -14,9 +14,9 @@ from qcluster.seed import cluster_monomial
 from qcluster.torus import SkewForm, TorusElement
 
 from .corpus import CORPUS_NAMES, all_sequences, corpus_data, corpus_seed
-from .oracles import (CommutationMismatch, cone_mul_pairwise, expand_t_power_quotient,
-                      fraction_is_laurent, fractions_equal, framed_extract,
-                      lemma52_step)
+from .oracles import (CommutationMismatch, cone_mul_by_division, cone_mul_pairwise,
+                      expand_t_power_quotient, fraction_is_laurent, fractions_equal,
+                      framed_extract, lemma52_step)
 
 L2 = SkewForm([[0, 1], [-1, 0]])
 B2 = [[0, 1], [-1, 0]]
@@ -349,3 +349,6 @@ def test_cone_mul_matches_pairwise_products(pair):
     for g, (num, den) in want.items():
         assert fractions_equal(got[g].num.terms, got[g].den, num, den)
         assert got[g].is_laurent() == fraction_is_laurent(num, den)
+    # and each output holds exactly the (num, den) the division oracle cancels to
+    assert ({g: (c.num.terms, c.den) for g, c in got.items()}
+            == {g: (num.terms, den) for g, (num, den) in cone_mul_by_division(a, b).items()})

@@ -3,10 +3,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.qlaurent import PochhammerFraction, QLaurent, lefschetz_decompose
+from qcluster.qlaurent import (PochhammerFraction, QLaurent, fraction_sum,
+                               lefschetz_decompose, pack, pack_width)
 
-from .oracles import (fraction_is_laurent, fractions_equal, laurent_divide_exact,
-                      lefschetz_string, pochhammer_denominator)
+from .oracles import (cancel_by_division, fraction_is_laurent, fraction_sum_by_division,
+                      fractions_equal, laurent_divide_exact, lefschetz_string,
+                      pochhammer_denominator)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), max_size=4).map(QLaurent)
@@ -207,3 +209,100 @@ def test_pochhammer_fraction_field_laws(x, y, z):
     assert (x + y) - y == x
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
+
+
+def times_factors(num, den):
+    """num times prod (1 - T^k)^m over den."""
+    return num * QLaurent(pochhammer_denominator(den))
+
+
+@st.composite
+def wide_sums(draw):
+    """Parts (num, den) with coefficients up to 2^40 in size and multiplicities
+    up to 3.  Either each numerator carries some of its own factors, or the
+    parts are A/D and B/D with A + B = Q prod E for a part E of D, so the
+    sum cancels E even though no part does."""
+    coeff = st.integers(-2**40, 2**40)
+    nums = st.dictionaries(st.integers(-6, 6), coeff, max_size=4).map(QLaurent)
+    dens = st.dictionaries(st.integers(1, 4), st.integers(0, 3), max_size=3)
+    if draw(st.booleans()):
+        parts = []
+        for _ in range(draw(st.integers(1, 3))):
+            num, den = draw(nums), draw(dens)
+            carried = {k: draw(st.integers(0, m)) for k, m in den.items()}
+            parts.append((times_factors(num, carried), den))
+        return parts
+    den = draw(dens)
+    extra = {k: draw(st.integers(0, m)) for k, m in den.items()}
+    whole, split = times_factors(draw(nums), extra), draw(nums)
+    return [(whole - split, den), (split, den)]
+
+
+@PROPERTY
+@given(wide_sums())
+def test_packed_sum_and_cancel_matches_the_division_oracle(parts):
+    got = fraction_sum(parts)
+    num, den = fraction_sum_by_division(parts)
+    assert (got.num.terms, got.den) == (num.terms, den)
+    for num, den in parts:
+        got = PochhammerFraction(num, den)
+        want = cancel_by_division(num, den)
+        assert (got.num.terms, got.den) == (want[0].terms, want[1])
+
+
+def l1(p):
+    return sum(map(abs, p.terms.values()))
+
+
+def assert_cancels_like_the_oracle(num, den):
+    got = PochhammerFraction(num, den)
+    want = cancel_by_division(num, den)
+    assert (got.num.terms, got.den) == (want[0].terms, want[1])
+    return got
+
+
+def test_numerator_at_the_width_limit():
+    # bits = pack_width(L1) is the narrowest width with L1 < 2^(bits-2);
+    # at L1 = 2^(bits-2) - 1 (odd, so not divisible by any 1 - T^k) and
+    # 2^(bits-2) - 2 (divisible) a residue class sum reaches L1.
+    for bits in (5, 8, 13, 44):
+        top = 2**(bits - 2)
+        odd = QLaurent({0: top // 2, 4: top // 2 - 1})
+        even = QLaurent({0: top // 2 - 1, 6: 1 - top // 2})      # (1 - T^3) (top/2 - 1)
+        spread = QLaurent({0: top // 4, 2: top // 4 - 1, 4: -(top // 2 - 1)})
+        for num, den, want_den in ((odd, {1: 1, 2: 2}, {1: 1, 2: 2}),
+                                   (even, {1: 2, 3: 1}, {1: 1, 3: 1}),
+                                   (spread, {1: 3, 2: 1}, {1: 2, 2: 1})):
+            assert pack_width(l1(num)) == bits
+            assert l1(num) in (top - 1, top - 2)
+            assert assert_cancels_like_the_oracle(num, den).den == want_den
+
+
+def test_cancelled_quotient_outgrows_the_width_and_is_repacked():
+    # (1 - T^12)^3 / (1 - T)^3 = (1 + T + ... + T^11)^3: L1 grows from 8 to
+    # 1728, so the quotient leaves the first width (6 bits) on the way.
+    num = times_factors(QLaurent.one(), {12: 3})
+    assert l1(num) == 8 and pack_width(8) == 6
+    got = assert_cancels_like_the_oracle(num, {1: 3})
+    geometric = QLaurent({2 * i: 1 for i in range(12)})
+    assert got.is_laurent() and got.num == geometric * geometric * geometric
+    assert l1(got.num) == 1728
+    # the same chain with a factor left over, inside a sum, and at 2^40 scale
+    scaled = num * (2**40 + 1)
+    got = fraction_sum([(scaled, {1: 4, 12: 1}), (QLaurent.zero(), {2: 1})])
+    want = fraction_sum_by_division([(scaled, {1: 4, 12: 1}), (QLaurent.zero(), {2: 1})])
+    assert (got.num.terms, got.den) == (want[0].terms, want[1])
+    assert got.den == {2: 1, 12: 1}
+
+
+def test_width_rule_rejects_residue_sums_that_cancel_only_mod_the_slot():
+    # P = 1 - v + 63 v^2 has residue class sums 64 (even degrees) and -1 (odd
+    # degrees) modulo 2, so 1 - T = 1 - v^2 does not divide it.  At 6-bit
+    # slots 64 - 2^6 = 0: the divmod would report an exact quotient.
+    num = QLaurent({0: 1, 1: -1, 2: 63})
+    lo, x = pack(num.terms, 6)
+    assert divmod(x, 1 - (1 << 12))[1] == 0
+    # the width rule packs at pack_width(L1 = 65) = 9 bits instead
+    assert pack_width(l1(num)) == 9
+    got = assert_cancels_like_the_oracle(num, {1: 1})
+    assert got.num == num and got.den == {1: 1}

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcluster.errors import DimensionMismatch, NotDivisible
-from qcluster.qlaurent import QLaurent
+from qcluster.qlaurent import QLaurent, pack_width
 from qcluster.seed import mutate_sequence
-from qcluster.torus import (SkewForm, TorusElement, _l1, _width, exact_right_divide,
+from qcluster.torus import (SkewForm, TorusElement, _l1, exact_right_divide,
                             first_noncommuting, is_positive, power_product)
 
 from .corpus import corpus_seed
@@ -336,7 +336,7 @@ def test_divide_widens_when_the_quotient_outgrows_the_remainder():
     top = ONE1 - TorusElement.monomial(L1, (40,))
     n = (top * top * top).scale(c)
     a = torus_divide_longhand(n, d)
-    first = _width(2 * _l1(n) * _l1(d))
+    first = pack_width(2 * _l1(n) * _l1(d))
     assert max(abs(z) for co in a.terms.values() for z in co.terms.values()) >= 2**(first - 1)
     assert exact_right_divide(n, d) == a
     assert torus_mul_pairwise(a, d) == n
