@@ -7,12 +7,10 @@ All commutation factors come from the ambient skew form through the
 embedding w_gamma -> X^{B~ gamma}; no separate Euler-form bookkeeping is
 needed (the compatible pair already encodes it).
 
-A product of series groups its term pairs by output degree and hands them to
-qlaurent.product_sums: one packing width per product, from the proven bound
-max over outputs of sum L1(n1) L1(n2) 2^(missing factors), each numerator
-packed once, one integer multiply per pair, and one divmod per tried
-(1 - T^k) when each output is cancelled (the width rule makes that test
-exact; see qlaurent).  Each series computes its exponents and covectors once.
+A product of series groups its term pairs by output degree, and equality
+the coefficients of both series, and hands them to qlaurent.product_sums in
+one call (packing, width rule and cancellation there).  Each series computes
+its exponents and covectors once.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from operator import add, gt, mul
 
 from .errors import BoundTooSmall, DimensionMismatch, SignAmbiguous, TailNotVanishing
 from .linalg import Echelon
-from .qlaurent import PochhammerFraction, QLaurent, product_sums
+from .qlaurent import _MINUS_ONE, _ONE, PochhammerFraction, QLaurent, product_sums
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
 
@@ -118,8 +116,6 @@ class ConeSeries:
         self.base = tuple(base) if base is not None else (0,) * form.dim
         self.coeffs = {}
         for gamma, c in (coeffs or {}).items():
-            if isinstance(c, QLaurent):
-                c = PochhammerFraction(c)
             if not c.is_zero() and all(g <= b for g, b in zip(gamma, self.bound)):
                 self.coeffs[tuple(gamma)] = c
         self._rows = None
@@ -181,14 +177,18 @@ class ConeSeries:
         return ConeSeries(self.form, self.btilde, bound, base, product_sums(outputs))
 
     def __eq__(self, other):
+        """Equal bases and every coefficient of self - other zero, summed in
+        one product_sums call over the union of the degrees."""
         if not isinstance(other, ConeSeries):
             return NotImplemented
         self._compat(other)
         if self.base != other.base:
             return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = PochhammerFraction.zero()
-        return all(self.coeffs.get(g, zero) == other.coeffs.get(g, zero) for g in keys)
+        diffs: dict[tuple, list] = {}
+        for coeffs, unit in ((self.coeffs, _ONE), (other.coeffs, _MINUS_ONE)):
+            for g, c in coeffs.items():
+                diffs.setdefault(g, []).append((c, unit, 0))
+        return all(d.is_zero() for d in product_sums(diffs).values())
 
     def __repr__(self):
         body = ", ".join(f"{g}: {c!r}" for g, c in sorted(self.coeffs.items()))
@@ -200,6 +200,7 @@ def _pochhammer_coefficients(depth: int, sign: int):
 
     Plus exponent:  T^{n^2/2} / ((1-T)...(1-T^n));
     minus exponent: (-1)^n T^{n/2} / ((1-T)...(1-T^n)).
+    Each is in lowest terms: no 1 - T^k divides a monomial.
     """
     out = []
     for nn in range(depth + 1):
@@ -208,7 +209,7 @@ def _pochhammer_coefficients(depth: int, sign: int):
             num = QLaurent.monomial(nn * nn)
         else:
             num = QLaurent.monomial(nn, (-1) ** nn)
-        out.append(PochhammerFraction(num, den))
+        out.append(PochhammerFraction.of(num, den))
     return out
 
 

@@ -174,13 +174,9 @@ def subspaces(field: GF, d: int, k: int):
 class FqRep:
     """A DecRep's matrices reduced into GF(q), plus the tables gr_count builds.
 
-    The tables are filled on first use and shared by every stratum counted
-    on this FqRep.  At the enumerated vertices: subspace lists and point
-    incidences keyed by (vertex, sub-dimension), arrow tables keyed by
-    (arrow id, sub-dimension at the source, sub-dimension at the target).
-    At the vertices counted in closed form: images keyed by (arrow id,
-    sub-dimension at the target), preimage rows keyed by (arrow id,
-    sub-dimension at the source), and bounds keyed by (vertex, its
+    `tables` holds every table, filled on first use and shared by every
+    stratum counted on this FqRep, keyed by (builder, its arguments): see
+    `_table`.  The closed-form bounds are keyed by (`_bounds`, vertex, its
     neighbours' sub-dimensions), each a dict from the neighbours' subspace
     indices to (dim L, dim H), or None when L does not lie in H.
     """
@@ -189,12 +185,7 @@ class FqRep:
     dims: tuple[int, ...]
     mats: dict[str, tuple]         # arrow id -> row tuples, shape dims[src] x dims[tgt]
     arrows: tuple                  # (id, source, target) triples
-    subspace_lists: dict = field(default_factory=dict, repr=False, compare=False)
-    incidences: dict = field(default_factory=dict, repr=False, compare=False)
-    arrow_tables: dict = field(default_factory=dict, repr=False, compare=False)
-    images: dict = field(default_factory=dict, repr=False, compare=False)
-    preimages: dict = field(default_factory=dict, repr=False, compare=False)
-    bounds: dict = field(default_factory=dict, repr=False, compare=False)
+    tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @functools.cached_property
     def links(self) -> dict:
@@ -350,7 +341,7 @@ def _closed_factor(rep: FqRep, v: int, sub_dims, position: dict):
     gens = [(_images(rep, aid, tgt, sub_dims[tgt - 1]), position[tgt]) for aid, tgt in outs]
     cons = [(_preimages(rep, aid, src, sub_dims[src - 1]), position[src])
             for aid, src in ins]
-    known = rep.bounds.setdefault((v, tuple(sub_dims[u - 1] for u in nbrs)), {})
+    known = rep.tables.setdefault((_bounds, v, tuple(sub_dims[u - 1] for u in nbrs)), {})
 
     def factor(choice):
         key = tuple(choice[t] for t in spots)
@@ -390,99 +381,97 @@ def _rank(field: GF, vectors) -> int:
     return len(basis)
 
 
+def _table(build):
+    """build(rep, *args), computed once per FqRep and kept in rep.tables
+    under (build, *args)."""
+    @functools.wraps(build)
+    def cached(rep: FqRep, *args):
+        key = (build, *args)
+        if key not in rep.tables:
+            rep.tables[key] = build(rep, *args)
+        return rep.tables[key]
+    return cached
+
+
+@_table
 def _subspace_list(rep: FqRep, v: int, k: int) -> list:
-    key = (v, k)
-    if key not in rep.subspace_lists:
-        rep.subspace_lists[key] = list(subspaces(rep.field, rep.dims[v - 1], k))
-    return rep.subspace_lists[key]
+    return list(subspaces(rep.field, rep.dims[v - 1], k))
 
 
+@_table
 def _images(rep: FqRep, aid, tgt: int, k: int) -> list:
     """For each k-subspace U at the arrow's target, the nonzero images under
     the arrow of U's RREF rows."""
-    key = (aid, k)
-    if key not in rep.images:
-        mat = rep.mats[aid]
-        table = []
-        for rows in _subspace_list(rep, tgt, k):
-            images = (tuple(_dot_row(rep.field, mat_row, u) for mat_row in mat)
-                      for u in rows)
-            table.append([img for img in images if any(img)])
-        rep.images[key] = table
-    return rep.images[key]
+    mat = rep.mats[aid]
+    table = []
+    for rows in _subspace_list(rep, tgt, k):
+        images = (tuple(_dot_row(rep.field, mat_row, u) for mat_row in mat)
+                  for u in rows)
+        table.append([img for img in images if any(img)])
+    return table
 
 
+@_table
 def _preimages(rep: FqRep, aid, src: int, k: int) -> list:
     """For each k-subspace U at the arrow's source, the nonzero rows whose
     common kernel is the preimage of U: for each non-pivot column c of U,
     the functional x -> (a(x) reduced by U's RREF rows)_c."""
-    key = (aid, k)
-    if key not in rep.preimages:
-        add, mul, neg = rep.field._add, rep.field._mul, rep.field._neg
-        mat = rep.mats[aid]
-        table = []
-        for rows in _subspace_list(rep, src, k):
-            pivots = [r.index(1) for r in rows]
-            functionals = []
-            for c, func in enumerate(mat):
-                if c in pivots:
-                    continue
-                for r, p in zip(rows, pivots):
-                    if r[c]:
-                        m = mul[neg[r[c]]]
-                        func = [add[x][m[y]] for x, y in zip(func, mat[p])]
-                if any(func):
-                    functionals.append(func)
-            table.append(functionals)
-        rep.preimages[key] = table
-    return rep.preimages[key]
+    add, mul, neg = rep.field._add, rep.field._mul, rep.field._neg
+    mat = rep.mats[aid]
+    table = []
+    for rows in _subspace_list(rep, src, k):
+        pivots = [r.index(1) for r in rows]
+        functionals = []
+        for c, func in enumerate(mat):
+            if c in pivots:
+                continue
+            for r, p in zip(rows, pivots):
+                if r[c]:
+                    m = mul[neg[r[c]]]
+                    func = [add[x][m[y]] for x, y in zip(func, mat[p])]
+            if any(func):
+                functionals.append(func)
+        table.append(functionals)
+    return table
 
 
+@_table
 def _incidence(rep: FqRep, v: int, k: int) -> dict:
     """Projective point (first nonzero entry 1) -> bitset of the k-subspaces
     at v that contain it."""
-    key = (v, k)
-    if key not in rep.incidences:
-        add, mul, q = rep.field._add, rep.field._mul, rep.field.q
-        inc = {}
-        for i, rows in enumerate(_subspace_list(rep, v, k)):
-            bit = 1 << i
-            # the points led by an RREF row are that row plus the span of
-            # the rows below it
-            span = [(0,) * rep.dims[v - 1]]
-            for lead in range(k - 1, -1, -1):
-                row = rows[lead]
-                for vec in span:
-                    point = tuple(add[x][y] for x, y in zip(row, vec))
-                    inc[point] = inc.get(point, 0) | bit
-                if lead:
-                    span = [tuple(add[x][mul[c][y]] for x, y in zip(vec, row))
-                            for c in range(q) for vec in span]
-        rep.incidences[key] = inc
-    return rep.incidences[key]
+    add, mul, q = rep.field._add, rep.field._mul, rep.field.q
+    inc = {}
+    for i, rows in enumerate(_subspace_list(rep, v, k)):
+        bit = 1 << i
+        # the points led by an RREF row are that row plus the span of
+        # the rows below it
+        span = [(0,) * rep.dims[v - 1]]
+        for lead in range(k - 1, -1, -1):
+            row = rows[lead]
+            for vec in span:
+                point = tuple(add[x][y] for x, y in zip(row, vec))
+                inc[point] = inc.get(point, 0) | bit
+            if lead:
+                span = [tuple(add[x][mul[c][y]] for x, y in zip(vec, row))
+                        for c in range(q) for vec in span]
+    return inc
 
 
+@_table
 def _arrow_table(rep: FqRep, aid, src: int, tgt: int, k_src: int, k_tgt: int) -> list:
     """For each k_tgt-subspace U at tgt, the bitset of k_src-subspaces at src
     that contain the image of U under the arrow."""
-    key = (aid, k_src, k_tgt)
-    if key not in rep.arrow_tables:
-        field = rep.field
-        mat = rep.mats[aid]
-        inc = _incidence(rep, src, k_src)
-        full = (1 << len(_subspace_list(rep, src, k_src))) - 1
-        table = []
-        for rows in _subspace_list(rep, tgt, k_tgt):
-            allowed = full
-            for u in rows:
-                img = [_dot_row(field, mat_row, u) for mat_row in mat]
-                lead = next((x for x in img if x), 0)
-                if lead:
-                    scale = field.inv(lead)
-                    allowed &= inc.get(tuple(field.mul(scale, x) for x in img), 0)
-            table.append(allowed)
-        rep.arrow_tables[key] = table
-    return rep.arrow_tables[key]
+    field = rep.field
+    inc = _incidence(rep, src, k_src)
+    full = (1 << len(_subspace_list(rep, src, k_src))) - 1
+    table = []
+    for images in _images(rep, aid, tgt, k_tgt):
+        allowed = full
+        for img in images:
+            scale = field.inv(next(x for x in img if x))
+            allowed &= inc.get(tuple(field.mul(scale, x) for x in img), 0)
+        table.append(allowed)
+    return table
 
 
 def _transpose(table: list, width: int) -> list:

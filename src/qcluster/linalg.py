@@ -69,9 +69,6 @@ class Mat:
         return Mat(self.rows, self.cols,
                    [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.a, other.a)])
 
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-x for x in r] for r in self.a])
-
     def scale(self, c) -> "Mat":
         return Mat(self.rows, self.cols, [[c * x for x in r] for r in self.a])
 

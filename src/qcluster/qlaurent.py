@@ -5,18 +5,23 @@ anywhere.  QLaurent is a sparse exponent->coefficient map; the same class
 doubles as the coefficient ring in the variable T^(1/2) for motivic weights
 (q <-> T).
 
-Packing (Kronecker substitution), shared with the torus kernel: a Laurent
-polynomial sum_k c_k v^k is (lo, x) with lo its lowest degree and
-x = sum_k c_k 2^((k - lo) bits), its value at v = 2^bits over v^lo, read back
-in balanced digits.  The width rule: bits = B.bit_length() + 2 for a proven
-bound B on L1 (the sum of the absolute values of the coefficients), so every
-digit, and every residue-class sum below, is less than 2^(bits-2) in size.
+Packing (Kronecker substitution), the one coefficient kernel of this
+module, the torus and the cone series: a Laurent polynomial sum_k c_k v^k is
+(lo, x) with lo its lowest degree and x = sum_k c_k 2^((k - lo) bits), its
+value at v = 2^bits over v^lo, read back in balanced digits (a digit
+>= 2^(bits-1) is negative and borrows one).  A product of packed values is
+one integer multiply, and packed values add through `_accumulate`.  The
+width rule: bits = B.bit_length() + 2 (`pack_width`) for a proven bound B on
+every digit, so every digit, and every residue-class sum below, is less than
+2^(bits-2) in size.  L1, the sum of the absolute values of the
+coefficients, gives the bounds: L1(a) L1(b) for a product a b, and the sum
+of those over the terms of a sum of products.
 
-A PochhammerFraction is num / prod_k (1 - T^k)^m_k with T = v^2.  Its
-construction, sums and equality, and the sums of pair products behind cone
-products, bring every numerator over the per-k maximum denominator on packed
-integers, add them into one integer per output and apply the one
-cancellation rule, `_cancel`: one divmod by 1 - 2^(2k bits) per tried
+A PochhammerFraction is num / prod_k (1 - T^k)^m_k with T = v^2.  Every sum
+of fractions goes through `product_sums`, sums and differences as products
+with 1 and -1: it brings the numerators over the per-k maximum denominator
+on packed integers, adds them into one integer per output and applies the
+one cancellation rule, `_cancel`: one divmod by 1 - 2^(2k bits) per tried
 (1 - T^k), exact by the width rule (proof there).  The canonical (num, den)
 is the one that repeated exact division gives.
 """
@@ -68,8 +73,6 @@ class QLaurent:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = QLaurent.from_int(other)
         return isinstance(other, QLaurent) and self.terms == other.terms
 
     def __hash__(self):
@@ -96,24 +99,18 @@ class QLaurent:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return QLaurent()
-            res = QLaurent()
-            res.terms = {k: c * other for k, c in self.terms.items()}
-            return res
-        out: dict[int, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+        """The product with an int or, packed at the width of L1 L1, a QLaurent."""
         res = QLaurent()
-        res.terms = out
-        return res
+        if isinstance(other, int):
+            if other:
+                res.terms = {k: c * other for k, c in self.terms.items()}
+            return res
+        if not (self.terms and other.terms):
+            return res
+        bits = pack_width(_l1(self) * _l1(other))
+        lo1, x1 = pack(self.terms, bits)
+        lo2, x2 = pack(other.terms, bits)
+        return unpack(lo1 + lo2, x1 * x2, bits)
 
     __rmul__ = __mul__
 
@@ -267,10 +264,7 @@ def pack(c: dict, bits: int) -> list:
 
 
 def unpack(lo: int, x: int, bits: int) -> QLaurent:
-    """The Laurent polynomial of a packed (lo, x), read in balanced digits.
-
-    A digit >= 2^(bits-1) is negative and borrows one from the next.
-    """
+    """The Laurent polynomial of a packed (lo, x), read in balanced digits."""
     res = QLaurent()
     _read_digits(res.terms, lo, x, x.bit_length() // bits + 1, bits)
     return res
@@ -403,27 +397,10 @@ def _cancel(lo: int, x: int, bound: int, den: dict[int, int], bits: int):
     return unpack(lo, x, bits), left
 
 
-def _over_common(parts):
-    """The fractions num/have of parts over their common denominator, packed.
-
-    Returns (lo, x, bound, den, bits): den is the per-k maximum of the
-    denominators, x packs sum_i num_i prod (1 - T^k)^(den_k - have_ik) at a
-    width that holds bound = sum_i L1(num_i) 2^(missing factors of part i),
-    which is at least the sum's L1, and so every digit.
-    """
-    den = _lcm_den(have for _, have in parts)
-    keyed = [(_missing(den, have), num) for num, have in parts if num.terms]
-    bound = sum(_cofactor_l1(missing) * _l1(num) for missing, num in keyed)
-    bits = pack_width(bound)
-    groups: dict = {}
-    for missing, num in keyed:
-        _accumulate(groups, missing, *pack(num.terms, bits), bits)
-    return (*_over_den(groups, bits), bound, den, bits)
-
-
 def fraction_sum(parts) -> "PochhammerFraction":
     """sum_i num_i / den_i over a sequence of (num_i, den_i) pairs, cancelled once."""
-    return PochhammerFraction.of(*_cancel(*_over_common(parts)))
+    return product_sums({0: [(PochhammerFraction.of(num, den), _ONE, 0)
+                             for num, den in parts]})[0]
 
 
 def product_sums(outputs: dict) -> dict:
@@ -433,12 +410,11 @@ def product_sums(outputs: dict) -> dict:
     output's common denominator is the per-k maximum of its parts'
     denominators.  One width serves every output, from the proven bound
     max over outputs of sum_parts L1(num_a) L1(num_b) 2^(missing factors)
-    (`_cofactor_l1`), so each
-    distinct numerator is packed once.  A part then costs one integer
-    multiply of the two numerators, added into its output under its missing
-    factors; the parts of an output that miss the same factors are
-    multiplied by their cofactor once.  Outputs are summed, cancelled and
-    unpacked one at a time.
+    (`_cofactor_l1`), so each distinct numerator is packed once.  A part
+    then costs one integer multiply of the two numerators, added into its
+    output under its missing factors; the parts of an output that miss the
+    same factors are multiplied by their cofactor once.  Outputs are summed,
+    cancelled and unpacked one at a time.
     """
     fracs = {id(c): c for parts in outputs.values() for a, b, _ in parts for c in (a, b)}
     l1s = {i: _l1(c.num) for i, c in fracs.items()}
@@ -487,7 +463,8 @@ class PochhammerFraction:
         """num / den, with every (1 - T^k) factor that divides num cancelled."""
         self.num, self.den = num, {}
         if num.terms and den:
-            self.num, self.den = _cancel(*_over_common(((num, den),)))
+            res = fraction_sum(((num, den),))
+            self.num, self.den = res.num, res.den
 
     @staticmethod
     def of(num: QLaurent, den: dict[int, int]) -> "PochhammerFraction":
@@ -495,10 +472,6 @@ class PochhammerFraction:
         res = PochhammerFraction.__new__(PochhammerFraction)
         res.num, res.den = num, den
         return res
-
-    @staticmethod
-    def zero() -> "PochhammerFraction":
-        return PochhammerFraction(QLaurent.zero())
 
     @staticmethod
     def one() -> "PochhammerFraction":
@@ -518,10 +491,10 @@ class PochhammerFraction:
     def __eq__(self, other):
         if not isinstance(other, PochhammerFraction):
             return NotImplemented
-        return not _over_common(((self.num, self.den), (-other.num, other.den)))[1]
+        return product_sums({0: [(self, _ONE, 0), (other, _MINUS_ONE, 0)]})[0].is_zero()
 
     def __add__(self, other: "PochhammerFraction") -> "PochhammerFraction":
-        return fraction_sum(((self.num, self.den), (other.num, other.den)))
+        return product_sums({0: [(self, _ONE, 0), (other, _ONE, 0)]})[0]
 
     def __neg__(self) -> "PochhammerFraction":
         return PochhammerFraction.of(-self.num, dict(self.den))
@@ -529,9 +502,7 @@ class PochhammerFraction:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, QLaurent):
-            other = PochhammerFraction(other)
+    def __mul__(self, other: "PochhammerFraction") -> "PochhammerFraction":
         return product_sums({0: [(self, other, 0)]})[0]
 
     def shift(self, k: int) -> "PochhammerFraction":
@@ -544,3 +515,8 @@ class PochhammerFraction:
         den = " ".join(f"(1-T^{k})^{m}" if m > 1 else f"(1-T^{k})"
                        for k, m in sorted(self.den.items()))
         return f"PochFrac(({self.num.render()}) / {den})"
+
+
+# The unit partners that turn sums and differences into product_sums parts.
+_ONE = PochhammerFraction.of(QLaurent.one(), {})
+_MINUS_ONE = PochhammerFraction.of(QLaurent.from_int(-1), {})

@@ -6,14 +6,10 @@ is monomial-order long division under graded lex (torus monomials are units,
 so each leading term cancels in one step).
 
 The product, the q-commutation test, ordered power products and the division
-all run one kernel on packed coefficients (Kronecker substitution, the
-packing of qlaurent): a coefficient sum_k c_k v^k is (lo, x) with lo its
-lowest degree and x = sum_k c_k 2^((k - lo) bits), so a term pair costs one
-integer multiply.  Digits are read back balanced (a digit >= 2^(bits-1) is
-negative, with a borrow).  The width is bits = B.bit_length() + 2 for a
-proven bound B on every digit: L1(a) L1(b) for a * b, where L1 sums the
-absolute values of all integer coefficients, and twice that for the
-commutation test.
+all run one kernel on coefficients packed as in qlaurent (packing and width
+rule there), so a term pair costs one integer multiply.  The digit bound is
+L1(a) L1(b) for a * b, with L1 over all integer coefficients, and twice that
+for the commutation test.
 """
 
 from __future__ import annotations
@@ -21,7 +17,8 @@ from __future__ import annotations
 from operator import add, mul
 
 from .errors import DimensionMismatch, NotDivisible
-from .qlaurent import QLaurent, pack, pack_width, unpack
+from . import qlaurent
+from .qlaurent import QLaurent, _accumulate, pack, pack_width, unpack
 
 
 class SkewForm:
@@ -79,8 +76,6 @@ class TorusElement:
         self.form = form
         clean = {}
         for e, c in (terms or {}).items():
-            if not isinstance(c, QLaurent):
-                c = QLaurent.from_int(c)
             if not c.is_zero():
                 if len(e) != form.dim:
                     raise DimensionMismatch("exponent length != form dimension")
@@ -190,7 +185,7 @@ class TorusElement:
 
 def _l1(a: TorusElement) -> int:
     """The sum of the absolute values of all integer coefficients of a."""
-    return sum(abs(z) for c in a.terms.values() for z in c.terms.values())
+    return sum(map(qlaurent._l1, a.terms.values()))
 
 
 def _packed(a: TorusElement, bits: int) -> dict:
@@ -230,15 +225,7 @@ def _product_into(acc: dict, left, right, bits: int, mirror=None):
                     p = (p << (-gap * bits)) - p
                 else:
                     continue
-            e = tuple(map(add, e1, e2))
-            out = acc.get(e)
-            if out is None:
-                acc[e] = [lo, p]
-            elif lo >= out[0]:
-                out[1] += p << ((lo - out[0]) * bits)
-            else:
-                out[1] = p + (out[1] << ((out[0] - lo) * bits))
-                out[0] = lo
+            _accumulate(acc, tuple(map(add, e1, e2)), lo, p, bits)
 
 
 def _element(form: SkewForm, packed: dict, bits: int, shift: int = 0) -> TorusElement:
@@ -340,7 +327,7 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
             raise NotDivisible("coefficient quotient is not Laurent",
                                remainder=_element(form, rem, bits))
         quot.terms[eq] = cq
-        l1q += sum(map(abs, cq.terms.values()))
+        l1q += qlaurent._l1(cq)
         bound = l1n + l1q * l1d
         if pack_width(bound) > bits:
             wide = pack_width(2 * bound)

@@ -354,6 +354,15 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("expand", {"lambda": [[0, 2], [-2, 0]]}, ["--route", "both", "--json"]),
     ("count", {"lambda": [[0, 2], [-2, 0]]}, []),
     ("count", {"lambda": [[0, 2], [-2, 0]]}, ["--json"]),
+    ("mutate", {"btilde": [[0, 1]]}, []),               # btilde has fewer rows than m
+    ("mutate", {"btilde": [[0, 1, 0], [-1, 0, 0]]}, []),  # and rows longer than n
+    ("mutate", {"ks": [3]}, []),                        # a direction outside 1..n
+    ("expand", {"ks": [0]}, ["--route", "dt"]),
+    ("expand", {"lam": [1]}, []),                       # lam of length != m
+    ("mutate", {"ks": [1, 1]}, []),                     # consecutive equal directions
+    ("expand", {"ks": [1, 1]}, ["--route", "dt"]),
+    ("count", {"ks": [1, 1]}, []),
+    ("expand", {"lam": [10**30, 0]}, ["--route", "dt"]),  # more copies than H^1 can hold
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole
@@ -414,6 +423,18 @@ def test_primes_flag_must_be_integers(tmp_path, capsys, primes):
     assert main(["count", spec, "--primes", primes, "--json"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert "--primes takes comma-separated integers" in error["message"]
+
+
+def test_dt_route_names_a_lam_entry_too_large_for_h1(tmp_path, capsys):
+    """No OverflowError traceback: the entry is named, on stderr and in the
+    one error document under --json."""
+    spec = write_spec(tmp_path, dict(A2_DOC, lam=[0, 10**30]))
+    assert main(["expand", spec, "--route", "dt", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "error: lam entry 2 is " + str(10**30) in captured.err
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "DimensionMismatch" and "lam entry 2" in error["message"]
 
 
 @pytest.mark.parametrize("lam", [[-1, 0], [-1, 1]])

@@ -352,3 +352,27 @@ def test_cone_mul_matches_pairwise_products(pair):
     # and each output holds exactly the (num, den) the division oracle cancels to
     assert ({g: (c.num.terms, c.den) for g, c in got.items()}
             == {g: (num.terms, den) for g, (num, den) in cone_mul_by_division(a, b).items()})
+
+
+def test_series_equality_reads_every_coefficient_the_base_and_the_degrees():
+    """ConeSeries == sums self - other in one product_sums call over the
+    union of the degrees: one differing coefficient, the base or a nonzero
+    term at a degree of one side only makes it False, and a zero
+    coefficient at a degree of one side only does not."""
+    bound = (4, 4)
+    a = pochhammer(L2, B2, bound, (1, 1), +1) * pochhammer(L2, B2, bound, (1, 0), -1)
+    assert a == ConeSeries(L2, B2, bound, a.base, dict(a.coeffs))
+    g = max(a.coeffs)
+    extra = (0, 1)                      # every degree of a has g_1 >= g_2
+    assert extra not in a.coeffs
+    changed = dict(a.coeffs)
+    changed[g] = changed[g] + PochhammerFraction.one()
+    dropped = {h: c for h, c in a.coeffs.items() if h != g}
+    for other in (ConeSeries(L2, B2, bound, a.base, changed),
+                  ConeSeries(L2, B2, bound, (1, 0), dict(a.coeffs)),
+                  ConeSeries(L2, B2, bound, a.base, {**a.coeffs, extra: a.coeffs[g]}),
+                  ConeSeries(L2, B2, bound, a.base, dropped)):
+        assert a != other and other != a
+    padded = ConeSeries(L2, B2, bound, a.base, dict(a.coeffs))
+    padded.coeffs[extra] = PochhammerFraction.of(QLaurent(), {1: 1})
+    assert a == padded and padded == a

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from qcluster.decorated import DecRep, h1_aggregate
 from qcluster.errors import BudgetExceeded, NotPolynomialCount, QClusterError
-from qcluster.grassmannian import (GF, FqRep, coefficient_crosscheck,
-                                   enumeration_size, gaussian_binomial, gr_count,
-                                   purity_pattern, serre_interpolate, subspaces,
-                                   to_fq)
+from qcluster.grassmannian import (GF, FqRep, _arrow_table, _images,
+                                   coefficient_crosscheck, enumeration_size,
+                                   gaussian_binomial, gr_count, purity_pattern,
+                                   serre_interpolate, subspaces, to_fq)
 from qcluster.linalg import Mat
 from qcluster.qlaurent import QLaurent
 from qcluster.quiver import Arrow, Potential, QPData, Quiver, mutate_qp_sequence
@@ -215,6 +215,28 @@ def test_gr_count_matches_table_oracle_on_corpus_h1(name):
             fq, oracle = to_fq(h1, q), to_fq(h1, q)
             for gamma in gammas:
                 assert gr_count(fq, gamma) == gr_count_tables(oracle, gamma), (ks, q, gamma)
+
+
+def test_tables_are_built_once_per_fqrep():
+    """A second call for the same table returns the kept object, the arrow
+    tables read the kept images, and the counts still equal the table and
+    per-tuple oracles."""
+    q = 3
+    rep = FqRep(GF(q), (2, 2), {"a": ((1, 0), (2, 1)), "b": ((0, 1), (0, 0))},
+                (("a", 1, 2), ("b", 2, 1)))
+    table = _arrow_table(rep, "a", 1, 2, 1, 1)
+    images = _images(rep, "a", 2, 1)
+    assert _arrow_table(rep, "a", 1, 2, 1, 1) is table
+    assert _images(rep, "a", 2, 1) is images
+    assert len(images) == len(table) == gaussian_binomial(2, 1, q)
+    gammas = list(itertools.product(range(3), range(3)))
+    counts = [gr_count(rep, gamma) for gamma in gammas]
+    assert counts == [gr_count_tables(rep, gamma) for gamma in gammas]
+    assert counts == [gr_count_per_tuple(rep, gamma) for gamma in gammas]
+    kept = dict(rep.tables)
+    assert [gr_count(rep, gamma) for gamma in gammas] == counts
+    assert rep.tables.keys() == kept.keys()
+    assert all(rep.tables[key] is value for key, value in kept.items())
 
 
 def test_serre_interpolate_examples():

@@ -7,7 +7,7 @@ from qcluster.qlaurent import (PochhammerFraction, QLaurent, fraction_sum,
                                lefschetz_decompose, pack, pack_width)
 
 from .oracles import (cancel_by_division, fraction_is_laurent, fraction_sum_by_division,
-                      fractions_equal, laurent_divide_exact, lefschetz_string,
+                      fractions_equal, laurent_divide_exact, lefschetz_string, lmul,
                       pochhammer_denominator)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -169,6 +169,23 @@ def test_render():
     assert QLaurent({-1: 1, 0: 2, 2: -3}).render() == "q^(-1/2) + 2 - 3*q"
     assert QLaurent().render() == "0"
     assert QLaurent({1: 3}).render_plain() == "3*T"
+
+
+wide_laurents = st.dictionaries(st.integers(-9, 9), st.integers(-2**40, 2**40),
+                                max_size=6).map(QLaurent)
+
+
+@PROPERTY
+@given(wide_laurents, wide_laurents, st.integers(-5, 5))
+def test_packed_product_matches_the_term_by_term_oracle(p, q, c):
+    """The one integer multiply at width pack_width(L1 L1) against the
+    double loop, with negative exponents and coefficients up to 2^40; an
+    int operand, 0 included, scales every coefficient."""
+    want = {e: x for e, x in lmul(p.terms, q.terms).items() if x}
+    assert (p * q).terms == want and (q * p).terms == want
+    assert (p * c).terms == {e: x * c for e, x in p.terms.items() if c}
+    assert (c * p) == p * c
+    assert (p * 0).is_zero() and (p * -3).terms == {e: -3 * x for e, x in p.terms.items()}
 
 
 @PROPERTY
