@@ -4,18 +4,21 @@ A seed carries the ambient (initial) skew form, the current form Lambda_M,
 the m x n exchange matrix, and the current cluster expressed inside the
 initial torus.  Mutation follows the matrix rule and the exchange relation;
 the new variable is produced by one exact right division of the two-monomial
-numerator by the old variable (only the sum is guaranteed Laurent).
+numerator by the old variable (only the sum is guaranteed Laurent); the two
+monomials go into the division as packed power chains, never built as
+elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (DimensionMismatch, IncompatiblePair, InconsistentLattice,
                      NoGVector, NotSkewSymmetric)
 from .qlaurent import QLaurent
-from .torus import (SkewForm, TorusElement, exact_right_divide, first_noncommuting,
-                    power_product)
+from .torus import (SkewForm, TorusElement, divide_power_sum, exact_right_divide,
+                    first_noncommuting, power_product)
 
 
 def _check_btilde(btilde, m, n):
@@ -74,8 +77,11 @@ def initial_seed(lam: SkewForm, btilde, n: int) -> QuantumSeed:
     return QuantumSeed(m, n, lam, btilde, vars, lam)
 
 
-def _positive_product(s: QuantumSeed, c, shift: int = 0) -> TorusElement:
-    """v^shift M(c) for entrywise non-negative c: normalized ordered product."""
+def _chain(s: QuantumSeed, c, shift: int = 0):
+    """(factors, shift') with v^shift M(c) = v^shift' prod vars[i]^c_i, c >= 0.
+
+    The normalising twist is sum_{i<j} Lambda_M(i, j) c_i c_j.
+    """
     lam = s.lam
     twist = 0
     for i in range(s.m):
@@ -83,8 +89,12 @@ def _positive_product(s: QuantumSeed, c, shift: int = 0) -> TorusElement:
             for j in range(i + 1, s.m):
                 if c[j]:
                     twist += lam.entries[i][j] * c[i] * c[j]
-    factors = [(s.vars[i], c[i]) for i in range(s.m) if c[i]]
-    return power_product(s.initial_form, factors, shift - twist)
+    return [(s.vars[i], c[i]) for i in range(s.m) if c[i]], shift - twist
+
+
+def _positive_product(s: QuantumSeed, c, shift: int = 0) -> TorusElement:
+    """v^shift M(c) for entrywise non-negative c: normalized ordered product."""
+    return power_product(s.initial_form, *_chain(s, c, shift))
 
 
 def frame_monomial(s: QuantumSeed, c) -> TorusElement:
@@ -130,9 +140,9 @@ def mutate(s: QuantumSeed, k: int) -> QuantumSeed:
     p1 = tuple(col[i] if col[i] > 0 else 0 for i in range(s.m))
     p2 = tuple(-col[i] if col[i] < 0 else 0 for i in range(s.m))
     ek = tuple(1 if i == k - 1 else 0 for i in range(s.m))
-    numerator = (_positive_product(s, p1, s.lam.pair(p1, ek))
-                 + _positive_product(s, p2, s.lam.pair(p2, ek)))
-    new_var = exact_right_divide(numerator, s.vars[k - 1])
+    new_var = divide_power_sum(s.initial_form,
+                               [_chain(s, p, s.lam.pair(p, ek)) for p in (p1, p2)],
+                               s.vars[k - 1])
 
     # Lambda' read off from commutation: both exchange monomials q-commute
     # with X_j with the common exponent Lambda_M(p1 - e_k, e_j) for j != k.
@@ -181,6 +191,7 @@ def mutate_sequence(s: QuantumSeed, ks) -> QuantumSeed:
 def g_vector(r: TorusElement, s0: QuantumSeed) -> tuple[int, ...]:
     """The unique exponent g of r with every exponent in g + B~ Z^n_{>=0}.
 
+    r lives in s0's initial torus and brings its covectors.
     gamma_j(u) = Lambda(u, e_j) - Lambda(g, e_j) must be >= 0 for every term
     u, so g's covector row (j <= n) is the componentwise minimum over the
     terms; only the terms that attain it are checked.  At most one passes:
@@ -190,23 +201,23 @@ def g_vector(r: TorusElement, s0: QuantumSeed) -> tuple[int, ...]:
     if r.is_zero():
         raise NoGVector("zero element has no g-vector")
     n = s0.n
-    rows = {u: s0.initial_form.apply(u)[:n] for u in r.terms}
-    low = tuple(map(min, zip(*rows.values())))
+    rows = r.covectors()
+    low = tuple(map(min, zip(*(row[:n] for row in rows.values()))))
     for g, row in rows.items():
-        if row == low and all(_gamma_for(s0, u, g) is not None for u in r.terms):
+        if row[:n] == low and all(_gamma_for(s0, u, g, rows[u], row) is not None
+                                  for u in r.terms):
             return g
     raise NoGVector("no dominating exponent")
 
 
-def _gamma_for(s0: QuantumSeed, u, g):
-    """gamma in Z^n_{>=0} with B~ gamma = u - g, via gamma_j = -Lambda(e_j, u-g)."""
-    diff = tuple(a - b for a, b in zip(u, g))
-    row = s0.initial_form.apply(diff)  # row_j = Lambda(diff, e_j) = -Lambda(e_j, diff)
-    gamma = tuple(row[j] for j in range(s0.n))
+def _gamma_for(s0: QuantumSeed, u, g, row_u, row_g):
+    """gamma in Z^n_{>=0} with B~ gamma = u - g, by linearity from the rows
+    Lambda(u, .) and Lambda(g, .): gamma_j = Lambda(u - g, e_j)."""
+    gamma = tuple(row_u[j] - row_g[j] for j in range(s0.n))
     if any(x < 0 for x in gamma):
         return None
     for i in range(s0.m):
-        if sum(s0.btilde[i][j] * gamma[j] for j in range(s0.n)) != diff[i]:
+        if sum(s0.btilde[i][j] * gamma[j] for j in range(s0.n)) != u[i] - g[i]:
             return None
     return gamma
 
@@ -215,15 +226,16 @@ def f_polynomial(r: TorusElement, g, s0: QuantumSeed):
     """Coefficients c_gamma with r = sum_gamma c_gamma * X^g X^{B~ gamma}.
 
     The raw coefficient at exponent u is rescaled by v^{-Lambda(g, B~ gamma)}
-    so the product decomposition holds exactly.
+    so the product decomposition holds exactly; Lambda(g, u - g) = Lambda(g, u).
     """
+    rows = r.covectors()
+    row_g = s0.initial_form.apply(g)
     out: dict[tuple[int, ...], QLaurent] = {}
     for u, c in r.terms.items():
-        gamma = _gamma_for(s0, u, g)
+        gamma = _gamma_for(s0, u, g, rows[u], row_g)
         if gamma is None:
             raise InconsistentLattice(f"exponent {u} not of the form g + B~ gamma")
-        bg = tuple(a - b for a, b in zip(u, g))
-        out[gamma] = c.shift(-s0.initial_form.pair(g, bg))
+        out[gamma] = c.shift(-sum(map(mul, row_g, u)))
     return out
 
 

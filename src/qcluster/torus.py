@@ -7,14 +7,30 @@ so each leading term cancels in one step).
 
 The product, the q-commutation test, ordered power products and the division
 all run one kernel on coefficients packed as in qlaurent (packing and width
-rule there), so a term pair costs one integer multiply.  The digit bound is
-L1(a) L1(b) for a * b, with L1 over all integer coefficients, and twice that
-for the commutation test.
+rule there), so a term pair costs one integer multiply.  The kernel's right
+operand brings its covectors, and a pair's twist is
+Lambda(e1, e2) = -Lambda(e2, .) . e1.  An element computes its L1, its
+per-term covectors and its packing at the last width used on first use and
+keeps them, so a cluster variable that no mutation changes is covectored
+once per sequence.
+
+Digit bounds, with L1 over all integer coefficients: L1(a) L1(b) for a * b,
+twice that for the commutation test, and the product of the L1(a)^k for an
+ordered power product of the a^k.  A division's remainder digits are at most
+B + L1(quotient so far) L1(d), for a bound B >= L1(n): B = L1(n) in
+`exact_right_divide`, and the sum of the chains' product bounds when an
+exchange numerator, a sum of power products, is added straight into the
+remainder (`divide_power_sum`).  The remainder starts at the width of
+2 B L1(d) and is repacked at twice the bound when the bound outgrows it.
+Each leading term comes from a lazy heap keyed by graded lex: a monomial
+order, so the leading exponent strictly descends.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from heapq import heapify, heappop, heappush
+from math import prod
+from operator import add, mul, neg, sub
 
 from .errors import DimensionMismatch, NotDivisible
 from . import qlaurent
@@ -45,12 +61,8 @@ class SkewForm:
         return sum(map(mul, self.apply(e), f))
 
     def apply(self, e) -> tuple[int, ...]:
-        """The covector Lambda(e, .) as a row: (Lambda e)_j = sum_i e_i L_ij."""
-        out = [0] * self.dim
-        for ei, row in zip(e, self.entries):
-            if ei:
-                out = [a + ei * x for a, x in zip(out, row)]
-        return tuple(out)
+        """The covector Lambda(e, .) as a row: (Lambda e)_j = sum_i e_i L_ij = -L_j . e."""
+        return tuple([-sum(map(mul, row, e)) for row in self.entries])
 
     def __eq__(self, other):
         return isinstance(other, SkewForm) and self.entries == other.entries
@@ -70,10 +82,11 @@ def grlex_key(e):
 class TorusElement:
     """A finite sum  sum_e c_e(v) X^e  in the torus attached to a SkewForm."""
 
-    __slots__ = ("form", "terms")
+    __slots__ = ("form", "terms", "_norm", "_rows", "_pack")
 
     def __init__(self, form: SkewForm, terms=None):
         self.form = form
+        self._norm = self._rows = self._pack = None
         clean = {}
         for e, c in (terms or {}).items():
             if not c.is_zero():
@@ -118,6 +131,12 @@ class TorusElement:
     def _check(self, other: "TorusElement"):
         if self.form != other.form:
             raise DimensionMismatch("operands live over different skew forms")
+
+    def covectors(self) -> dict:
+        """{e: Lambda(e, .)} over the terms, computed on first use and kept."""
+        if self._rows is None:
+            self._rows = {e: self.form.apply(e) for e in self.terms}
+        return self._rows
 
     def leading(self):
         """(exponent, coefficient) maximal under graded lex."""
@@ -184,33 +203,34 @@ class TorusElement:
 
 
 def _l1(a: TorusElement) -> int:
-    """The sum of the absolute values of all integer coefficients of a."""
-    return sum(map(qlaurent._l1, a.terms.values()))
+    """The sum of the absolute values of all integer coefficients of a, kept on a."""
+    if a._norm is None:
+        a._norm = sum(map(qlaurent._l1, a.terms.values()))
+    return a._norm
 
 
-def _packed(a: TorusElement, bits: int) -> dict:
-    """The terms of a as {exponent: [lo, x]}, the form the kernel accumulates in."""
-    return {e: pack(c.terms, bits) for e, c in a.terms.items()}
-
-
-def _with_rows(form: SkewForm, packed: dict):
-    """The nonzero packed terms as left operands: (exponent, Lambda(e, .), lo, x)."""
-    return [(e, form.apply(e), lo, x) for e, (lo, x) in packed.items() if x]
+def _operand(a: TorusElement, bits: int) -> list:
+    """The terms of a as (exponent, Lambda(e, .), lo, x), kept for the last width."""
+    if a._pack is None or a._pack[0] != bits:
+        rows = a.covectors()
+        a._pack = bits, [(e, rows[e], *pack(c.terms, bits)) for e, c in a.terms.items()]
+    return a._pack[1]
 
 
 def _product_into(acc: dict, left, right, bits: int, mirror=None):
     """Add sum c1 c2 v^{Lambda(e1,e2)} X^{e1+e2} into acc, the one product kernel.
 
-    `left` holds (exponent, covector, lo, x); `right` and `acc` map
-    exponents to [lo, x] at the same width, and `acc` keeps the zeros it
-    makes.  A term pair costs one multiplication x1 x2, placed at degree
-    lo1 + lo2 + tw.  With `mirror = k` each pair also adds -x1 x2 at
-    lo1 + lo2 + k - tw, a term of -v^k (right * left), because
-    Lambda(e2, e1) = -Lambda(e1, e2); pairs with 2 tw = k cancel and are skipped.
+    `left` holds (exponent, lo, x) and `right` is an `_operand`, whose
+    covectors give each pair's twist tw = -Lambda(e2, .) . e1; `acc` maps
+    exponents to [lo, x] at the same width and keeps the zeros it makes.  A
+    term pair costs one multiplication x1 x2, placed at degree lo1 + lo2 + tw.
+    With `mirror = k` each pair also adds -x1 x2 at lo1 + lo2 + k - tw, a
+    term of -v^k (right * left), because Lambda(e2, e1) = -Lambda(e1, e2);
+    pairs with 2 tw = k cancel and are skipped.
     """
-    for e1, row, lo1, x1 in left:
-        for e2, (lo2, x2) in right.items():
-            tw = sum(map(mul, row, e2))
+    for e1, lo1, x1 in left:
+        for e2, row, lo2, x2 in right:
+            tw = -sum(map(mul, row, e1))
             lo = lo1 + lo2 + tw
             if mirror is None:
                 p = x1 * x2
@@ -228,12 +248,12 @@ def _product_into(acc: dict, left, right, bits: int, mirror=None):
             _accumulate(acc, tuple(map(add, e1, e2)), lo, p, bits)
 
 
-def _element(form: SkewForm, packed: dict, bits: int, shift: int = 0) -> TorusElement:
-    """The TorusElement of packed terms times v^shift, without zeros."""
+def _element(form: SkewForm, packed: dict, bits: int) -> TorusElement:
+    """The TorusElement of packed terms, without zeros."""
     res = TorusElement(form)
     for e, (lo, x) in packed.items():
         if x:
-            res.terms[e] = unpack(lo + shift, x, bits)
+            res.terms[e] = unpack(lo, x, bits)
     return res
 
 
@@ -247,41 +267,45 @@ def _commutes(left, right, bits: int, k: int) -> bool:
 def first_noncommuting(elements, k):
     """The first pair i < j, in order, with a_i a_j != v^{k[i][j]} a_j a_i, or None.
 
-    Every pair is tested; each element is packed, at the width of the largest
-    pair bound, and its covectors are computed, once per call.
+    Every pair is tested, with every element packed at the width of the
+    largest pair bound.
     """
     if not elements:
         return None
-    form = elements[0].form
     top = max(map(_l1, elements))
     bits = pack_width(2 * top * top)
-    packed = [_packed(a, bits) for a in elements]
+    packed = [_operand(a, bits) for a in elements]
     for i, a in enumerate(packed):
-        left = _with_rows(form, a)
+        left = [(e, lo, x) for e, _, lo, x in a]
         for j in range(i + 1, len(packed)):
             if not _commutes(left, packed[j], bits, k[i][j]):
                 return i, j
     return None
 
 
+def _chain(form: SkewForm, factors, shift: int, bits: int) -> dict:
+    """v^shift times the ordered product of a^k over (a, k) in factors, packed at bits."""
+    acc = {(0,) * form.dim: [shift, 1]}
+    for a, k in factors:
+        right = _operand(a, bits)
+        for _ in range(k):
+            left, acc = [(e, lo, x) for e, (lo, x) in acc.items() if x], {}
+            _product_into(acc, left, right, bits)
+    return acc
+
+
+def _chain_bound(factors) -> int:
+    """The product of the L1(a)^k: it bounds every digit of every partial product."""
+    return prod(_l1(a) ** k for a, k in factors)
+
+
 def power_product(form: SkewForm, factors, shift: int = 0) -> TorusElement:
     """v^shift times the ordered product of a^k over (a, k) in factors.
 
-    One packed chain: every digit of every partial product is at most the
-    product of the L1(a)^k, so one width serves the whole chain; each factor
-    is packed once and the result unpacked once.
+    One packed chain at the width of its product bound, unpacked once.
     """
-    bound = 1
-    for a, k in factors:
-        bound *= _l1(a) ** k
-    bits = pack_width(bound)
-    acc = {(0,) * form.dim: [0, 1]}
-    for a, k in factors:
-        right = _packed(a, bits)
-        for _ in range(k):
-            left, acc = _with_rows(form, acc), {}
-            _product_into(acc, left, right, bits)
-    return _element(form, acc, bits, shift)
+    bits = pack_width(_chain_bound(factors))
+    return _element(form, _chain(form, factors, shift, bits), bits)
 
 
 def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
@@ -292,54 +316,90 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
     exponents are confined to the entrywise Newton box of n minus d (both
     max- and min-slices of a product multiply), which bounds the search and
     guarantees termination.  The remainder is packed, and each step
-    subtracts cq X^eq d from it in place and adds one quotient term.  Every
-    remainder digit is at most L1(n) + L1(quotient) L1(d); when that bound
-    outgrows the slot width, the remainder is repacked at twice the bound.
+    subtracts cq X^eq d from it in place and adds one quotient term.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero TorusElement")
     n._check(d)
-    form = n.form
-    if n.is_zero():
+    bound = _l1(n)
+    bits = pack_width(2 * bound * _l1(d))
+    return _divide({e: pack(c.terms, bits) for e, c in n.terms.items()}, d, bits, bound)
+
+
+def divide_power_sum(form: SkewForm, chains, d: TorusElement) -> TorusElement:
+    """The q with q * d = sum of v^shift prod a^k over (factors, shift) in chains.
+
+    Each chain is added, packed, into one remainder that the division loop of
+    exact_right_divide then runs on; B is the sum of the chains' bounds.
+    """
+    bound = sum(_chain_bound(factors) for factors, _ in chains)
+    bits = pack_width(2 * bound * _l1(d))
+    rem: dict = {}
+    for factors, shift in chains:
+        for e, (lo, x) in _chain(form, factors, shift, bits).items():
+            _accumulate(rem, e, lo, x, bits)
+    return _divide({e: t for e, t in rem.items() if t[1]}, d, bits, bound)
+
+
+def _heap_key(e):
+    """Graded lex, reversed for heapq, with e itself last."""
+    return -sum(e), tuple(map(neg, e)), e
+
+
+def _divide(rem: dict, d: TorusElement, bits: int, bound: int) -> TorusElement:
+    """The q with q * d = n, n packed as rem (no zeros) at bits, bound >= L1(n).
+
+    Every remainder digit is at most bound + L1(quotient so far) L1(d); when
+    that outgrows the width, the remainder is repacked at twice it.
+    """
+    form = d.form
+    if not rem:
         return TorusElement(form)
     m = form.dim
-    lo = tuple(min(e[i] for e in n.terms) - min(e[i] for e in d.terms) for i in range(m))
-    hi = tuple(max(e[i] for e in n.terms) - max(e[i] for e in d.terms) for i in range(m))
+    lo = tuple(min(e[i] for e in rem) - min(e[i] for e in d.terms) for i in range(m))
+    hi = tuple(max(e[i] for e in rem) - max(e[i] for e in d.terms) for i in range(m))
     if any(l > h for l, h in zip(lo, hi)):
-        raise NotDivisible("quotient exponent box is empty", remainder=n)
+        raise NotDivisible("quotient exponent box is empty",
+                           remainder=_element(form, rem, bits))
     ed, cd = d.leading()
-    l1n, l1d, l1q = _l1(n), _l1(d), 0
-    bits = pack_width(2 * l1n * l1d)
-    dterms = _packed(d, bits)
-    rem = _packed(n, bits)
+    lead = d.covectors()[ed]
+    l1d, l1q = _l1(d), 0
+    right = _operand(d, bits)
+    heap = [_heap_key(e) for e in rem]
+    heapify(heap)
     quot = TorusElement(form)
     while rem:
-        er = max(rem, key=grlex_key)
-        eq = tuple(a - b for a, b in zip(er, ed))
+        er = heappop(heap)[2]
+        if er not in rem:   # a stale entry: that term cancelled
+            continue
+        eq = tuple(map(sub, er, ed))
         if any(x < l or x > h for x, l, h in zip(eq, lo, hi)):
             raise NotDivisible("leading term not cancellable",
                                remainder=_element(form, rem, bits))
         # want cq with (cq * cd).shift(Lambda(eq, ed)) == rem[er]
-        row = form.apply(eq)
         lr, xr = rem[er]
-        cq = unpack(lr - sum(map(mul, row, ed)), xr, bits).divide_exact(cd)
+        cq = unpack(lr + sum(map(mul, lead, eq)), xr, bits).divide_exact(cd)
         if cq is None:
             raise NotDivisible("coefficient quotient is not Laurent",
                                remainder=_element(form, rem, bits))
         quot.terms[eq] = cq
         l1q += qlaurent._l1(cq)
-        bound = l1n + l1q * l1d
-        if pack_width(bound) > bits:
-            wide = pack_width(2 * bound)
-            rem = _packed(_element(form, rem, bits), wide)
+        need = bound + l1q * l1d
+        if pack_width(need) > bits:
+            wide = pack_width(2 * need)
+            rem = {e: pack(c.terms, wide) for e, c in _element(form, rem, bits).terms.items()}
             bits = wide
-            dterms = _packed(d, bits)
+            right = _operand(d, bits)
         lq, xq = pack(cq.terms, bits)
-        _product_into(rem, [(eq, row, lq, -xq)], dterms, bits)
-        for e in dterms:
-            e = tuple(map(add, eq, e))
+        hit = [tuple(map(add, eq, e)) for e in d.terms]
+        fresh = [e for e in hit if e not in rem]
+        _product_into(rem, ((eq, lq, -xq),), right, bits)
+        for e in hit:
             if not rem[e][1]:
                 del rem[e]
+        for e in fresh:
+            if e in rem:
+                heappush(heap, _heap_key(e))
         assert er not in rem, "the leading term did not cancel"
     return quot
 

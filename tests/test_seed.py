@@ -1,17 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcluster.errors import (IncompatiblePair, InconsistentLattice, NoGVector,
-                             NotSkewSymmetric)
+                             NotDivisible, NotSkewSymmetric)
 from qcluster.qlaurent import QLaurent
 from qcluster.seed import (QuantumSeed, check_compatible, cluster_monomial,
                            f_polynomial, frame_monomial, g_vector, initial_seed,
                            mutate, mutate_sequence, verify_commutation)
-from qcluster.torus import SkewForm, TorusElement
+from qcluster.torus import SkewForm, TorusElement, exact_right_divide
 
-from .corpus import CORPUS_NAMES, corpus_seed
-from .oracles import expand_f_decomposition
+from .corpus import CORPUS_NAMES, corpus_seed, principal_pair
+from .oracles import expand_f_decomposition, torus_divide_longhand, torus_mul_pairwise
 
 L2 = SkewForm([[0, 1], [-1, 0]])
 B2 = [[0, 1], [-1, 0]]
@@ -230,3 +232,102 @@ def test_checked_mutation_verifies_every_pair_at_every_step(monkeypatch):
     s = mutate_sequence(s0, (1, 2, 1))
     assert len(checked) == 3 and checked[-1] is s
     assert len(pairs) == 3 * s.m * (s.m - 1) // 2
+
+
+# --- the packed exchange quotient against the longhand oracle ---
+
+def _exchange_numerator(s, k):
+    """v^{Lambda_M(p1, e_k)} M(p1) + v^{Lambda_M(p2, e_k)} M(p2), built term by
+    term: each M(p) is a pairwise product of cluster variables, with its
+    normalising twist -sum_{i<j} Lambda_M(i, j) p_i p_j read off the entries."""
+    lam, m = s.lam.entries, s.m
+    col = s.btilde_column(k)
+    total = TorusElement.zero(s.initial_form)
+    for p in (tuple(max(x, 0) for x in col), tuple(max(-x, 0) for x in col)):
+        term = TorusElement.one(s.initial_form)
+        for i in range(m):
+            for _ in range(p[i]):
+                term = torus_mul_pairwise(term, s.vars[i])
+        shift = sum(p[i] * lam[i][k - 1] for i in range(m))
+        shift -= sum(lam[i][j] * p[i] * p[j] for i in range(m) for j in range(i + 1, m))
+        total = total + term.scale(QLaurent.monomial(shift))
+    return total
+
+
+def _not_divisible_cases(s, k, numerator):
+    """(n, d) pairs near the exchange division that are not all divisible."""
+    d = s.vars[k - 1]
+    far = TorusElement.monomial(s.initial_form, (-7,) * s.m)
+    return ((numerator + s.vars[k % s.m], d), (far, d), (d + far, d),
+            (numerator, d.scale(QLaurent({0: 1, 1: 1}))))
+
+
+def _check_sequence(s, ks, messages):
+    """Every exchange quotient of mutate along ks equals the longhand oracle's,
+    and exact_right_divide fails exactly as the oracle does near it."""
+    for k in ks:
+        numerator = _exchange_numerator(s, k)
+        want = torus_divide_longhand(numerator, s.vars[k - 1])
+        for n, d in _not_divisible_cases(s, k, numerator):
+            try:
+                expect = torus_divide_longhand(n, d)
+            except NotDivisible as exc:
+                with pytest.raises(NotDivisible) as got:
+                    exact_right_divide(n, d)
+                assert str(got.value) == str(exc)
+                assert got.value.remainder == exc.remainder
+                messages.add(str(exc))
+            else:
+                assert exact_right_divide(n, d) == expect
+        s = mutate(s, k)
+        assert s.vars[k - 1] == want
+
+
+@st.composite
+def random_principal_sequences(draw):
+    n = draw(st.integers(2, 3))
+    B = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            B[i][j] = draw(st.integers(-2, 2) if n == 2 else st.integers(-1, 1))
+            B[j][i] = -B[i][j]
+    ks = []
+    for _ in range(draw(st.integers(1, 6))):
+        ks.append(draw(st.sampled_from([k for k in range(1, n + 1) if not ks or k != ks[-1]])))
+    return B, tuple(ks)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(random_principal_sequences())
+def test_exchange_quotient_matches_longhand_on_random_principal_seeds(case):
+    B, ks = case
+    lam, btilde = principal_pair(B)
+    _check_sequence(initial_seed(SkewForm(lam), btilde, len(B)), ks, set())
+
+
+def test_exchange_quotient_matches_longhand_on_kronecker():
+    messages = set()
+    for first in (1, 2):
+        ks = tuple(first if i % 2 == 0 else 3 - first for i in range(8))
+        _check_sequence(corpus_seed("kronecker_principal"), ks, messages)
+    assert messages == {"quotient exponent box is empty", "leading term not cancellable",
+                        "coefficient quotient is not Laurent"}
+
+
+def test_each_covector_is_computed_once_per_variable_term(monkeypatch):
+    """Over a checked sequence, SkewForm.apply runs once per term of each cluster
+    variable, initial or new, plus a fixed number of times per mutation (the n
+    rows of check_compatible, the two exchange twists and the row of Lambda');
+    so no covector comes from first_noncommuting, the power chains or the
+    division."""
+    ks = (1, 2, 1, 2, 1, 2, 1, 2)
+    s0 = corpus_seed("kronecker_principal")
+    new_terms = sum(len(mutate_sequence(s0, ks[:i + 1]).vars[k - 1].terms)
+                    for i, k in enumerate(ks))
+    assert new_terms == 128
+    s0 = corpus_seed("kronecker_principal")
+    calls = []
+    apply = SkewForm.apply
+    monkeypatch.setattr(SkewForm, "apply", lambda form, e: calls.append(e) or apply(form, e))
+    mutate_sequence(s0, ks)
+    assert len(calls) <= new_terms + s0.m + (s0.n + 3) * len(ks)
