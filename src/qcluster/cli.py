@@ -18,7 +18,7 @@ from .decorated import h1_aggregate
 from .dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_factors,
                        factorization_check, g_of_lambda, initial_class_map,
                        pochhammer)
-from .errors import ChecksNotRun, QClusterError
+from .errors import ChecksNotRun, DimensionMismatch, QClusterError
 from .grassmannian import BUDGET, coefficient_crosscheck
 from .qlaurent import lefschetz_decompose
 from .quiver import (Arrow, Potential, QPData, Quiver, from_btilde,
@@ -90,10 +90,11 @@ class SessionSpec:
     """Parsed and validated session document.
 
     `form`, `seed` and `qp` are built once, for every command, so a pair
-    that is not compatible or a quiver with potential that does not fit the
-    document exits 2 before any route runs.  `overrides` holds option values
-    given on the command line; they replace the document's `options` entries
-    and pass the same checks.
+    that is not compatible, a quiver with potential that does not fit the
+    document or a `lam` entry with more copies than H^1 can hold exits 2
+    before any route runs.  `overrides` holds option values given on the
+    command line; they replace the document's `options` entries and pass
+    the same checks.
     """
 
     def __init__(self, doc: dict, overrides=None):
@@ -111,6 +112,10 @@ class SessionSpec:
         self.lam = _field(doc, "lam", _ints, [0] * self.m)
         if len(self.lam) != self.m:
             raise QClusterError("lam must have length m")
+        for j, mult in enumerate(self.lam, start=1):
+            if mult > sys.maxsize:
+                raise DimensionMismatch(
+                    f"lam entry {j} is {mult}: H^1 cannot hold more than {sys.maxsize} copies")
         opts = doc.get("options", {})
         if overrides and isinstance(opts, dict):
             opts = {**opts, **overrides}

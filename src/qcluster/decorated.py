@@ -10,7 +10,6 @@ one QP.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, RelationViolation
@@ -236,10 +235,6 @@ def h1_aggregate(qp_r: QPData, ks, lam) -> DecRep:
     """
     if any(x < 0 for x in lam):
         raise DimensionMismatch("cluster monomials need lam >= 0")
-    for j, mult in enumerate(lam, start=1):
-        if mult > sys.maxsize:
-            raise DimensionMismatch(
-                f"lam entry {j} is {mult}: H^1 cannot hold more than {sys.maxsize} copies")
     qp = qp_r
     steps = []
     for k in reversed(list(ks)):

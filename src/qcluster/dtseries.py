@@ -8,19 +8,20 @@ embedding w_gamma -> X^{B~ gamma}; no separate Euler-form bookkeeping is
 needed (the compatible pair already encodes it).
 
 A product of series groups its term pairs by output degree, and equality
-the coefficients of both series, and hands them to qlaurent.product_sums in
-one call (packing, width rule and cancellation there).  Each series computes
-its exponents and covectors once.
+the degrees where the two series write their coefficients differently, and
+hands them to qlaurent.product_sums in one call (packing, width rule and
+cancellation there).  Each series computes its exponents and covectors once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import add, gt, mul
 
 from .errors import BoundTooSmall, DimensionMismatch, SignAmbiguous, TailNotVanishing
 from .linalg import Echelon
-from .qlaurent import _MINUS_ONE, _ONE, PochhammerFraction, QLaurent, product_sums
+from .qlaurent import _MINUS_ONE, _ONE, _ZERO, PochhammerFraction, QLaurent, product_sums
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
 
@@ -177,17 +178,23 @@ class ConeSeries:
         return ConeSeries(self.form, self.btilde, bound, base, product_sums(outputs))
 
     def __eq__(self, other):
-        """Equal bases and every coefficient of self - other zero, summed in
-        one product_sums call over the union of the degrees."""
+        """Equal bases and, at every degree of either series, equal coefficients.
+
+        The rule of PochhammerFraction ==: two coefficients written with the
+        same (num, den) are equal with no arithmetic.  Every other degree,
+        where the forms differ or only one series lists a coefficient, has
+        its difference summed in one product_sums call and must be zero.
+        """
         if not isinstance(other, ConeSeries):
             return NotImplemented
         self._compat(other)
         if self.base != other.base:
             return False
         diffs: dict[tuple, list] = {}
-        for coeffs, unit in ((self.coeffs, _ONE), (other.coeffs, _MINUS_ONE)):
-            for g, c in coeffs.items():
-                diffs.setdefault(g, []).append((c, unit, 0))
+        for g in self.coeffs.keys() | other.coeffs.keys():
+            a, b = self.coeffs.get(g, _ZERO), other.coeffs.get(g, _ZERO)
+            if not a.same_form(b):
+                diffs[g] = [(a, _ONE, 0), (b, _MINUS_ONE, 0)]
         return all(d.is_zero() for d in product_sums(diffs).values())
 
     def __repr__(self):
@@ -313,8 +320,11 @@ def initial_class_map(btilde, ks):
 
 
 def factorization_check(lhs: ConeSeries, rhs_factors) -> bool:
-    """True iff lhs equals the ordered product of rhs_factors up to the bound."""
-    prod = ConeSeries.unit(lhs.form, lhs.btilde, lhs.bound)
-    for f in rhs_factors:
-        prod = prod * f
+    """True iff lhs equals the ordered product of rhs_factors up to the bound.
+
+    The product starts from the first factor; only an empty list is
+    compared with the unit series.
+    """
+    factors = list(rhs_factors)
+    prod = reduce(mul, factors) if factors else ConeSeries.unit(lhs.form, lhs.btilde, lhs.bound)
     return lhs == prod

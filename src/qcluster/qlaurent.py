@@ -21,9 +21,10 @@ A PochhammerFraction is num / prod_k (1 - T^k)^m_k with T = v^2.  Every sum
 of fractions goes through `product_sums`, sums and differences as products
 with 1 and -1: it brings the numerators over the per-k maximum denominator
 on packed integers, adds them into one integer per output and applies the
-one cancellation rule, `_cancel`: one divmod by 1 - 2^(2k bits) per tried
-(1 - T^k), exact by the width rule (proof there).  The canonical (num, den)
-is the one that repeated exact division gives.
+one cancellation rule, `_cancel`: a nonzero P(1) or P(-1), read off as
+residues mod 2^bits -+ 1, means nothing cancels; otherwise one divmod by
+1 - 2^(2k bits) per tried (1 - T^k), exact by the width rule (proofs there).
+The canonical (num, den) is the one that repeated exact division gives.
 """
 
 from __future__ import annotations
@@ -376,24 +377,34 @@ def _cancel(lo: int, x: int, bound: int, den: dict[int, int], bits: int):
     L1(Q) <= ceil(#digits(Q) / 2k) L1(P).  That bound is carried forward;
     when it outgrows the width, Q is unpacked, its true L1 taken and, if that
     does not fit either, Q is repacked at its own width.
+
+    Before any divmod, P(1) and P(-1) are read off x: since B = 1 mod B - 1
+    and B = -1 mod B + 1, x = P(1) mod (B - 1) and x = P(-1) mod (B + 1),
+    and |P(+-1)| <= L1(P) < B/4, so each residue is 0 iff P(+-1) is.  Every
+    1 - T^k = 1 - v^(2k) has the factor 1 - T = (1 - v)(1 + v), so when
+    either residue is nonzero no factor divides P and the loop is skipped.
     """
+    if not x:
+        return QLaurent(), {}
+    full = 1 << bits
+    if not den or x % (full - 1) or x % (full + 1):
+        return unpack(lo, x, bits), den
     left = {}
-    if x:
-        for k, m in den.items():
-            while m:
-                if bound >> (bits - 2):          # bound >= 2^(bits-2): too wide
-                    num = unpack(lo, x, bits)
-                    bound = _l1(num)
-                    if pack_width(bound) > bits:
-                        bits = pack_width(bound)
-                        lo, x = pack(num.terms, bits)
-                q, r = divmod(x, 1 - (1 << (2 * k * bits)))
-                if r:
-                    break
-                x, m = q, m - 1
-                bound *= -(-(x.bit_length() // bits + 1) // (2 * k))
-            if m:
-                left[k] = m
+    for k, m in den.items():
+        while m:
+            if bound >> (bits - 2):          # bound >= 2^(bits-2): too wide
+                num = unpack(lo, x, bits)
+                bound = _l1(num)
+                if pack_width(bound) > bits:
+                    bits = pack_width(bound)
+                    lo, x = pack(num.terms, bits)
+            q, r = divmod(x, 1 - (1 << (2 * k * bits)))
+            if r:
+                break
+            x, m = q, m - 1
+            bound *= -(-(x.bit_length() // bits + 1) // (2 * k))
+        if m:
+            left[k] = m
     return unpack(lo, x, bits), left
 
 
@@ -488,10 +499,16 @@ class PochhammerFraction:
             raise ValueError("denominators did not cancel: " + repr(self))
         return self.num
 
+    def same_form(self, other: "PochhammerFraction") -> bool:
+        """Whether both are written with one (num, den): then equal with no arithmetic."""
+        return self.num.terms == other.num.terms and self.den == other.den
+
     def __eq__(self, other):
+        """The same (num, den), or a zero self - other (`product_sums`)."""
         if not isinstance(other, PochhammerFraction):
             return NotImplemented
-        return product_sums({0: [(self, _ONE, 0), (other, _MINUS_ONE, 0)]})[0].is_zero()
+        return self.same_form(other) or product_sums(
+            {0: [(self, _ONE, 0), (other, _MINUS_ONE, 0)]})[0].is_zero()
 
     def __add__(self, other: "PochhammerFraction") -> "PochhammerFraction":
         return product_sums({0: [(self, _ONE, 0), (other, _ONE, 0)]})[0]
@@ -517,6 +534,8 @@ class PochhammerFraction:
         return f"PochFrac(({self.num.render()}) / {den})"
 
 
-# The unit partners that turn sums and differences into product_sums parts.
+# The unit partners that turn sums and differences into product_sums parts,
+# and the coefficient a series has at a degree it does not list.
 _ONE = PochhammerFraction.of(QLaurent.one(), {})
+_ZERO = PochhammerFraction.of(QLaurent(), {})
 _MINUS_ONE = PochhammerFraction.of(QLaurent.from_int(-1), {})

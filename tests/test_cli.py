@@ -363,6 +363,10 @@ def test_expand_dt_route_reports_g_and_f(tmp_path, capsys):
     ("expand", {"ks": [1, 1]}, ["--route", "dt"]),
     ("count", {"ks": [1, 1]}, []),
     ("expand", {"lam": [10**30, 0]}, ["--route", "dt"]),  # more copies than H^1 can hold
+    ("expand", {"lam": [10**30, 0]}, ["--route", "mutation"]),  # checked before any route
+    ("expand", {"lam": [10**30, 0]}, ["--route", "both"]),
+    ("count", {"lam": [10**30, 0]}, []),
+    ("mutate", {"lam": [10**30, 0]}, []),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, patch, extra):
     """A2_DOC with the keys of `patch` replaced (a list replaces the whole

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcluster import dtseries
 from qcluster.dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_factors,
                                dt_product_pair, factorization_check, g_of_lambda,
                                initial_class_map, pochhammer, sign_sequence)
-from qcluster.errors import TailNotVanishing
+from qcluster.errors import DimensionMismatch, TailNotVanishing
 from qcluster.qlaurent import PochhammerFraction, QLaurent
 from qcluster.seed import cluster_monomial
 from qcluster.torus import SkewForm, TorusElement
@@ -376,3 +377,47 @@ def test_series_equality_reads_every_coefficient_the_base_and_the_degrees():
     padded = ConeSeries(L2, B2, bound, a.base, dict(a.coeffs))
     padded.coeffs[extra] = PochhammerFraction.of(QLaurent(), {1: 1})
     assert a == padded and padded == a
+
+
+def test_series_equality_sums_only_the_degrees_written_differently(monkeypatch):
+    """(1 + T)/(1 - T^2) and 1/(1 - T) are one value in two forms: the
+    degree holding them is summed and is zero.  A degree whose two
+    coefficients have the same (num, den) passes no part to product_sums."""
+    parts = []
+    original = dtseries.product_sums
+
+    def counted(outputs):
+        parts.extend(p for ps in outputs.values() for p in ps)
+        return original(outputs)
+
+    monkeypatch.setattr(dtseries, "product_sums", counted)
+    bound = (3, 3)
+    two_forms = PochhammerFraction(QLaurent({0: 1, 2: 1}), {2: 1})
+    one_form = PochhammerFraction(QLaurent.one(), {1: 1})
+    assert (two_forms.num, two_forms.den) != (one_form.num, one_form.den)
+    shared = {(0, 0): PochhammerFraction.one(), (2, 1): one_form}
+    a = ConeSeries(L2, B2, bound, None, {**shared, (1, 0): two_forms})
+    b = ConeSeries(L2, B2, bound, None, {**shared, (1, 0): one_form})
+    assert a == b and b == a
+    assert len(parts) == 4                   # two parts per comparison, at (1, 0)
+    series = pochhammer(L2, B2, bound, (1, 1), +1) * pochhammer(L2, B2, bound, (1, 0), -1)
+    parts.clear()
+    assert series == ConeSeries(L2, B2, bound, series.base, dict(series.coeffs))
+    assert series == series and not parts
+
+
+def test_factorization_check_edge_cases():
+    bound = (4, 4)
+    unit = ConeSeries.unit(L2, B2, bound)
+    e1 = pochhammer(L2, B2, bound, (1, 0), +1)
+    e2 = pochhammer(L2, B2, bound, (0, 1), +1)
+    assert factorization_check(unit, [])
+    assert not factorization_check(e1, [])
+    assert factorization_check(e1, [e1]) and factorization_check(e1, iter([e1]))
+    assert not factorization_check(e1, [e2])
+    other_bound = pochhammer(L2, B2, (4, 5), (1, 0), +1)
+    other_btilde = pochhammer(L2, [[0, 2], [-1, 0]], bound, (1, 0), +1)
+    for other in (other_bound, other_btilde):
+        for rhs in ([other], [e1, other], [other, e1]):
+            with pytest.raises(DimensionMismatch):
+                factorization_check(e1, rhs)

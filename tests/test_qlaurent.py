@@ -281,15 +281,20 @@ def assert_cancels_like_the_oracle(num, den):
 def test_numerator_at_the_width_limit():
     # bits = pack_width(L1) is the narrowest width with L1 < 2^(bits-2);
     # at L1 = 2^(bits-2) - 1 (odd, so not divisible by any 1 - T^k) and
-    # 2^(bits-2) - 2 (divisible) a residue class sum reaches L1.
+    # 2^(bits-2) - 2 (divisible) a residue class sum reaches L1, and so
+    # does |P(1)| or |P(-1)|, which _cancel reads off mod 2^bits -+ 1.
     for bits in (5, 8, 13, 44):
         top = 2**(bits - 2)
         odd = QLaurent({0: top // 2, 4: top // 2 - 1})
         even = QLaurent({0: top // 2 - 1, 6: 1 - top // 2})      # (1 - T^3) (top/2 - 1)
         spread = QLaurent({0: top // 4, 2: top // 4 - 1, 4: -(top // 2 - 1)})
+        at_minus_one = QLaurent({0: -(top // 2), 1: top // 2 - 1})  # P(-1) = 1 - top
+        zero_at_one = QLaurent({0: top // 2 - 1, 1: 1 - top // 2})  # P(-1) = top - 2
         for num, den, want_den in ((odd, {1: 1, 2: 2}, {1: 1, 2: 2}),
                                    (even, {1: 2, 3: 1}, {1: 1, 3: 1}),
-                                   (spread, {1: 3, 2: 1}, {1: 2, 2: 1})):
+                                   (spread, {1: 3, 2: 1}, {1: 2, 2: 1}),
+                                   (at_minus_one, {1: 1}, {1: 1}),
+                                   (zero_at_one, {1: 1, 2: 1}, {1: 1, 2: 1})):
             assert pack_width(l1(num)) == bits
             assert l1(num) in (top - 1, top - 2)
             assert assert_cancels_like_the_oracle(num, den).den == want_den
@@ -323,3 +328,20 @@ def test_width_rule_rejects_residue_sums_that_cancel_only_mod_the_slot():
     assert pack_width(l1(num)) == 9
     got = assert_cancels_like_the_oracle(num, {1: 1})
     assert got.num == num and got.den == {1: 1}
+
+
+def test_values_at_one_and_minus_one_decide_that_nothing_cancels():
+    # _cancel reads P(1) and P(-1) off the packed numerator before any divmod
+    # and skips the division loop when either is nonzero: 1 - T divides
+    # every 1 - T^k.  Each case keeps the division oracle's (num, den).
+    one_minus_t = QLaurent({0: 1, 2: -1})
+    for num, den, want_den in (
+            (QLaurent({0: 1, 3: -1}), {1: 1, 2: 1}, {1: 1, 2: 1}),   # P(1) = 0, P(-1) = 2
+            (QLaurent({0: 2, 1: -3, 4: 1}), {1: 2}, {1: 2}),         # P(1) = 0, P(-1) = 6
+            (QLaurent({0: 1, 1: 1}), {1: 2, 3: 1}, {1: 2, 3: 1}),    # P(-1) = 0, P(1) = 2
+            (QLaurent({1: 1, 2: 2, 3: 1}), {1: 1, 2: 1}, {1: 1, 2: 1}),  # P(-1) = 0, P(1) = 4
+            (one_minus_t, {2: 1, 3: 2}, {2: 1, 3: 2}),       # P(+-1) = 0, no factor divides
+            (one_minus_t, {1: 1, 2: 1}, {2: 1}),             # 1 - T divides, 1 - T^2 does not
+            (one_minus_t * one_minus_t * QLaurent({0: 1, 1: 1}), {1: 3, 2: 1},
+             {1: 1, 2: 1})):                                 # the quotient 1 + v stops it
+        assert assert_cancels_like_the_oracle(num, den).den == want_den
