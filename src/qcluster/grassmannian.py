@@ -312,7 +312,10 @@ def gr_count(rep: FqRep, gamma, budget: int = BUDGET) -> int:
                 found += w if t == last else w * count_from(t + 1)
         return found
 
-    return weight * count_from(0) if order else weight
+    try:
+        return weight * count_from(0) if order else weight
+    finally:
+        del count_from      # it refers to itself: break the cycle for refcounting
 
 
 def enumeration_size(rep: FqRep, gamma) -> int:

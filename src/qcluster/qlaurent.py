@@ -25,6 +25,11 @@ one cancellation rule, `_cancel`: a nonzero P(1) or P(-1), read off as
 residues mod 2^bits -+ 1, means nothing cancels; otherwise one divmod by
 1 - 2^(2k bits) per tried (1 - T^k), exact by the width rule (proofs there).
 The canonical (num, den) is the one that repeated exact division gives.
+In `product_sums` a denominator is the multiplicity vector sum_k m_k
+2^((k - 1) width), m_k >= 0 (PochhammerFraction's domain), at a width past
+every digit sum that arises: a product is one add, a per-k maximum one
+guarded subtract ((d | G) - h) & G, G the top bit of each digit, and a
+factor count the residue mod 2^width - 1 (proofs there).
 """
 
 from __future__ import annotations
@@ -301,34 +306,6 @@ def _read_digits(out: dict, lo: int, x: int, n: int, bits: int):
         lo += 1
 
 
-def _lcm_den(dens) -> dict[int, int]:
-    """The common denominator of fractions: per-k maximum multiplicities, k ascending."""
-    out: dict[int, int] = {}
-    for den in dens:
-        for k, m in den.items():
-            if m > out.get(k, 0):
-                out[k] = m
-    return dict(sorted(out.items()))
-
-
-def den_product(d1: dict[int, int], d2: dict[int, int]) -> dict[int, int]:
-    """The denominator of a product of two fractions: multiplicities add."""
-    out = dict(d1)
-    for k, m in d2.items():
-        out[k] = out.get(k, 0) + m
-    return out
-
-
-def _missing(den: dict[int, int], have: dict[int, int]) -> tuple:
-    """The factors of den that have lacks, as ((k, multiplicity), ...), k ascending."""
-    return tuple([(k, m - h) for k, m in den.items() if m > (h := have.get(k, 0))])
-
-
-def _cofactor_l1(missing: tuple) -> int:
-    """A bound on the L1 of prod (1 - T^k)^m over missing: each factor has L1 2."""
-    return 1 << sum(m for _, m in missing)
-
-
 def _accumulate(acc: dict, key, lo: int, x: int, bits: int):
     """Add the packed (lo, x) into acc[key] = [lo, x], which keeps the lower lo."""
     cur = acc.get(key)
@@ -341,19 +318,19 @@ def _accumulate(acc: dict, key, lo: int, x: int, bits: int):
         cur[0] = lo
 
 
-def _over_den(groups: dict, bits: int) -> tuple[int, int]:
+def _over_den(groups: dict, bits: int, width: int) -> tuple[int, int]:
     """The packed sum of each group's numerator times its cofactor.
 
-    groups maps a `_missing` tuple to the packed sum of the numerators that
-    lack those factors of the common denominator; each missing (1 - T^k)
-    is multiplied in as x - x 2^(2k bits), one shift and one subtraction.
+    groups maps the multiplicity vector of the factors its parts lack to the
+    packed sum of their numerators; each missing (1 - T^k) is multiplied in
+    as x - x 2^(2k bits), one shift and one subtraction.
     """
-    if not groups:
-        return 0, 0
+    if not any(groups):             # no group, or one that lacks nothing
+        return groups.get(0, (0, 0))
     lo = min(low for low, _ in groups.values())
     total = 0
     for missing, (low, x) in groups.items():
-        for k, m in missing:
+        for k, m in _multiplicities(missing, width).items():
             for _ in range(m):
                 x -= x << (2 * k * bits)
         total += x << ((low - lo) * bits)
@@ -408,53 +385,72 @@ def _cancel(lo: int, x: int, bound: int, den: dict[int, int], bits: int):
     return unpack(lo, x, bits), left
 
 
-def fraction_sum(parts) -> "PochhammerFraction":
-    """sum_i num_i / den_i over a sequence of (num_i, den_i) pairs, cancelled once."""
-    return product_sums({0: [(PochhammerFraction.of(num, den), _ONE, 0)
-                             for num, den in parts]})[0]
-
-
 def product_sums(outputs: dict) -> dict:
     """{key: sum a b v^s over the parts (a, b, s) of key}, each cancelled once.
 
     The parts are pairs of PochhammerFractions and a power of v.  Each
-    output's common denominator is the per-k maximum of its parts'
-    denominators.  One width serves every output, from the proven bound
-    max over outputs of sum_parts L1(num_a) L1(num_b) 2^(missing factors)
-    (`_cofactor_l1`), so each distinct numerator is packed once.  A part
-    then costs one integer multiply of the two numerators, added into its
-    output under its missing factors; the parts of an output that miss the
-    same factors are multiplied by their cofactor once.  Outputs are summed,
-    cancelled and unpacked one at a time.
+    distinct denominator is packed once as sum_k m_k 2^((k - 1) width),
+    width = pack_width(2 K M) for the call's largest k, K, and m, M.  A
+    part's denominator h, a product, is one add with digits <= 2M; so are
+    those of an output's d, their per-k maximum, and the digit sums of d
+    and d - h are <= 2 K M < 2^(width-2).  With G the top bit of each
+    digit, d_k + 2^(width-1) > h_k, so (d | G) - h borrows across no digit,
+    t = ((d | G) - h) & G marks the k with d_k >= h_k and t - (t >>
+    (width-1)) masks d_k or h_k in.  A part lacks d - h (no borrow), its
+    group key; the factor count, a digit sum below 2^width - 1, is d - h
+    mod 2^width - 1 (2^width = 1 there), and each factor has L1 2.  One
+    numerator width, from the bound max over outputs of sum_parts
+    L1(num_a) L1(num_b) 2^(factors lacked), packs each numerator once; a
+    part is one multiply added under its key, each key's cofactor is
+    multiplied in once, and each output is summed, cancelled and unpacked
+    alone, d read back as {k: m} once.
     """
     fracs = {id(c): c for parts in outputs.values() for a, b, _ in parts for c in (a, b)}
-    l1s = {i: _l1(c.num) for i, c in fracs.items()}
+    dens = [c.den for c in fracs.values() if c.den]
+    top_k = max(map(max, dens), default=0)
+    width = pack_width(2 * top_k * max((max(d.values()) for d in dens), default=0))
+    residue = (1 << width) - 1
+    guard = ((1 << (top_k * width)) - 1) // residue << (width - 1)
+    info = {i: (_l1(c.num), sum(m << ((k - 1) * width) for k, m in c.den.items()))
+            for i, c in fracs.items()}
     plan = []
-    top = 0
     for key, parts in outputs.items():
-        haves = [den_product(a.den, b.den) for a, b, _ in parts]
-        den = _lcm_den(haves)
-        bound = 0
-        keyed = []
-        for (a, b, s), have in zip(parts, haves):
-            l1a, l1b = l1s[id(a)], l1s[id(b)]
+        den = 0
+        weighted = []
+        for a, b, s in parts:
+            (l1a, da), (l1b, db) = info[id(a)], info[id(b)]
+            have = da + db
+            if have != den:
+                t = ((den | guard) - have) & guard
+                den = have ^ ((den ^ have) & (t - (t >> (width - 1))))
             if l1a and l1b:
-                missing = _missing(den, have)
-                bound += l1a * l1b * _cofactor_l1(missing)
-                keyed.append((missing, a, b, s))
-        plan.append((key, den, bound, keyed))
-        top = max(top, bound)
-    bits = pack_width(top)
-    packed = {i: pack(c.num.terms, bits) for i, c in fracs.items() if l1s[i]}
+                weighted.append((l1a * l1b, have, a, b, s))
+        bound = 0
+        for w, have, _, _, _ in weighted:
+            bound += w << ((den - have) % residue)
+        plan.append((key, den, bound, weighted))
+    bits = pack_width(max((bound for _, _, bound, _ in plan), default=0))
+    packed = {i: pack(c.num.terms, bits) for i, c in fracs.items() if c.num.terms}
     out = {}
-    for key, den, bound, keyed in plan:
+    for key, den, bound, weighted in plan:
         groups: dict = {}
-        for missing, a, b, s in keyed:
-            lo1, x1 = packed[id(a)]
-            lo2, x2 = packed[id(b)]
-            _accumulate(groups, missing, lo1 + lo2 + s, x1 * x2, bits)
-        out[key] = PochhammerFraction.of(
-            *_cancel(*_over_den(groups, bits), bound, den, bits))
+        for _, have, a, b, s in weighted:
+            (lo1, x1), (lo2, x2) = packed[id(a)], packed[id(b)]
+            _accumulate(groups, den - have, lo1 + lo2 + s, x1 * x2, bits)
+        out[key] = PochhammerFraction.of(*_cancel(
+            *_over_den(groups, bits, width), bound, _multiplicities(den, width), bits))
+    return out
+
+
+def _multiplicities(vec: int, width: int) -> dict[int, int]:
+    """The ascending {k: m} of a multiplicity vector; a run of zero digits is one shift."""
+    out, k, digit = {}, 1, (1 << width) - 1
+    while vec:
+        if m := vec & digit:
+            out[k] = m
+        step = 1 if m else ((vec & -vec).bit_length() - 1) // width
+        vec >>= step * width
+        k += step
     return out
 
 
@@ -471,10 +467,14 @@ class PochhammerFraction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: QLaurent, den: dict[int, int] | None = None):
-        """num / den, with every (1 - T^k) factor that divides num cancelled."""
+        """num / den, with every (1 - T^k) factor that divides num cancelled;
+        den needs int k >= 1 and int multiplicities >= 0 (zero ones are dropped)."""
+        if any(type(k) is not int or type(m) is not int or k < 1 or m < 0
+               for k, m in (den or {}).items()):
+            raise ValueError(f"not a denominator {{k >= 1: m >= 0}} of ints: {den}")
         self.num, self.den = num, {}
         if num.terms and den:
-            res = fraction_sum(((num, den),))
+            res = product_sums({0: [(PochhammerFraction.of(num, den), _ONE, 0)]})[0]
             self.num, self.den = res.num, res.den
 
     @staticmethod

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 from pathlib import Path
 
@@ -104,6 +105,14 @@ def test_identity_check(capsys):
     out = capsys.readouterr().out
     assert "pentagon depth 6: PASS" in out
     assert "pochhammer inverse: PASS" in out
+
+
+def test_identity_check_at_depth_20(capsys):
+    """Cone depth 20 puts every (1 - T^k), k <= 20, in the denominators."""
+    assert main(["identity-check", "--cone-bound", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.endswith(": PASS") for line in lines)
+    assert lines[0] == "pentagon depth 20: PASS"
 
 
 def test_json_report(tmp_path, capsys):
@@ -237,6 +246,23 @@ def test_count_a3_exponent_from_the_acyclic_end(tmp_path, capsys, ks):
     assert "mode: hard" in out
     rows = [line for line in out.splitlines() if line.startswith("gamma ")]
     assert rows and all(line.endswith("| match") for line in rows)
+
+
+def test_count_leaves_no_cyclic_garbage(tmp_path, capsys):
+    """A count run frees what it built by reference counting alone: with the
+    cyclic collector off, nothing is left for it to collect."""
+    lam, btilde = principal_pair([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+    doc = {"n": 3, "lambda": lam, "btilde": btilde, "ks": [1, 2, 3, 2], "lam": [1] * 6}
+    spec = write_spec(tmp_path, doc)
+    assert main(["count", spec]) == 0           # first-use caches and imports
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["count", spec]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert "mode: hard" in capsys.readouterr().out
 
 
 # every prime power up to 31 that GF supports

@@ -1,10 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcluster.qlaurent import (PochhammerFraction, QLaurent, fraction_sum,
-                               lefschetz_decompose, pack, pack_width)
+from qcluster.qlaurent import (PochhammerFraction, QLaurent, lefschetz_decompose, pack,
+                               pack_width, product_sums)
 
 from .oracles import (cancel_by_division, fraction_is_laurent, fraction_sum_by_division,
                       fractions_equal, laurent_divide_exact, lefschetz_string, lmul,
@@ -228,6 +229,13 @@ def test_pochhammer_fraction_field_laws(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
+def fraction_sum(parts):
+    """sum_i num_i / den_i over (num_i, den_i) pairs: one product_sums output."""
+    one = PochhammerFraction.of(QLaurent.one(), {})
+    return product_sums({0: [(PochhammerFraction.of(num, den), one, 0)
+                             for num, den in parts]})[0]
+
+
 def times_factors(num, den):
     """num times prod (1 - T^k)^m over den."""
     return num * QLaurent(pochhammer_denominator(den))
@@ -345,3 +353,81 @@ def test_values_at_one_and_minus_one_decide_that_nothing_cancels():
             (one_minus_t * one_minus_t * QLaurent({0: 1, 1: 1}), {1: 3, 2: 1},
              {1: 1, 2: 1})):                                 # the quotient 1 + v stops it
         assert assert_cancels_like_the_oracle(num, den).den == want_den
+
+
+@pytest.mark.parametrize("den", [{1: -1}, {0: 1}, {-2: 1}, {1: 1.5}, {1.0: 1},
+                                 {True: 1}, {2: 1, 3: -2}])
+def test_pochhammer_fraction_rejects_denominators_outside_its_domain(den):
+    # each factor is (1 - T^k)^m with k >= 1 and m >= 0, both ints; a zero
+    # numerator does not excuse a bad denominator
+    for num in (QLaurent.one(), QLaurent.zero()):
+        with pytest.raises(ValueError):
+            PochhammerFraction(num, den)
+
+
+def test_pochhammer_fraction_drops_zero_multiplicities():
+    assert PochhammerFraction(QLaurent.one(), {1: 0, 3: 2, 5: 0}).den == {3: 2}
+    assert PochhammerFraction(QLaurent.one(), {4: 0}).den == {}
+
+
+def reference_product_sums(outputs):
+    """{key: (num terms, den)} of product_sums by the division oracle: each
+    part's numerators multiplied term by term, over its summed denominators."""
+    out = {}
+    for key, parts in outputs.items():
+        terms = [(QLaurent(lmul(a.num.terms, b.num.terms)).shift(s),
+                  {k: a.den.get(k, 0) + b.den.get(k, 0) for k in a.den.keys() | b.den.keys()})
+                 for a, b, s in parts]
+        num, den = fraction_sum_by_division(terms)
+        out[key] = (num.terms, den)
+    return out
+
+
+@st.composite
+def den_outputs(draw):
+    """A product_sums input {key: [(a, b, shift), ...]}; output 0 has one part.
+
+    Either every fraction is Laurent, or the denominators have gaps and zero
+    entries, with k up to 40 or the sparse {1: 1, 4096: 1}.  Every left
+    factor also carries one base of multiplicities 200-300 at k <= 3, so
+    multiplicities reach 300 while the factors a part lacks stay few.  Some
+    numerators carry a factor of their denominator, so some parts cancel.
+    """
+    laurent = draw(st.booleans())
+    small = st.one_of(st.dictionaries(st.integers(1, 40), st.integers(0, 2), max_size=3),
+                      st.just({1: 1, 4096: 1}))
+    base = {} if laurent else draw(
+        st.dictionaries(st.integers(1, 3), st.integers(200, 300), max_size=2))
+    nums = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(QLaurent)
+
+    def fraction(shared):
+        num = draw(nums)
+        if laurent:
+            return PochhammerFraction.of(num, {})
+        den = dict(draw(small))
+        carried = [k for k, m in den.items() if m]
+        if carried and draw(st.booleans()):
+            k = draw(st.sampled_from(carried))
+            num = num * QLaurent({0: 1, 2 * k: -1})
+        for k, m in shared.items():
+            den[k] = den.get(k, 0) + m
+        return PochhammerFraction.of(num, den)
+
+    lefts = [fraction(base) for _ in range(3)]
+    rights = [fraction({}) for _ in range(3)]
+    return {key: [(draw(st.sampled_from(lefts)), draw(st.sampled_from(rights)),
+                   draw(st.integers(-3, 3)))
+                  for _ in range(1 if key == 0 else draw(st.integers(1, 4)))]
+            for key in range(draw(st.integers(1, 4)))}
+
+
+@PROPERTY
+@given(den_outputs())
+def test_packed_denominators_match_the_division_oracle(outputs):
+    """Denominators packed as multiplicity vectors (one add per product, one
+    guarded subtract per part for the per-k maximum) give the oracle's
+    canonical (num, den) for every output."""
+    got = {key: (c.num.terms, c.den) for key, c in product_sums(outputs).items()}
+    assert got == reference_product_sums(outputs)
+    for c in got.values():
+        assert list(c[1]) == sorted(c[1]) and all(c[1].values())
