@@ -204,14 +204,13 @@ def cmd_expand(spec: SessionSpec, out: list[str], report: dict) -> bool:
         element = _dt_route(spec)
         gvec = g_vector(element, spec.seed)
         fcoeffs = f_polynomial(element, gvec, spec.seed)
-    out.append(f"element = {element.render()}")
     report["element"] = element.render()
+    out.append(f"element = {report['element']}")
     out.append("g = [" + ", ".join(str(x) for x in gvec) + "]")
     report["g"] = list(gvec)
-    for gamma in sorted(fcoeffs):
-        out.append(f"F[{','.join(str(x) for x in gamma)}] = {fcoeffs[gamma].render()}")
-    report["f"] = {",".join(str(x) for x in gamma): c.render()
-                   for gamma, c in sorted(fcoeffs.items())}
+    report["f"] = {",".join(str(x) for x in gamma): fcoeffs[gamma].render()
+                   for gamma in sorted(fcoeffs)}
+    out.extend(f"F[{gamma}] = {c}" for gamma, c in report["f"].items())
     pos = is_positive(element)
     out.append(f"positive: {'yes' if pos else 'NO'}")
     report["positive"] = pos
@@ -259,11 +258,11 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict) -> bool:
                    else "euler-match" if row.euler_match
                    else "MISMATCH: " + row.note if row.note
                    else "MISMATCH")
-        out.append(f"gamma [{gamma}] | {counts} | serre {serre} | "
-                   f"F {row.f_coeff.render()} | {verdict}"
+        f = row.f_coeff.render()
+        out.append(f"gamma [{gamma}] | {counts} | serre {serre} | F {f} | {verdict}"
                    + ("" if row.purity_ok else " | PURITY-FAIL"))
         rows_json.append({"gamma": list(row.gamma), "counts": row.counts,
-                          "serre": serre, "f": row.f_coeff.render(),
+                          "serre": serre, "f": f,
                           "verdict": verdict, "purity": row.purity_ok})
     report["mode"] = check.mode
     report["rows"] = rows_json

@@ -24,6 +24,15 @@ remainder (`divide_power_sum`).  The remainder starts at the width of
 2 B L1(d) and is repacked at twice the bound when the bound outgrows it.
 Each leading term comes from a lazy heap keyed by graded lex: a monomial
 order, so the leading exponent strictly descends.
+
+Every monomial s v^a X^f (s = +-1) is a unit, and the division takes two
+shortcuts from that.  A divisor that is one such term divides every
+numerator term on its own, so the quotient is one pass over the packed
+remainder (no heap, no Newton box, never NotDivisible).  A divisor whose
+leading coefficient is s v^a gives each step's quotient coefficient as the
+packed leading remainder coefficient shifted by -a and signed by s, with no
+QLaurent.divide_exact.  Either way a quotient digit is a remainder digit,
+so it is bounded by the same B and the widths above are unchanged.
 """
 
 from __future__ import annotations
@@ -349,48 +358,66 @@ def _heap_key(e):
 def _divide(rem: dict, d: TorusElement, bits: int, bound: int) -> TorusElement:
     """The q with q * d = n, n packed as rem (no zeros) at bits, bound >= L1(n).
 
+    The quotient term that cancels the leading remainder term c X^er is
+    cq X^eq, eq = er - ed, with cq = v^{Lambda(ed, eq)} c / cd.  When cd is
+    a unit s v^a (s = +-1) and c is packed as (lo, x), cq is packed as
+    (lo + Lambda(ed, eq) - a, s x): no divide_exact, and its digits are
+    remainder digits, so no width changes.  When d is that one term, every
+    term of n divides on its own and the quotient is one pass over rem.
     Every remainder digit is at most bound + L1(quotient so far) L1(d); when
     that outgrows the width, the remainder is repacked at twice it.
     """
     form = d.form
+    quot = TorusElement(form)
     if not rem:
-        return TorusElement(form)
-    m = form.dim
-    lo = tuple(min(e[i] for e in rem) - min(e[i] for e in d.terms) for i in range(m))
-    hi = tuple(max(e[i] for e in rem) - max(e[i] for e in d.terms) for i in range(m))
-    if any(l > h for l, h in zip(lo, hi)):
-        raise NotDivisible("quotient exponent box is empty",
-                           remainder=_element(form, rem, bits))
+        return quot
     ed, cd = d.leading()
     lead = d.covectors()[ed]
+    (a, s), *more = cd.terms.items()
+    unit = not more and s in (1, -1)
+    if unit and len(d.terms) == 1:
+        for er, (lr, xr) in rem.items():
+            eq = tuple(map(sub, er, ed))
+            quot.terms[eq] = unpack(lr + sum(map(mul, lead, eq)) - a, s * xr, bits)
+        return quot
+    box = [(min(x) - min(y), max(x) - max(y)) for x, y in zip(zip(*rem), zip(*d.terms))]
+    if any(l > h for l, h in box):
+        raise NotDivisible("quotient exponent box is empty",
+                           remainder=_element(form, rem, bits))
     l1d, l1q = _l1(d), 0
     right = _operand(d, bits)
     heap = [_heap_key(e) for e in rem]
     heapify(heap)
-    quot = TorusElement(form)
     while rem:
         er = heappop(heap)[2]
         if er not in rem:   # a stale entry: that term cancelled
             continue
         eq = tuple(map(sub, er, ed))
-        if any(x < l or x > h for x, l, h in zip(eq, lo, hi)):
+        if any(x < l or x > h for x, (l, h) in zip(eq, box)):
             raise NotDivisible("leading term not cancellable",
                                remainder=_element(form, rem, bits))
-        # want cq with (cq * cd).shift(Lambda(eq, ed)) == rem[er]
         lr, xr = rem[er]
-        cq = unpack(lr + sum(map(mul, lead, eq)), xr, bits).divide_exact(cd)
-        if cq is None:
-            raise NotDivisible("coefficient quotient is not Laurent",
-                               remainder=_element(form, rem, bits))
+        lr += sum(map(mul, lead, eq))
+        if unit:   # without the zero low digits that cancellation leaves in xr
+            k = ((xr & -xr).bit_length() - 1) // bits
+            lq, xq = lr + k - a, s * (xr >> k * bits)
+            cq = unpack(lq, xq, bits)
+        else:
+            cq = unpack(lr, xr, bits).divide_exact(cd)
+            if cq is None:
+                raise NotDivisible("coefficient quotient is not Laurent",
+                                   remainder=_element(form, rem, bits))
         quot.terms[eq] = cq
         l1q += qlaurent._l1(cq)
         need = bound + l1q * l1d
-        if pack_width(need) > bits:
+        wider = pack_width(need) > bits
+        if wider:
             wide = pack_width(2 * need)
             rem = {e: pack(c.terms, wide) for e, c in _element(form, rem, bits).terms.items()}
             bits = wide
             right = _operand(d, bits)
-        lq, xq = pack(cq.terms, bits)
+        if wider or not unit:
+            lq, xq = pack(cq.terms, bits)
         hit = [tuple(map(add, eq, e)) for e in d.terms]
         fresh = [e for e in hit if e not in rem]
         _product_into(rem, ((eq, lq, -xq),), right, bits)

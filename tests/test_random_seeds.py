@@ -1,24 +1,29 @@
-"""Random principal-coefficient seeds through both expand routes and count.
+"""Random seeds through both expand routes and count.
 
 The corpus has five hand-picked seeds; here hypothesis draws a skew B with
 n <= 3 and |entries| <= 2, a short mutation sequence and a unit or all-ones
 lam, and checks the mutation route against the DT route, positivity and the
 commutative q -> 1 oracle.  The factor-by-factor conjugation must equal the
 dense product at any cone bound, too small ones included.  For an acyclic B
-with a small H^1, every `count` row must match in hard mode.
+with a small H^1, every `count` row must match in hard mode.  Pairs beyond
+principal coefficients, two with a central frozen row and frozen base
+changes of rank-2 principal pairs, go through the same checks.
 """
 
+import json
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcluster.cli import SessionSpec, cmd_count
+from qcluster.cli import SessionSpec, cmd_count, cmd_expand, main
 from qcluster.dtseries import (TAIL_MARGIN, conjugate, dt_factors, dt_product_pair,
                                g_of_lambda)
 from qcluster.errors import TailNotVanishing
 from qcluster.seed import cluster_monomial, initial_seed
 from qcluster.torus import SkewForm, is_positive
 
-from .corpus import principal_pair
+from .corpus import all_sequences, principal_pair
 from .oracles import commutative_cluster_monomial, dense_conjugate, specialize_v1
 
 # Longer sequences on wild rank-3 seeds take seconds each on the DT route.
@@ -128,3 +133,78 @@ def test_random_acyclic_seeds_count_in_hard_mode(case):
     assert cmd_count(spec, [], report)
     assert report["mode"] == "hard"
     assert all(row["verdict"] == "match" for row in report["rows"])
+
+
+# --- compatible pairs beyond principal coefficients ---
+
+CENTRAL_LAMBDA = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("btilde", [[[0, 1], [-1, 0], [1, 1]], [[0, 1], [-1, 0], [2, -1]]])
+def test_central_frozen_row_agrees_and_counts(btilde, tmp_path, capsys):
+    """The frozen row's Lambda row is zero, so B~^T Lambda = [I 0] whatever its
+    B~ entries.  Every ks of length <= 4 and three lam: `expand --route both`
+    exits 0 with AGREE and positivity, and `count` exits 0 in hard mode."""
+    spec = tmp_path / "spec.json"
+    failed = []
+    for ks in all_sequences(2, 4):
+        for lam in ((1, 0, 0), (0, 1, 0), (1, 1, 1)):
+            spec.write_text(json.dumps({"n": 2, "lambda": CENTRAL_LAMBDA, "btilde": btilde,
+                                        "ks": list(ks), "lam": list(lam)}))
+            rc = main(["expand", str(spec), "--route", "both"])
+            lines = capsys.readouterr().out.splitlines()
+            if rc or "two-route: AGREE" not in lines or "positive: yes" not in lines:
+                failed.append(("expand", ks, lam, rc))
+            rc = main(["count", str(spec)])
+            if rc or capsys.readouterr().out.splitlines()[0] != "mode: hard":
+                failed.append(("count", ks, lam, rc))
+    assert not failed
+
+
+UNIMODULAR = ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [-1, 1]],
+              [[-1, 0], [0, 1]], [[2, 1], [1, 1]])
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def frozen_base_changes(draw):
+    """(lambda, btilde, ks, lam): a rank-2 principal pair (Lambda, [B; I])
+    moved by P = [[I, 0], [X, U]], U unimodular, to (P^-T Lambda P^-1, P B~).
+    That pair is compatible again, since the first block row of
+    P^-1 = [[I, 0], [-U^-1 X, U^-1]] is [I 0]."""
+    b = draw(st.integers(-2, 2))
+    lam_matrix, btilde = principal_pair([[0, b], [-b, 0]])
+    x = [[draw(st.integers(-1, 1)) for _ in range(2)] for _ in range(2)]
+    (u11, u12), (u21, u22) = u = draw(st.sampled_from(UNIMODULAR))
+    det = u11 * u22 - u12 * u21
+    u_inv = [[det * u22, -det * u12], [-det * u21, det * u11]]
+    w = [[-z for z in row] for row in _mat_mul(u_inv, x)]
+    p = [[1, 0, 0, 0], [0, 1, 0, 0], x[0] + u[0], x[1] + u[1]]
+    p_inv = [[1, 0, 0, 0], [0, 1, 0, 0], w[0] + u_inv[0], w[1] + u_inv[1]]
+    lam_matrix = _mat_mul(_mat_mul([list(r) for r in zip(*p_inv)], lam_matrix), p_inv)
+    unit = st.integers(0, 3).map(lambda i: tuple(int(t == i) for t in range(4)))
+    lam = draw(st.one_of(st.just((1,) * 4), unit))
+    return lam_matrix, _mat_mul(p, btilde), draw_ks(draw, 2), lam
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(frozen_base_changes())
+def test_frozen_base_changes_agree_and_count(case):
+    """Both routes agree, with positivity, Lefschetz strings and the q -> 1
+    oracle; `count` matches every row in hard mode when H^1 is small."""
+    lam_matrix, btilde, ks, lam = case
+    spec = SessionSpec({"n": 2, "lambda": lam_matrix, "btilde": btilde, "ks": list(ks),
+                        "lam": list(lam), "options": {"route": "both"}})
+    report = {}
+    assert cmd_expand(spec, [], report)
+    assert report["two_route"] == "AGREE" and report["positive"] and report["lefschetz"]
+    result = cluster_monomial(spec.seed, ks, lam)
+    assert specialize_v1(result.element) == commutative_cluster_monomial(btilde, ks, lam)
+    if sum(max(gamma[j] for gamma in result.f_coefficients) for j in range(2)) <= 6:
+        report = {}
+        assert cmd_count(spec, [], report)
+        assert report["mode"] == "hard"
+        assert all(row["verdict"] == "match" for row in report["rows"])

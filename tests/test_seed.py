@@ -331,3 +331,25 @@ def test_each_covector_is_computed_once_per_variable_term(monkeypatch):
     monkeypatch.setattr(SkewForm, "apply", lambda form, e: calls.append(e) or apply(form, e))
     mutate_sequence(s0, ks)
     assert len(calls) <= new_terms + s0.m + (s0.n + 3) * len(ks)
+
+
+def test_unit_leading_coefficients_skip_divide_exact(monkeypatch):
+    """Every exchange divisor along these sequences is a unit monomial or has a
+    unit leading coefficient +-v^a, so no mutation calls QLaurent.divide_exact;
+    a divisor whose leading coefficient is 1 + v^2 still does, and still
+    matches the longhand oracle."""
+    calls = []
+    divide_exact = QLaurent.divide_exact
+    monkeypatch.setattr(QLaurent, "divide_exact",
+                        lambda a, b: calls.append(b) or divide_exact(a, b))
+    s = mutate_sequence(corpus_seed("kronecker_principal"), (1, 2, 1, 2))
+    mutate_sequence(corpus_seed("a3_principal"), (2, 1, 3))
+    assert calls == []
+    x = s.vars[0]
+    ed, _ = x.leading()
+    d = TorusElement(x.form, {**x.terms, ed: QLaurent({0: 1, 2: 1})})
+    n = torus_mul_pairwise(s.vars[1], d)
+    want = torus_divide_longhand(n, d)
+    calls.clear()
+    assert exact_right_divide(n, d) == want == s.vars[1]
+    assert calls

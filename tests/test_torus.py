@@ -201,11 +201,19 @@ def test_mul_matches_pairwise_oracle(pair):
     assert no_zero_coefficients(got)
 
 
+# One-term divisors: units +-v^a, which divide every numerator in one pass,
+# and non-units 2 and 1 + v, which go through the long-division loop.
+ONE_TERM = st.one_of(MONOMIALS, st.sampled_from([QLaurent({0: 2}), QLaurent({0: 1, 1: 1})]))
+
+
 @st.composite
 def divisions(draw):
-    """(n, d, a) with d nonzero and n = a d, or n = a d + r and a = None."""
+    """(n, d, a) with d nonzero and n = a d, or n = a d + r and a = None.
+    d is a random element, or one term c X^f with c a unit or not."""
     a, d = draw(element_pairs())
-    if d.is_zero():
+    if draw(st.booleans()):
+        d = TorusElement.monomial(d.form, draw(EXPONENTS[d.form.dim]), draw(ONE_TERM))
+    elif d.is_zero():
         d = TorusElement.one(d.form)
     n = torus_mul_pairwise(a, d)
     if draw(st.booleans()):
@@ -213,8 +221,14 @@ def divisions(draw):
     return n + element(draw, d.form, max_terms=2), d, None
 
 
+ZERO2 = TorusElement.zero(L2)
+MINUS_V3 = TorusElement.monomial(L2, (1, -1), QLaurent({3: -1}))
+
+
 @PROPERTY
 @given(divisions())
+@example((ZERO2, MINUS_V3, ZERO2))                                   # 0 over a unit
+@example((torus_mul_pairwise(E1 + E2, MINUS_V3), MINUS_V3, E1 + E2))  # -v^3 X^(1,-1)
 def test_divide_matches_longhand_oracle(case):
     n, d, a = case
     if a is not None:
@@ -327,19 +341,33 @@ def test_wide_divide_matches_longhand_oracle(pair, exact):
         assert exact_right_divide(n, d) == want
 
 
-def test_divide_widens_when_the_quotient_outgrows_the_remainder():
-    # (1 - X^40)^3 / (1 - X)^3 = (1 + X + ... + X^39)^3: L1(n) = L1(d) = 8 L1(c)
-    # set the first width, and the quotient's coefficients (up to 1200 c),
-    # hence the remainder's digits next to them, outgrow it.
-    c = QLaurent({0: 2**64, 1: -1})
-    d = (ONE1 - X1) * (ONE1 - X1) * (ONE1 - X1)
-    top = ONE1 - TorusElement.monomial(L1, (40,))
-    n = (top * top * top).scale(c)
+def _check_widening(n, d):
     a = torus_divide_longhand(n, d)
     first = pack_width(2 * _l1(n) * _l1(d))
     assert max(abs(z) for co in a.terms.values() for z in co.terms.values()) >= 2**(first - 1)
     assert exact_right_divide(n, d) == a
     assert torus_mul_pairwise(a, d) == n
+
+
+def test_divide_widens_when_the_quotient_outgrows_the_remainder():
+    # (1 - X^40)^3 / (1 - X)^3 = (1 + X + ... + X^39)^3: L1(n) = L1(d) = 8 L1(c)
+    # set the first width, and the quotient's coefficients (up to 1200 c),
+    # hence the remainder's digits next to them, outgrow it.  d's leading
+    # coefficient is -1, a unit.
+    c = QLaurent({0: 2**64, 1: -1})
+    d = (ONE1 - X1) * (ONE1 - X1) * (ONE1 - X1)
+    top = ONE1 - TorusElement.monomial(L1, (40,))
+    _check_widening((top * top * top).scale(c), d)
+
+
+def test_divide_widens_under_a_leading_coefficient_that_is_no_unit():
+    # As above with n and d scaled by u = 1 + v^2, so every step runs
+    # divide_exact: L1(u) = 2 raises the first width, and X^80 in place of
+    # X^40 quadruples the quotient's coefficients (up to ~4800 c).
+    c, u = QLaurent({0: 2**64, 1: -1}), QLaurent({0: 1, 2: 1})
+    d = ((ONE1 - X1) * (ONE1 - X1) * (ONE1 - X1)).scale(u)
+    top = ONE1 - TorusElement.monomial(L1, (80,))
+    _check_widening((top * top * top).scale(c * u), d)
 
 
 @WIDE_PROPERTY
