@@ -437,7 +437,11 @@ def main(argv=None) -> int:
     golden_ok = True
     if args.golden:
         path = Path(args.golden) / f"{args.command}.{'json' if args.as_json else 'txt'}"
-        golden_ok = _golden_compare(path, text, sys.stderr)
+        try:
+            golden_ok = _golden_compare(path, text, sys.stderr)
+        except (OSError, ValueError) as exc:    # the report is out: only say why
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if not_run is not None:
         print(f"error: {not_run}", file=sys.stderr)
         return 2

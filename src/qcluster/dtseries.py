@@ -15,7 +15,7 @@ cancellation there).  Each series computes its exponents and covectors once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add, gt, mul
 
@@ -36,7 +36,7 @@ class SignSeqResult:
     signs: tuple[str, ...]
     s_classes: tuple[tuple[int, ...], ...]
     c_matrix_trace: tuple[tuple[tuple[int, ...], ...], ...]
-    b_trace: tuple[tuple[tuple[int, ...], ...], ...] = field(default=())
+    b_trace: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def sign_sequence(btilde, ks) -> SignSeqResult:
@@ -129,7 +129,7 @@ class ConeSeries:
     def unit(form, btilde, bound) -> "ConeSeries":
         n = len(bound)
         return ConeSeries(form, btilde, bound,
-                          coeffs={(0,) * n: PochhammerFraction.one()})
+                          coeffs={(0,) * n: _ONE})
 
     def embed(self, gamma):
         """B~ gamma as an ambient exponent vector."""
@@ -276,7 +276,7 @@ def conjugate(form: SkewForm, btilde, factors, g, bound) -> TorusElement:
             f"cone bound {tuple(bound)} is below the safety margin {TAIL_MARGIN}",
             suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
     total = ConeSeries(form, btilde, bound, g,
-                       {(0,) * len(bound): PochhammerFraction.one()})
+                       {(0,) * len(bound): _ONE})
     for factor, factor_inv in reversed(factors):
         total = factor * total * factor_inv
     safe = tuple(b - TAIL_MARGIN for b in bound)

@@ -63,9 +63,10 @@ class GF:
     """The field with q = p^k elements; elements are ints 0..q-1.
 
     An element encodes its coefficient vector over GF(p) base p (for k = 1
-    that is the residue itself).  Addition, negation, multiplication and
-    inversion are lookup tables built once at construction, for every q up
-    to 256.
+    that is the residue itself).  The arithmetic is read from lookup tables
+    built once at construction, for every q up to 256: add[a][b], neg[a],
+    mul[a][b] and inv[a], with a - b = add[a][neg[b]].  inv[0] holds 0 and is
+    never read: only nonzero elements are inverted.
     """
 
     def __init__(self, q: int):
@@ -83,31 +84,14 @@ class GF:
         def undigits(ds):
             return sum(d * p ** i for i, d in enumerate(ds))
 
-        self._add = [[undigits((x + y) % p for x, y in zip(da, db)) for db in digits]
-                     for da in digits]
-        self._neg = [undigits(-x % p for x in da) for da in digits]
-        self._mul = [[undigits(_poly_mul_mod(da, db, modulus, p)) for db in digits]
-                     for da in digits]
-        self._inv = [0] * q
+        self.add = [[undigits((x + y) % p for x, y in zip(da, db)) for db in digits]
+                    for da in digits]
+        self.neg = [undigits(-x % p for x in da) for da in digits]
+        self.mul = [[undigits(_poly_mul_mod(da, db, modulus, p)) for db in digits]
+                    for da in digits]
+        self.inv = [0] * q
         for a in range(1, q):
-            self._inv[a] = self._mul[a].index(1)
-
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
+            self.inv[a] = self.mul[a].index(1)
 
     def from_fraction(self, fr: int | Fraction) -> int:
         """The rational fr, an int or a Fraction, as an element of the prime field."""
@@ -115,7 +99,7 @@ class GF:
         if den == 0:
             raise QClusterError(f"denominator divisible by {self.p}")
         num = fr.numerator % self.p
-        return self.mul(num, self.inv(den))
+        return self.mul[num][self.inv[den]]
 
 
 def _poly_mul_mod(da, db, modulus, p):
@@ -368,7 +352,7 @@ def _bounds(field: GF, d: int, gens: list, rows: list):
 
 def _rank(field: GF, vectors) -> int:
     """Rank over GF(q), by elimination against rows scaled to lead 1."""
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     basis = []                          # (pivot, row), each zero at earlier pivots
     for vec in vectors:
         for p, row in basis:
@@ -419,7 +403,7 @@ def _preimages(rep: FqRep, aid, src: int, k: int) -> list:
     """For each k-subspace U at the arrow's source, the nonzero rows whose
     common kernel is the preimage of U: for each non-pivot column c of U,
     the functional x -> (a(x) reduced by U's RREF rows)_c."""
-    add, mul, neg = rep.field._add, rep.field._mul, rep.field._neg
+    add, mul, neg = rep.field.add, rep.field.mul, rep.field.neg
     mat = rep.mats[aid]
     table = []
     for rows in _subspace_list(rep, src, k):
@@ -442,7 +426,7 @@ def _preimages(rep: FqRep, aid, src: int, k: int) -> list:
 def _incidence(rep: FqRep, v: int, k: int) -> dict:
     """Projective point (first nonzero entry 1) -> bitset of the k-subspaces
     at v that contain it."""
-    add, mul, q = rep.field._add, rep.field._mul, rep.field.q
+    add, mul, q = rep.field.add, rep.field.mul, rep.field.q
     inc = {}
     for i, rows in enumerate(_subspace_list(rep, v, k)):
         bit = 1 << i
@@ -471,8 +455,8 @@ def _arrow_table(rep: FqRep, aid, src: int, tgt: int, k_src: int, k_tgt: int) ->
     for images in _images(rep, aid, tgt, k_tgt):
         allowed = full
         for img in images:
-            scale = field.inv(next(x for x in img if x))
-            allowed &= inc.get(tuple(field.mul(scale, x) for x in img), 0)
+            scale = field.mul[field.inv[next(x for x in img if x)]]
+            allowed &= inc.get(tuple(scale[x] for x in img), 0)
         table.append(allowed)
     return table
 
@@ -491,10 +475,11 @@ def _transpose(table: list, width: int) -> list:
 
 
 def _dot_row(field: GF, row, vec):
+    add, mul = field.add, field.mul
     total = 0
     for x, y in zip(row, vec):
         if x and y:
-            total = field.add(total, field.mul(x, y))
+            total = add[total][mul[x][y]]
     return total
 
 

@@ -6,7 +6,8 @@ it is an int when it is integral and a fractions.Fraction only when it is
 not (`exact`).  Every division goes through Fraction, so no value is ever a
 float.  Vectors are column tuples.  Every span, basis, kernel and coordinate
 question goes through one incremental `Echelon`, and so does the Serre
-polynomial fit in `grassmannian`; `rref` serves only `rank`.
+polynomial fit in `grassmannian`.  `rref` stays as a target the bench
+tracer names and as the tests' reference row reduction.
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class Mat:
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.rows == other.rows
                 and self.cols == other.cols and self.a == other.a)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.a))
 
     def __add__(self, other: "Mat") -> "Mat":
         assert (self.rows, self.cols) == (other.rows, other.cols)
@@ -137,10 +135,6 @@ def rref(mat: Mat):
         if r == mat.rows:
             break
     return Mat(mat.rows, mat.cols, a), pivots
-
-
-def rank(mat: Mat) -> int:
-    return len(rref(mat)[1])
 
 
 class Echelon:

@@ -53,10 +53,6 @@ class QLaurent:
             self.terms = {k: c for k, c in terms.items() if c != 0}
 
     @staticmethod
-    def zero() -> "QLaurent":
-        return QLaurent()
-
-    @staticmethod
     def one() -> "QLaurent":
         return QLaurent({0: 1})
 
@@ -81,9 +77,6 @@ class QLaurent:
     def __eq__(self, other):
         return isinstance(other, QLaurent) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "QLaurent") -> "QLaurent":
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -100,9 +93,6 @@ class QLaurent:
         res = QLaurent()
         res.terms = {k: -c for k, c in self.terms.items()}
         return res
-
-    def __sub__(self, other: "QLaurent") -> "QLaurent":
-        return self + (-other)
 
     def __mul__(self, other):
         """The product with an int or, packed at the width of L1 L1, a QLaurent."""
@@ -126,12 +116,6 @@ class QLaurent:
             return self
         res = QLaurent()
         res.terms = {e + k: c for e, c in self.terms.items()}
-        return res
-
-    def bar(self) -> "QLaurent":
-        """The bar involution v -> v^(-1)."""
-        res = QLaurent()
-        res.terms = {-k: c for k, c in self.terms.items()}
         return res
 
     def eval_at_one(self) -> int:
@@ -484,10 +468,6 @@ class PochhammerFraction:
         res.num, res.den = num, den
         return res
 
-    @staticmethod
-    def one() -> "PochhammerFraction":
-        return PochhammerFraction(QLaurent.one())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -513,18 +493,8 @@ class PochhammerFraction:
     def __add__(self, other: "PochhammerFraction") -> "PochhammerFraction":
         return product_sums({0: [(self, _ONE, 0), (other, _ONE, 0)]})[0]
 
-    def __neg__(self) -> "PochhammerFraction":
-        return PochhammerFraction.of(-self.num, dict(self.den))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other: "PochhammerFraction") -> "PochhammerFraction":
         return product_sums({0: [(self, other, 0)]})[0]
-
-    def shift(self, k: int) -> "PochhammerFraction":
-        """Multiply by v^k."""
-        return PochhammerFraction.of(self.num.shift(k), dict(self.den))
 
     def __repr__(self):
         if not self.den:

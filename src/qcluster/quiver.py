@@ -38,8 +38,6 @@ class Quiver:
         self.m = m
         amap = {}
         for a in arrows:
-            if not isinstance(a, Arrow):
-                a = Arrow(*a)
             if not (1 <= a.source <= m and 1 <= a.target <= m):
                 raise QClusterError(f"arrow {a.id} endpoints out of range")
             if a.id in amap:
@@ -132,12 +130,6 @@ class Potential:
             w = canonical_rotation(tuple(w))
             out[w] = out.get(w, 0) + c
         self.terms = {w: exact(c) for w, c in out.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __add__(self, other: "Potential") -> "Potential":
         """The sum at the smaller cap; both operands' words are canonical already."""

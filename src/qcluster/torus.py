@@ -9,18 +9,18 @@ The product, the q-commutation test, ordered power products and the division
 all run one kernel on coefficients packed as in qlaurent (packing and width
 rule there), so a term pair costs one integer multiply.  The kernel's right
 operand brings its covectors, and a pair's twist is
-Lambda(e1, e2) = -Lambda(e2, .) . e1.  An element computes its L1, its
-per-term covectors and its packing at the last width used on first use and
-keeps them, so a cluster variable that no mutation changes is covectored
-once per sequence.
+Lambda(e1, e2) = -Lambda(e2, .) . e1.  An element computes its L1 and its
+per-term covectors on first use and keeps them, so a cluster variable that
+no mutation changes is covectored once per sequence; it is packed afresh at
+each width a call needs.
 
 Digit bounds, with L1 over all integer coefficients: L1(a) L1(b) for a * b,
 twice that for the commutation test, and the product of the L1(a)^k for an
 ordered power product of the a^k.  A division's remainder digits are at most
-B + L1(quotient so far) L1(d), for a bound B >= L1(n): B = L1(n) in
-`exact_right_divide`, and the sum of the chains' product bounds when an
-exchange numerator, a sum of power products, is added straight into the
-remainder (`divide_power_sum`).  The remainder starts at the width of
+B + L1(quotient so far) L1(d), for a bound B >= L1(n): the sum of the
+chains' product bounds, as the numerator, a sum of power products, is added
+straight into the remainder (`divide_power_sum`; `exact_right_divide` is the
+one chain n^1, so B = L1(n)).  The remainder starts at the width of
 2 B L1(d) and is repacked at twice the bound when the bound outgrows it.
 Each leading term comes from a lazy heap keyed by graded lex: a monomial
 order, so the leading exponent strictly descends.
@@ -76,9 +76,6 @@ class SkewForm:
     def __eq__(self, other):
         return isinstance(other, SkewForm) and self.entries == other.entries
 
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         return f"SkewForm({[list(r) for r in self.entries]})"
 
@@ -91,11 +88,11 @@ def grlex_key(e):
 class TorusElement:
     """A finite sum  sum_e c_e(v) X^e  in the torus attached to a SkewForm."""
 
-    __slots__ = ("form", "terms", "_norm", "_rows", "_pack")
+    __slots__ = ("form", "terms", "_norm", "_rows")
 
     def __init__(self, form: SkewForm, terms=None):
         self.form = form
-        self._norm = self._rows = self._pack = None
+        self._norm = self._rows = None
         clean = {}
         for e, c in (terms or {}).items():
             if not c.is_zero():
@@ -105,14 +102,6 @@ class TorusElement:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(form: SkewForm) -> "TorusElement":
-        return TorusElement(form)
-
-    @staticmethod
-    def one(form: SkewForm) -> "TorusElement":
-        return TorusElement(form, {(0,) * form.dim: QLaurent.one()})
 
     @staticmethod
     def monomial(form: SkewForm, e, coeff=None) -> "TorusElement":
@@ -133,9 +122,6 @@ class TorusElement:
     def __eq__(self, other):
         return (isinstance(other, TorusElement)
                 and self.form == other.form and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.form, frozenset((e, c) for e, c in self.terms.items())))
 
     def _check(self, other: "TorusElement"):
         if self.form != other.form:
@@ -158,7 +144,7 @@ class TorusElement:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, QLaurent.zero()) + c
+            s = out.get(e, QLaurent()) + c
             if s.is_zero():
                 out.pop(e, None)
             else:
@@ -219,11 +205,9 @@ def _l1(a: TorusElement) -> int:
 
 
 def _operand(a: TorusElement, bits: int) -> list:
-    """The terms of a as (exponent, Lambda(e, .), lo, x), kept for the last width."""
-    if a._pack is None or a._pack[0] != bits:
-        rows = a.covectors()
-        a._pack = bits, [(e, rows[e], *pack(c.terms, bits)) for e, c in a.terms.items()]
-    return a._pack[1]
+    """The terms of a as (exponent, Lambda(e, .), lo, x), packed at bits."""
+    rows = a.covectors()
+    return [(e, rows[e], *pack(c.terms, bits)) for e, c in a.terms.items()]
 
 
 def _product_into(acc: dict, left, right, bits: int, mirror=None):
@@ -324,22 +308,19 @@ def exact_right_divide(n: TorusElement, d: TorusElement) -> TorusElement:
     product of a quotient term with the leading term of d.  Quotient
     exponents are confined to the entrywise Newton box of n minus d (both
     max- and min-slices of a product multiply), which bounds the search and
-    guarantees termination.  The remainder is packed, and each step
-    subtracts cq X^eq d from it in place and adds one quotient term.
+    guarantees termination.  It is `divide_power_sum` on the one chain n^1.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero TorusElement")
     n._check(d)
-    bound = _l1(n)
-    bits = pack_width(2 * bound * _l1(d))
-    return _divide({e: pack(c.terms, bits) for e, c in n.terms.items()}, d, bits, bound)
+    return divide_power_sum(n.form, [(((n, 1),), 0)], d)
 
 
 def divide_power_sum(form: SkewForm, chains, d: TorusElement) -> TorusElement:
     """The q with q * d = sum of v^shift prod a^k over (factors, shift) in chains.
 
-    Each chain is added, packed, into one remainder that the division loop of
-    exact_right_divide then runs on; B is the sum of the chains' bounds.
+    Each chain is added, packed, into one remainder that `_divide` then runs
+    on; B is the sum of the chains' bounds.
     """
     bound = sum(_chain_bound(factors) for factors, _ in chains)
     bits = pack_width(2 * bound * _l1(d))

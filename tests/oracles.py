@@ -50,6 +50,13 @@ def rational_rref(rows, ncols):
     return rows[:len(pivots)], pivots
 
 
+def rank(mat):
+    """The rank of a package Mat, read off the package's `rref`."""
+    from qcluster.linalg import rref
+
+    return len(rref(mat)[1])
+
+
 # --- commutative multivariate Laurent polynomials as {exponent tuple: int} ---
 
 def cadd(p1, p2):
@@ -366,7 +373,7 @@ def count_submodules_by_closure(field, dims, arrows, mats):
             for i, row in enumerate(mat):
                 s = 0
                 for x, y in zip(row, local):
-                    s = field.add(s, field.mul(x, y))
+                    s = field.add[s][field.mul[x][y]]
                 img[offs[src - 1] + i] = s
             if any(img):
                 out.append(tuple(img))
@@ -382,12 +389,12 @@ def count_submodules_by_closure(field, dims, arrows, mats):
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = field.inv(rows[r][c])
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
+            inv = field.inv[rows[r][c]]
+            rows[r] = [field.mul[inv][x] for x in rows[r]]
             for i in range(len(rows)):
                 if i != r and rows[i][c]:
                     f = rows[i][c]
-                    rows[i] = [field.sub(a, field.mul(f, b))
+                    rows[i] = [field.add[a][field.neg[field.mul[f][b]]]
                                for a, b in zip(rows[i], rows[r])]
             pivots.append(c)
             r += 1
@@ -431,7 +438,7 @@ def count_submodules_by_closure(field, dims, arrows, mats):
                     lead = next(i for i, x in enumerate(row) if x)
                     if vv[lead]:
                         f = vv[lead]
-                        vv = [field.sub(a, field.mul(f, b)) for a, b in zip(vv, row)]
+                        vv = [field.add[a][field.neg[field.mul[f][b]]] for a, b in zip(vv, row)]
                 if not any(vv):
                     continue
                 bigger = span_closure(list(sub) + [v])
@@ -470,7 +477,7 @@ def gr_count_per_tuple(rep, gamma):
         for mat_row in mat:
             s = 0
             for x, y in zip(mat_row, u):
-                s = field.add(s, field.mul(x, y))
+                s = field.add[s][field.mul[x][y]]
             out.append(s)
         return out
 
@@ -479,7 +486,7 @@ def gr_count_per_tuple(rep, gamma):
             lead = row.index(1)
             if vec[lead]:
                 f = vec[lead]
-                vec = [field.sub(x, field.mul(f, y)) for x, y in zip(vec, row)]
+                vec = [field.add[x][field.neg[field.mul[f][y]]] for x, y in zip(vec, row)]
         return vec
 
     count = 0
@@ -629,13 +636,13 @@ def jacobi_dims(qp, up_to):
     from qcluster.quiver import cyclic_derivative
 
     pot = qp.potential
-    if not pot.is_zero() and up_to > pot.degree_cap - pot.max_degree() + 1:
+    top = max((len(w) for w in pot.terms), default=0)
+    if pot.terms and up_to > pot.degree_cap - top + 1:
         raise DegreeCapExceeded(
-            f"up_to {up_to} exceeds cap {pot.degree_cap} - max degree "
-            f"{pot.max_degree()} + 1")
+            f"up_to {up_to} exceeds cap {pot.degree_cap} - max degree {top} + 1")
     q = qp.quiver
     by_len = _paths_up_to(q, up_to)
-    if pot.is_zero():
+    if not pot.terms:
         return [len(by_len[d]) for d in range(up_to + 1)]
 
     # idempotents are never hit by the ideal, so index only words of length >= 1
@@ -748,7 +755,7 @@ def expand_f_decomposition(result, s0):
     from qcluster.torus import TorusElement
 
     form = s0.initial_form
-    total = TorusElement.zero(form)
+    total = TorusElement(form)
     xg = TorusElement.monomial(form, result.g_vector)
     for gamma, c in result.f_coefficients.items():
         bg = tuple(sum(s0.btilde[i][j] * gamma[j] for j in range(s0.n)) for i in range(s0.m))
@@ -796,14 +803,14 @@ def dense_conjugate(series, g, bound, inverse):
     """
     from qcluster.dtseries import TAIL_MARGIN, ConeSeries
     from qcluster.errors import TailNotVanishing
-    from qcluster.qlaurent import PochhammerFraction
+    from qcluster.qlaurent import PochhammerFraction, QLaurent
     from qcluster.torus import TorusElement
 
     if any(b < TAIL_MARGIN for b in bound):
         raise TailNotVanishing("cone bound below the safety margin",
                                suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
     xg = ConeSeries(series.form, series.btilde, series.bound, g,
-                    {(0,) * series.n: PochhammerFraction.one()})
+                    {(0,) * series.n: PochhammerFraction(QLaurent.one())})
     total = series * xg * inverse
     terms = {}
     for gamma, c in total.coeffs.items():
@@ -850,9 +857,12 @@ def framed_extract(series, lam, bound, inverse):
     A^{-1} (`inverse`, as dt_product_pair returns it).
     """
     from qcluster.dtseries import ConeSeries
+    from qcluster.qlaurent import PochhammerFraction
 
-    twisted = {g: c.shift(-2 * sum(l * x for l, x in zip(lam, g)))
-               for g, c in series.coeffs.items()}
+    twisted = {}
+    for g, c in series.coeffs.items():
+        shift = -2 * sum(l * x for l, x in zip(lam, g))
+        twisted[g] = PochhammerFraction.of(c.num.shift(shift), c.den)
     product = ConeSeries(series.form, series.btilde, series.bound, None,
                          twisted) * inverse
     return ConeSeries(series.form, series.btilde, bound, None, product.coeffs)

@@ -167,7 +167,7 @@ def test_criterion_5_pochhammer_series():
         for _ in range(mult):
             den = den * QLaurent({0: 1, 2 * k: -1})
     series = QLaurent({2 * i: int(c) for i, c in enumerate(oracle) if c})
-    diff = num - series * den
+    diff = num + -(series * den)
     assert all(k >= 2 * 12 for k in diff.terms), "disagreement within 12 terms"
     print("ACCEPTANCE 5 (Pochhammer n=2 coefficient vs series oracle): PASS")
 

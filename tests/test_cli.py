@@ -174,6 +174,28 @@ def test_output_byte_stable_and_golden(tmp_path, capsys):
     assert main(["expand", other, "--golden", str(golden)]) == 1
 
 
+def test_golden_path_that_is_a_file_exits_2(tmp_path, capsys):
+    # the golden directory cannot be made: one JSON report, then the error
+    blocker = tmp_path / "golden"
+    blocker.write_text("not a directory")
+    argv = ["identity-check", "--cone-bound", "2", "--json", "--golden", str(blocker)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["command"] == "identity-check"
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_golden_file_that_is_a_directory_exits_2(tmp_path, capsys):
+    golden = tmp_path / "golden"
+    (golden / "identity-check.txt").mkdir(parents=True)
+    assert main(["identity-check", "--cone-bound", "2"]) == 0
+    report = capsys.readouterr().out
+    assert main(["identity-check", "--cone-bound", "2", "--golden", str(golden)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == report
+    assert captured.err.startswith("error: ")
+
+
 def test_h1_bound_broken_by_the_result_exits_2(tmp_path, capsys, monkeypatch):
     real = cli.h1_aggregate
     monkeypatch.setattr(cli, "h1_aggregate", lambda qp, ks, lam: dataclasses.replace(

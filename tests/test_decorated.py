@@ -6,12 +6,12 @@ from qcluster.decorated import (DecRep, check_jacobi, direct_sum, h1_aggregate,
                                 mutate_rep, negative_simple, word_action)
 from qcluster.errors import RelationViolation
 from qcluster.grassmannian import gr_count, to_fq
-from qcluster.linalg import Mat, rank
+from qcluster.linalg import Mat
 from qcluster.quiver import (Arrow, Potential, QPData, Quiver, from_btilde, mutate_qp_sequence,
                              mutation_step)
 
 from .corpus import all_sequences, corpus_data, corpus_qp
-from .oracles import h1_per_summand, simple
+from .oracles import h1_per_summand, rank, simple
 
 
 def a2_qp():

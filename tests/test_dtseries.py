@@ -71,7 +71,7 @@ def test_pochhammer_n2_coefficient_against_series_oracle():
     prod = num
     for f in den_factors:
         prod = prod * f
-    diff = prod - QLaurent({4: 1})
+    diff = prod + QLaurent({4: -1})
     assert all(k >= 2 * 12 for k in diff.terms)  # agreement to 12 series terms
 
 
@@ -367,7 +367,7 @@ def test_series_equality_reads_every_coefficient_the_base_and_the_degrees():
     extra = (0, 1)                      # every degree of a has g_1 >= g_2
     assert extra not in a.coeffs
     changed = dict(a.coeffs)
-    changed[g] = changed[g] + PochhammerFraction.one()
+    changed[g] = changed[g] + PochhammerFraction(QLaurent.one())
     dropped = {h: c for h, c in a.coeffs.items() if h != g}
     for other in (ConeSeries(L2, B2, bound, a.base, changed),
                   ConeSeries(L2, B2, bound, (1, 0), dict(a.coeffs)),
@@ -395,7 +395,7 @@ def test_series_equality_sums_only_the_degrees_written_differently(monkeypatch):
     two_forms = PochhammerFraction(QLaurent({0: 1, 2: 1}), {2: 1})
     one_form = PochhammerFraction(QLaurent.one(), {1: 1})
     assert (two_forms.num, two_forms.den) != (one_form.num, one_form.den)
-    shared = {(0, 0): PochhammerFraction.one(), (2, 1): one_form}
+    shared = {(0, 0): PochhammerFraction(QLaurent.one()), (2, 1): one_form}
     a = ConeSeries(L2, B2, bound, None, {**shared, (1, 0): two_forms})
     b = ConeSeries(L2, B2, bound, None, {**shared, (1, 0): one_form})
     assert a == b and b == a

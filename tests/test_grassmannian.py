@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,16 +23,26 @@ from .oracles import (count_submodules_by_closure, gr_count_per_tuple,
 def test_gf_axioms():
     for q in (2, 3, 4, 5, 7, 8, 9, 25, 49):
         f = GF(q)
+        add, mul = f.add, f.mul
         for a in range(q):
-            assert f.add(a, 0) == a and f.mul(a, 1) == a
+            assert add[a][0] == a and mul[a][1] == a
             for b in range(q):
-                assert f.add(a, b) == f.add(b, a)
-                assert f.mul(a, b) == f.mul(b, a)
-                assert f.add(a, f.neg(a)) == 0
+                assert add[a][b] == add[b][a]
+                assert mul[a][b] == mul[b][a]
+                assert add[a][f.neg[a]] == 0
                 for c in range(q):
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
         for a in range(1, q):
-            assert f.mul(a, f.inv(a)) == 1
+            assert mul[a][f.inv[a]] == 1
+
+
+def test_gf_from_fraction():
+    # a denominator that p divides has no image in the prime field
+    for q, bad in ((2, Fraction(1, 2)), (4, Fraction(1, 2)), (8, Fraction(1, 2)),
+                   (9, Fraction(1, 3))):
+        with pytest.raises(QClusterError):
+            GF(q).from_fraction(bad)
+    assert GF(5).from_fraction(Fraction(1, 2)) == 3
 
 
 def test_gf_rejects_unsupported_q():

@@ -1,17 +1,18 @@
 """The echelon-backed bases, kernels and coordinates of `linalg` against `rref`.
 
-`rank` and `rref` are a separate row reduction from the incremental
-`Echelon` behind `column_echelon` and `Echelon.extend`, so each check
-compares the two.
+`rref`, and the oracles' `rank` read off it, are a separate row reduction
+from the incremental `Echelon` behind `column_echelon` and
+`Echelon.extend`, so each check compares the two.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster.dtseries import initial_class_map, sign_sequence
-from qcluster.linalg import Echelon, Mat, column_echelon, rank, rref
+from qcluster.linalg import Echelon, Mat, column_echelon, rref
 
 from .corpus import CORPUS_NAMES, all_sequences, corpus_data
+from .oracles import rank
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 

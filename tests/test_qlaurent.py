@@ -39,11 +39,10 @@ def test_basic_arithmetic():
     p = QLaurent({0: 1, 2: 3})
     q = QLaurent({-1: 2})
     assert (p + q).terms == {0: 1, 2: 3, -1: 2}
-    assert (p - p).is_zero()
+    assert (p + -p).is_zero()
     assert (p * q).terms == {-1: 2, 1: 6}
     assert (p * 0).is_zero()
     assert p.shift(3).terms == {3: 1, 5: 3}
-    assert p.bar().terms == {0: 1, -2: 3}
     assert p.eval_at_one() == 4
 
 
@@ -224,7 +223,8 @@ def test_pochhammer_fraction_is_laurent_matches_oracle(parts):
 @PROPERTY
 @given(fractions, fractions, fractions)
 def test_pochhammer_fraction_field_laws(x, y, z):
-    assert (x + y) - y == x
+    minus_one = PochhammerFraction.of(QLaurent.from_int(-1), {})
+    assert (x + y) + minus_one * y == x
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
 
@@ -260,7 +260,7 @@ def wide_sums(draw):
     den = draw(dens)
     extra = {k: draw(st.integers(0, m)) for k, m in den.items()}
     whole, split = times_factors(draw(nums), extra), draw(nums)
-    return [(whole - split, den), (split, den)]
+    return [(whole + -split, den), (split, den)]
 
 
 @PROPERTY
@@ -319,8 +319,8 @@ def test_cancelled_quotient_outgrows_the_width_and_is_repacked():
     assert l1(got.num) == 1728
     # the same chain with a factor left over, inside a sum, and at 2^40 scale
     scaled = num * (2**40 + 1)
-    got = fraction_sum([(scaled, {1: 4, 12: 1}), (QLaurent.zero(), {2: 1})])
-    want = fraction_sum_by_division([(scaled, {1: 4, 12: 1}), (QLaurent.zero(), {2: 1})])
+    got = fraction_sum([(scaled, {1: 4, 12: 1}), (QLaurent(), {2: 1})])
+    want = fraction_sum_by_division([(scaled, {1: 4, 12: 1}), (QLaurent(), {2: 1})])
     assert (got.num.terms, got.den) == (want[0].terms, want[1])
     assert got.den == {2: 1, 12: 1}
 
@@ -360,7 +360,7 @@ def test_values_at_one_and_minus_one_decide_that_nothing_cancels():
 def test_pochhammer_fraction_rejects_denominators_outside_its_domain(den):
     # each factor is (1 - T^k)^m with k >= 1 and m >= 0, both ints; a zero
     # numerator does not excuse a bad denominator
-    for num in (QLaurent.one(), QLaurent.zero()):
+    for num in (QLaurent.one(), QLaurent()):
         with pytest.raises(ValueError):
             PochhammerFraction(num, den)
 

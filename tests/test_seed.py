@@ -34,7 +34,7 @@ def test_initial_seed_validation():
 
 def test_frame_monomial_examples():
     s = a2_seed()
-    assert frame_monomial(s, (0, 0)) == TorusElement.one(L2)
+    assert frame_monomial(s, (0, 0)) == TorusElement.monomial(L2, (0, 0))
     # initial frame is c -> X^c on the nose
     for c in [(2, 3), (-1, 4), (0, -2), (5, 0)]:
         assert frame_monomial(s, c) == TorusElement.monomial(L2, c)
@@ -187,14 +187,14 @@ def test_verify_commutation_catches_swapped_vars():
 def test_g_vector_messages():
     s = a2_seed()
     with pytest.raises(NoGVector, match="zero element has no g-vector"):
-        g_vector(TorusElement.zero(L2), s)
+        g_vector(TorusElement(L2), s)
     junk = TorusElement(L2, {(1, 1): QLaurent.one(), (0, 0): QLaurent.one()})
     with pytest.raises(NoGVector, match="no dominating exponent"):
         g_vector(junk, s)
     # X^0 attains the minimal covector row, but e_3 is not in B~ Z^2_{>=0}
     k = corpus_seed("kronecker_principal")
     form = k.initial_form
-    off_lattice = TorusElement.one(form) + TorusElement.basis(form, 3)
+    off_lattice = TorusElement.monomial(form, (0,) * form.dim) + TorusElement.basis(form, 3)
     with pytest.raises(NoGVector, match="no dominating exponent"):
         g_vector(off_lattice, k)
 
@@ -242,9 +242,9 @@ def _exchange_numerator(s, k):
     normalising twist -sum_{i<j} Lambda_M(i, j) p_i p_j read off the entries."""
     lam, m = s.lam.entries, s.m
     col = s.btilde_column(k)
-    total = TorusElement.zero(s.initial_form)
+    total = TorusElement(s.initial_form)
     for p in (tuple(max(x, 0) for x in col), tuple(max(-x, 0) for x in col)):
-        term = TorusElement.one(s.initial_form)
+        term = TorusElement.monomial(s.initial_form, (0,) * s.initial_form.dim)
         for i in range(m):
             for _ in range(p[i]):
                 term = torus_mul_pairwise(term, s.vars[i])

@@ -19,7 +19,7 @@ E1 = TorusElement.basis(L2, 1)
 E2 = TorusElement.basis(L2, 2)
 L1 = SkewForm([[0]])
 X1 = TorusElement.basis(L1, 1)
-ONE1 = TorusElement.one(L1)
+ONE1 = TorusElement.monomial(L1, (0,))
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -89,7 +89,7 @@ def test_monomial_rule():
     assert (E1 * E2).terms == {(1, 1): QLaurent({1: 1})}
     assert (E2 * E1).terms == {(1, 1): QLaurent({-1: 1})}
     # identity
-    one = TorusElement.one(L2)
+    one = TorusElement.monomial(L2, (0, 0))
     assert E1 * one == E1
     # q-commutation: X^e X^f = q^{Lambda(e,f)} X^f X^e
     assert E1 * E2 == (E2 * E1).scale(QLaurent.monomial(2))
@@ -104,7 +104,7 @@ def test_square_of_sum():
 
 
 def test_add_examples():
-    zero = TorusElement.zero(L2)
+    zero = TorusElement(L2)
     assert E1 + zero == E1
     assert (E1 + E1.scale(-1)).is_zero()
     assert (E1 + E1).terms == {(1, 0): QLaurent({0: 2})}
@@ -214,14 +214,14 @@ def divisions(draw):
     if draw(st.booleans()):
         d = TorusElement.monomial(d.form, draw(EXPONENTS[d.form.dim]), draw(ONE_TERM))
     elif d.is_zero():
-        d = TorusElement.one(d.form)
+        d = TorusElement.monomial(d.form, (0,) * d.form.dim)
     n = torus_mul_pairwise(a, d)
     if draw(st.booleans()):
         return n, d, a
     return n + element(draw, d.form, max_terms=2), d, None
 
 
-ZERO2 = TorusElement.zero(L2)
+ZERO2 = TorusElement(L2)
 MINUS_V3 = TorusElement.monomial(L2, (1, -1), QLaurent({3: -1}))
 
 
@@ -324,7 +324,7 @@ def test_wide_q_commute_matches_products(pair, k, power):
 def test_wide_divide_matches_longhand_oracle(pair, exact):
     a, d = pair
     if d.is_zero():
-        d = TorusElement.one(d.form)
+        d = TorusElement.monomial(d.form, (0,) * d.form.dim)
     n = torus_mul_pairwise(a, d)
     if exact:
         assert exact_right_divide(n, d) == a
@@ -374,7 +374,7 @@ def test_divide_widens_under_a_leading_coefficient_that_is_no_unit():
 @given(wide_pairs(), st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
 def test_wide_power_product_matches_pairwise_chain(pair, i, j, shift):
     a, b = pair
-    want = TorusElement.one(a.form)
+    want = TorusElement.monomial(a.form, (0,) * a.form.dim)
     for f in [a] * i + [b] * j:
         want = torus_mul_pairwise(want, f)
     assert power_product(a.form, [(a, i), (b, j)], shift) == want.scale(QLaurent.monomial(shift))
