@@ -1,5 +1,8 @@
 """Sign sequences, truncated Pochhammer DT series, and the conjugation route.
 
+Every tropical datum of a mutation sequence (c-vector signs and classes,
+the C-matrix, the g-vectors) comes from one walk of [B~ ; I_n].
+
 The wall-crossing series live in a completed sublattice of the ambient
 torus: a ConeSeries is  sum_{gamma >= 0, gamma <= bound}  c_gamma(v) *
 X^{base + B~ gamma}, with c_gamma exact PochhammerFraction coefficients.
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, gt, mul
 
-from .errors import BoundTooSmall, DimensionMismatch, SignAmbiguous, TailNotVanishing
-from .linalg import Echelon
+from .errors import (BoundTooSmall, DimensionMismatch, InconsistentLattice, SignAmbiguous,
+                     TailNotVanishing)
 from .qlaurent import _MINUS_ONE, _ONE, _ZERO, PochhammerFraction, QLaurent, product_sums
 from .seed import _matrix_mutation
 from .torus import SkewForm, TorusElement
@@ -31,29 +34,37 @@ TAIL_MARGIN = 2
 
 @dataclass
 class SignSeqResult:
-    """Signs and tracked module classes for a mutation sequence."""
+    """The tropical data of a mutation sequence, read off one walk.
+
+    Per step: the sign of the mutated c-vector and its class, the entrywise
+    absolute value.  After the last step: b, the rows of B~; c, the rows of
+    the C-matrix, whose columns are the c-vectors; and g, the g-vector of
+    each of the m labels in the initial basis (frozen labels keep e_j).
+    """
 
     signs: tuple[str, ...]
     s_classes: tuple[tuple[int, ...], ...]
-    c_matrix_trace: tuple[tuple[tuple[int, ...], ...], ...]
-    b_trace: tuple[tuple[tuple[int, ...], ...], ...]
+    b: tuple[tuple[int, ...], ...]
+    c: tuple[tuple[int, ...], ...]
+    g: tuple[tuple[int, ...], ...]
 
 
 def sign_sequence(btilde, ks) -> SignSeqResult:
-    """Torsion signs via c-vector sign coherence.
+    """Torsion signs, c-vectors and g-vectors in one walk of [B~ ; I_n].
 
-    The principal extension [B~ ; I_n] is mutated along ks; the sign at
-    step i is the uniform sign of the k_i-th c-vector before the step, and
-    the tracked class is its entrywise absolute value.
+    The principal extension is mutated along ks; the sign at step i is the
+    uniform sign of the k_i-th c-vector before the step, and the tracked
+    class is its entrywise absolute value.  The g-vectors follow the
+    Keller-Yang triangles: at a + step the new g-vector of k is the sum over
+    arrows i'->k of the current quiver minus the old one, at a - step the
+    sum runs over arrows k->j'.  Arrow counts are read off B~ before the step.
     """
     m = len(btilde)
     n = len(btilde[0]) if m else 0
-    ext = [list(r) for r in btilde] + [[1 if i == j else 0 for j in range(n)]
-                                       for i in range(n)]
+    ext = [list(r) for r in btilde] + [[int(i == j) for j in range(n)] for i in range(n)]
+    g = [[int(i == j) for i in range(m)] for j in range(m)]
     signs = []
     classes = []
-    ctrace = []
-    btrace = [tuple(tuple(r) for r in ext[:m])]
     prev = None
     for k in ks:
         if not 1 <= k <= n:
@@ -68,41 +79,19 @@ def sign_sequence(btilde, ks) -> SignSeqResult:
             raise SignAmbiguous(f"c-vector {col} at direction {k} has mixed signs")
         signs.append("+" if nonneg else "-")
         classes.append(tuple(abs(x) for x in col))
+        arrows = [max(-r[k - 1] if nonneg else r[k - 1], 0) for r in ext[:m]]
+        g[k - 1] = [sum(a * gi[t] for a, gi in zip(arrows, g)) - g[k - 1][t]
+                    for t in range(m)]
         ext = _matrix_mutation(ext, m + n, n, k)
-        ctrace.append(tuple(tuple(ext[m + i][j] for j in range(n)) for i in range(n)))
-        btrace.append(tuple(tuple(ext[i][j] for j in range(n)) for i in range(m)))
-    return SignSeqResult(tuple(signs), tuple(classes), tuple(ctrace), tuple(btrace))
-
-
-def g_matrix(btilde, ks):
-    """Columns [Gamma_{k,j}] of the twisted projectives in the initial basis.
-
-    Tracked through the Keller-Yang triangles: at a + step the new column is
-    sum over arrows i'->k of the current quiver minus the old column, at a -
-    step the sum runs over arrows k->j'.  Arrow counts are read off the
-    mutated exchange matrix.
-    """
-    m = len(btilde)
-    res = sign_sequence(btilde, ks)
-    cols = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    for step, k in enumerate(ks):
-        b_cur = res.b_trace[step]
-        col_k = [b_cur[i][k - 1] for i in range(m)]
-        if res.signs[step] == "+":
-            counts = [max(-x, 0) for x in col_k]
-        else:
-            counts = [max(x, 0) for x in col_k]
-        new = [sum(counts[i] * cols[i][t] for i in range(m)) - cols[k - 1][t]
-               for t in range(m)]
-        cols[k - 1] = new
-    return [list(c) for c in cols]
+    return SignSeqResult(tuple(signs), tuple(classes), tuple(map(tuple, ext[:m])),
+                         tuple(map(tuple, ext[m:])), tuple(map(tuple, g)))
 
 
 def g_of_lambda(btilde, ks, lam):
-    """[Gamma_{k,lambda}] = sum_j lam_j [Gamma_{k,j}]."""
-    cols = g_matrix(btilde, ks)
+    """[Gamma_{k,lambda}] = sum_j lam_j [Gamma_{k,j}], with sign_sequence's g-vectors."""
+    g = sign_sequence(btilde, ks).g
     m = len(btilde)
-    return tuple(sum(lam[j] * cols[j][t] for j in range(m)) for t in range(m))
+    return tuple(sum(lam[j] * g[j][t] for j in range(m)) for t in range(m))
 
 
 class ConeSeries:
@@ -297,24 +286,20 @@ def conjugate(form: SkewForm, btilde, factors, g, bound) -> TorusElement:
 def initial_class_map(btilde, ks):
     """The K_0 shadow of Phi(r)^{-1}[1]: Q_r classes to initial labels.
 
-    delta = -C(r) gamma, so gamma holds the coordinates of -delta in C(r)'s
-    columns; raises if they are not integers (they always are: C is
-    unimodular).
+    delta = -C(r) gamma.  By tropical duality (Nakanishi-Zelevinsky) the
+    matrix G whose rows are the mutable parts of the first n g-vectors
+    inverts C(r): G C = I, so gamma = -G delta.  Raises InconsistentLattice
+    when G C = I fails, which would mean the walk is wrong.
     """
-    n = len(btilde[0]) if btilde else 0
     res = sign_sequence(btilde, ks)
-    if res.c_matrix_trace:
-        c_mat = res.c_matrix_trace[-1]
-    else:
-        c_mat = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    columns = Echelon()
-    columns.extend([tuple(row[j] for row in c_mat) for j in range(n)])
+    n = len(res.c)
+    g = [row[:n] for row in res.g[:n]]
+    if any(sum(map(mul, row, col)) != int(i == j)
+           for i, row in enumerate(g) for j, col in enumerate(zip(*res.c))):
+        raise InconsistentLattice(f"g-vectors {g} do not invert the C-matrix {res.c}")
 
     def to_qr(delta):
-        rest, coords = columns.reduce({i: -d for i, d in enumerate(delta)})
-        v = [coords.get(j, 0) for j in range(n)]
-        assert not rest and all(x.denominator == 1 for x in v), "C-matrix image mismatch"
-        return tuple(int(x) for x in v)
+        return tuple(-sum(map(mul, row, delta)) for row in g)
 
     return to_qr
 

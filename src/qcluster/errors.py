@@ -30,7 +30,8 @@ class NoGVector(QClusterError):
 
 
 class InconsistentLattice(QClusterError):
-    """F-polynomial extraction met an exponent outside g + B~ Z^n_{>=0}."""
+    """F-polynomial extraction met an exponent outside g + B~ Z^n_{>=0},
+    or the g-vectors of a mutation sequence do not invert its C-matrix."""
 
 
 class LoopAtVertex(QClusterError):

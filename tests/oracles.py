@@ -22,6 +22,9 @@ the framed series of Thm 5.3 use the package's torus and cone arithmetic,
 and the tests check both against `conjugate` and the mutation route.
 The Pochhammer fractions cancel by repeated QLaurent.divide_exact, the
 rule the packed cancellation replaced.
+The Q_r class map solves C(r) gamma = -delta with the package's
+`linalg.Echelon`, the solve that tropical duality replaced, on a C-matrix
+mutated here.
 """
 
 from fractions import Fraction
@@ -290,6 +293,32 @@ def _mutate_matrix(bt, m, n, k):
                 out[i][j] = bt[i][j] + (abs(bt[i][k]) * bt[k][j]
                                         + bt[i][k] * abs(bt[k][j])) // 2
     return out
+
+
+def class_map_by_solve(btilde, ks):
+    """Q_r classes to initial labels: the integer gamma with C(r) gamma = -delta.
+
+    C(r) is the bottom block of [B~; I_n] mutated along ks; the coordinates
+    of -delta in its columns come from one rational echelon solve and must
+    be integers, since C(r) is unimodular.
+    """
+    from qcluster.linalg import Echelon
+
+    m = len(btilde)
+    n = len(btilde[0]) if m else 0
+    ext = [list(r) for r in btilde] + [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in ks:
+        ext = _mutate_matrix(ext, m + n, n, k)
+    columns = Echelon()
+    columns.extend([tuple(row[j] for row in ext[m:]) for j in range(n)])
+
+    def to_qr(delta):
+        rest, coords = columns.reduce({i: -d for i, d in enumerate(delta)})
+        gamma = [coords.get(j, 0) for j in range(n)]
+        assert not rest and all(x.denominator == 1 for x in gamma), "C-matrix image mismatch"
+        return tuple(int(x) for x in gamma)
+
+    return to_qr
 
 
 def commutative_cluster_monomial(btilde, ks, lam):

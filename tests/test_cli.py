@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from qcluster import cli
+from qcluster import cli, dtseries
 from qcluster.cli import main
+from qcluster.errors import InconsistentLattice
 
 from .corpus import principal_pair
 
@@ -203,6 +204,25 @@ def test_h1_bound_broken_by_the_result_exits_2(tmp_path, capsys, monkeypatch):
     spec = write_spec(tmp_path, A2_DOC)
     assert main(["expand", spec, "--route", "dt"]) == 2
     assert "suggested cone bound" in capsys.readouterr().err
+
+
+def test_g_vectors_that_do_not_invert_c_exit_2(tmp_path, capsys, monkeypatch):
+    """One g-vector entry off by one breaks tropical duality G C = I:
+    initial_class_map raises InconsistentLattice, and `count` exits 2 with the
+    error on stderr and no traceback."""
+    real = dtseries.sign_sequence
+
+    def perturbed(btilde, ks):
+        res = real(btilde, ks)
+        first = (res.g[0][0] + 1,) + res.g[0][1:]
+        return dataclasses.replace(res, g=(first,) + res.g[1:])
+
+    monkeypatch.setattr(dtseries, "sign_sequence", perturbed)
+    with pytest.raises(InconsistentLattice):
+        dtseries.initial_class_map(A2_DOC["btilde"], A2_DOC["ks"])
+    assert main(["count", write_spec(tmp_path, A2_DOC)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "do not invert" in err and "Traceback" not in err
 
 
 def test_count_budget_exceeded_marks_skipped(tmp_path, capsys):
@@ -456,12 +476,25 @@ def test_potential_coefficient_leaves_the_reports_unchanged(tmp_path, capsys, ks
 
 
 def test_count_rank_zero_prints_its_one_trivial_row(tmp_path, capsys):
-    doc = {"n": 0, "lambda": [], "btilde": [], "ks": [], "lam": []}
-    assert main(["count", write_spec(tmp_path, doc)]) == 0
-    rows = [line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("gamma ")]
-    assert len(rows) == 1 and rows[0].startswith("gamma [] |")
-    assert rows[0].endswith("| match")
+    """With no mutable vertex, C and G are empty.  The all-frozen m = 2
+    document also runs through `expand --route both` and `mutate`, which
+    give back the initial monomial X^lam and the initial seed."""
+    for doc in ({"n": 0, "lambda": [], "btilde": [], "ks": [], "lam": []},
+                {"n": 0, "lambda": [[0, 1], [-1, 0]], "btilde": [[], []], "ks": [],
+                 "lam": [1, 2]}):
+        assert main(["count", write_spec(tmp_path, doc)]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("gamma ")]
+        assert len(rows) == 1 and rows[0].startswith("gamma [] |")
+        assert rows[0].endswith("| match")
+    spec = write_spec(tmp_path, doc)
+    assert main(["expand", spec, "--route", "both"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["element = X[1,2]", "g = [1, 2]"]
+    assert "two-route: AGREE" in lines and "positive: yes" in lines
+    assert main(["mutate", spec]) == 0
+    out = capsys.readouterr().out
+    assert "X_1 = X[1,0]" in out and "X_2 = X[0,1]" in out
 
 
 @pytest.mark.parametrize("primes", ["x", "2,,3"])

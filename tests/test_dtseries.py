@@ -263,7 +263,7 @@ def test_dt_path_independence_when_c_matrices_agree():
     seqs = {}
     for ks in all_sequences(n, 6):
         res = sign_sequence(bt, ks)
-        key = (res.b_trace[-1], res.c_matrix_trace[-1] if ks else None)
+        key = (res.b, res.c)
         seqs.setdefault(key, []).append(ks)
     bound = (5, 5)
     checked = 0

@@ -125,9 +125,7 @@ def test_initial_class_map_inverts_the_c_matrix():
     for name in CORPUS_NAMES:
         _, bt, n = corpus_data(name)
         for ks in all_sequences(n, 3):
-            res = sign_sequence(bt, ks)
-            c = res.c_matrix_trace[-1] if ks else [[int(i == j) for j in range(n)]
-                                                    for i in range(n)]
+            c = sign_sequence(bt, ks).c
             to_qr = initial_class_map(bt, ks)
             for delta in [tuple(int(t == i) for t in range(n)) for i in range(n)] + [
                     tuple(range(1, n + 1)), tuple((-1) ** t * (t + 2) for t in range(n))]:

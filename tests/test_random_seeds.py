@@ -7,7 +7,9 @@ commutative q -> 1 oracle.  The factor-by-factor conjugation must equal the
 dense product at any cone bound, too small ones included.  For an acyclic B
 with a small H^1, every `count` row must match in hard mode.  Pairs beyond
 principal coefficients, two with a central frozen row and frozen base
-changes of rank-2 principal pairs, go through the same checks.
+changes of rank-2 principal pairs, go through the same checks.  On both
+kinds of pair, the final g- and c-vectors obey tropical duality, G C = I,
+and the Q_r class map agrees with a rational solve of C gamma = -delta.
 """
 
 import json
@@ -18,13 +20,14 @@ from hypothesis import strategies as st
 
 from qcluster.cli import SessionSpec, cmd_count, cmd_expand, main
 from qcluster.dtseries import (TAIL_MARGIN, conjugate, dt_factors, dt_product_pair,
-                               g_of_lambda)
+                               g_of_lambda, initial_class_map, sign_sequence)
 from qcluster.errors import TailNotVanishing
 from qcluster.seed import cluster_monomial, initial_seed
 from qcluster.torus import SkewForm, is_positive
 
 from .corpus import all_sequences, principal_pair
-from .oracles import commutative_cluster_monomial, dense_conjugate, specialize_v1
+from .oracles import (class_map_by_solve, commutative_cluster_monomial, dense_conjugate,
+                      specialize_v1)
 
 # Longer sequences on wild rank-3 seeds take seconds each on the DT route.
 MAX_KS = {1: 1, 2: 4, 3: 3}
@@ -208,3 +211,33 @@ def test_frozen_base_changes_agree_and_count(case):
         assert cmd_count(spec, [], report)
         assert report["mode"] == "hard"
         assert all(row["verdict"] == "match" for row in report["rows"])
+
+
+# --- tropical duality ---
+
+def _assert_tropical_duality(btilde, ks):
+    """G C = I, with G's rows the mutable parts of the first n g-vectors, and
+    initial_class_map equal to the echelon solve of C gamma = -delta on the
+    unit vectors and two vectors with every entry nonzero."""
+    n = len(btilde[0])
+    res = sign_sequence(btilde, ks)
+    g = [row[:n] for row in res.g[:n]]
+    assert _mat_mul(g, res.c) == [[int(i == j) for j in range(n)] for i in range(n)]
+    to_qr, reference = initial_class_map(btilde, ks), class_map_by_solve(btilde, ks)
+    for delta in [tuple(int(t == i) for t in range(n)) for i in range(n)] + [
+            tuple(range(1, n + 1)), tuple((-1) ** t * (t + 2) for t in range(n))]:
+        assert to_qr(delta) == reference(delta)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_principal_cases())
+def test_tropical_duality_on_random_principal_pairs(case):
+    B, ks, _ = case
+    _assert_tropical_duality(principal_pair(B)[1], ks)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(frozen_base_changes())
+def test_tropical_duality_on_frozen_base_changes(case):
+    _, btilde, ks, _ = case
+    _assert_tropical_duality(btilde, ks)
