@@ -325,11 +325,11 @@ def _load_spec(path: str, overrides) -> SessionSpec:
 
 def _option_flags(args) -> dict:
     """The options given as flags, keyed as in the session document."""
-    flags = {"route": args.route, "degree_cap": args.degree_cap,
-             "cone_bound": args.cone_bound, "primes": args.primes}
-    if args.primes is not None:
+    flags = {key: getattr(args, key, None)
+             for key in ("route", "degree_cap", "cone_bound", "primes")}
+    if flags["primes"] is not None:
         try:
-            flags["primes"] = [int(x) for x in args.primes.split(",")]
+            flags["primes"] = [int(x) for x in flags["primes"].split(",")]
         except ValueError:
             raise QClusterError("--primes takes comma-separated integers, "
                                 f"got {args.primes!r}") from None
@@ -377,13 +377,15 @@ def _parser():
         prog="qcluster",
         description="exact quantum cluster computations, two ways, with checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("mutate", "expand", "count"):
+    for name in ("mutate", "expand", "count"):   # each takes only the flags it reads
         p = sub.add_parser(name)
         p.add_argument("spec", help="session JSON document")
-        p.add_argument("--route", choices=ROUTES)
         p.add_argument("--degree-cap", type=int)
-        p.add_argument("--cone-bound", type=int)
-        p.add_argument("--primes", help="comma-separated prime powers")
+        if name == "expand":
+            p.add_argument("--route", choices=ROUTES)
+            p.add_argument("--cone-bound", type=int)
+        if name == "count":
+            p.add_argument("--primes", help="comma-separated prime powers")
         p.add_argument("--golden", help="golden-file directory")
         p.add_argument("--json", action="store_true", dest="as_json")
     p = sub.add_parser("identity-check")

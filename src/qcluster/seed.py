@@ -6,7 +6,8 @@ initial torus.  Mutation follows the matrix rule and the exchange relation;
 the new variable is produced by one exact right division of the two-monomial
 numerator by the old variable (only the sum is guaranteed Laurent); the two
 monomials go into the division as packed power chains, never built as
-elements.
+elements.  The check after it runs `torus.commutes` on the m - 1 pairs that
+hold the new variable, each packed at its own width.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from operator import mul
 from .errors import (DimensionMismatch, IncompatiblePair, InconsistentLattice,
                      NoGVector, NotSkewSymmetric)
 from .qlaurent import QLaurent
-from .torus import (SkewForm, TorusElement, divide_power_sum, exact_right_divide,
-                    first_noncommuting, power_product)
+from .torus import (SkewForm, TorusElement, commutes, divide_power_sum,
+                    exact_right_divide, power_product)
 
 
 def _check_btilde(btilde, m, n):
@@ -131,7 +132,10 @@ def _matrix_mutation(btilde, m, n, k):
 
 def mutate(s: QuantumSeed, k: int) -> QuantumSeed:
     """Seed mutation at direction k (1-based, k <= n), checked: the new pair
-    is compatible and every pair of cluster variables commutes as Lambda_M says."""
+    is compatible and the m - 1 pairs holding the new variable commute as
+    Lambda_M' says.  Every other pair is s's own, so from initial_seed every
+    pair of every seed is checked once; a bad pair of a hand-built s that
+    the mutation leaves alone is not reported."""
     if not 1 <= k <= s.n:
         raise DimensionMismatch(f"mutation direction {k} out of range 1..{s.n}")
     btilde_new = _matrix_mutation([list(r) for r in s.btilde], s.m, s.n, k)
@@ -158,17 +162,18 @@ def mutate(s: QuantumSeed, k: int) -> QuantumSeed:
     vars_new[k - 1] = new_var
     out = QuantumSeed(s.m, s.n, lam_new, btilde_new, vars_new, s.initial_form)
     check_compatible(out.btilde, out.lam, out.n)
-    verify_commutation(out)
+    verify_commutation(out, [tuple(sorted((i, k - 1))) for i in range(s.m) if i != k - 1])
     return out
 
 
-def verify_commutation(s: QuantumSeed) -> None:
-    """Assert vars[i] vars[j] = v^{2 Lambda_M(i,j)} vars[j] vars[i] exactly, for every i < j."""
-    bad = first_noncommuting(s.vars, [[2 * x for x in row] for row in s.lam.entries])
-    if bad is not None:
-        i, j = bad
-        raise InconsistentLattice(
-            f"commutation of vars[{i + 1}], vars[{j + 1}] does not match Lambda_M")
+def verify_commutation(s: QuantumSeed, pairs) -> None:
+    """Assert vars[i] vars[j] = v^{2 Lambda_M(i,j)} vars[j] vars[i] exactly for
+    each 0-based (i, j) in pairs, in order, and name the first that fails.
+    Only the given pairs are checked; `mutate` gives those of its new variable."""
+    for i, j in pairs:
+        if not commutes(s.vars[i], s.vars[j], 2 * s.lam.entries[i][j]):
+            raise InconsistentLattice(
+                f"commutation of vars[{i + 1}], vars[{j + 1}] does not match Lambda_M")
 
 
 @dataclass

@@ -15,7 +15,7 @@ no mutation changes is covectored once per sequence; it is packed afresh at
 each width a call needs.
 
 Digit bounds, with L1 over all integer coefficients: L1(a) L1(b) for a * b,
-twice that for the commutation test, and the product of the L1(a)^k for an
+twice that for each commuted pair a, b, and the product of the L1(a)^k for an
 ordered power product of the a^k.  A division's remainder digits are at most
 B + L1(quotient so far) L1(d), for a bound B >= L1(n): the sum of the
 chains' product bounds, as the numerator, a sum of power products, is added
@@ -250,30 +250,14 @@ def _element(form: SkewForm, packed: dict, bits: int) -> TorusElement:
     return res
 
 
-def _commutes(left, right, bits: int, k: int) -> bool:
-    """True iff the packed left and right satisfy left right = v^k right left."""
+def commutes(a: TorusElement, b: TorusElement, k: int) -> bool:
+    """True iff a b = v^k b a: one mirrored pass, packed at this pair's own width."""
+    a._check(b)
+    bits = pack_width(2 * _l1(a) * _l1(b))
     acc: dict = {}
-    _product_into(acc, left, right, bits, mirror=k)
+    _product_into(acc, [(e, lo, x) for e, _, lo, x in _operand(a, bits)],
+                  _operand(b, bits), bits, mirror=k)
     return not any(x for _, x in acc.values())
-
-
-def first_noncommuting(elements, k):
-    """The first pair i < j, in order, with a_i a_j != v^{k[i][j]} a_j a_i, or None.
-
-    Every pair is tested, with every element packed at the width of the
-    largest pair bound.
-    """
-    if not elements:
-        return None
-    top = max(map(_l1, elements))
-    bits = pack_width(2 * top * top)
-    packed = [_operand(a, bits) for a in elements]
-    for i, a in enumerate(packed):
-        left = [(e, lo, x) for e, _, lo, x in a]
-        for j in range(i + 1, len(packed)):
-            if not _commutes(left, packed[j], bits, k[i][j]):
-                return i, j
-    return None
 
 
 def _chain(form: SkewForm, factors, shift: int, bits: int) -> dict:

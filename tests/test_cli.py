@@ -571,3 +571,43 @@ def test_usage_error_under_json_prints_error_object(tmp_path, capsys, command, f
     assert report["command"] == command and report["ok"] is False
     assert report["error"]["type"] == "UsageError"
     assert report["error"]["message"] in captured.err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("mutate", ["--route", "dt"]),
+    ("mutate", ["--cone-bound", "4"]),
+    ("mutate", ["--primes", "2,3"]),
+    ("expand", ["--primes", "2,3"]),
+    ("count", ["--route", "mutation"]),
+    ("count", ["--cone-bound", "4"]),
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flags):
+    """Each command takes only the flags it reads; a stray one exits 2, and
+    under --json prints the UsageError object."""
+    spec = write_spec(tmp_path, A2_DOC)
+    for extra in ([], ["--json"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, spec] + flags + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "UsageError" and flags[0] in error["message"]
+
+
+def test_wrong_exchange_quotient_exits_2(tmp_path, capsys, monkeypatch):
+    """A division that returns one term too many breaks the commutation of the
+    new variable: `mutate` exits 2, naming the pair, with no traceback."""
+    from qcluster import seed
+    from qcluster.torus import TorusElement
+
+    real = seed.divide_power_sum
+
+    def one_term_more(form, chains, d):
+        return real(form, chains, d) + TorusElement.monomial(form, (5,) * form.dim)
+
+    monkeypatch.setattr(seed, "divide_power_sum", one_term_more)
+    assert main(["mutate", write_spec(tmp_path, A2_DOC)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: commutation of vars[1], vars[2] does not match")
+    assert "Traceback" not in err

@@ -2,17 +2,19 @@
 
 The corpus has five hand-picked seeds; here hypothesis draws a skew B with
 n <= 3 and |entries| <= 2, a short mutation sequence and a unit or all-ones
-lam, and checks the mutation route against the DT route, positivity and the
-commutative q -> 1 oracle.  The factor-by-factor conjugation must equal the
-dense product at any cone bound, too small ones included.  For an acyclic B
-with a small H^1, every `count` row must match in hard mode.  Pairs beyond
-principal coefficients, two with a central frozen row and frozen base
-changes of rank-2 principal pairs, go through the same checks.  On both
+lam, and checks the mutation route against the DT route, positivity, the
+commutative q -> 1 oracle and the commutation of every pair of the final
+seed.  The factor-by-factor conjugation must equal the dense product at any
+cone bound, too small ones included.  For an acyclic B with a small H^1,
+every `count` row must match in hard mode.  Pairs beyond principal
+coefficients, two with a central frozen row and frozen base changes of
+rank-2 principal pairs, go through the same checks.  On both
 kinds of pair, the final g- and c-vectors obey tropical duality, G C = I,
 and the Q_r class map agrees with a rational solve of C gamma = -delta.
 """
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +24,7 @@ from qcluster.cli import SessionSpec, cmd_count, cmd_expand, main
 from qcluster.dtseries import (TAIL_MARGIN, conjugate, dt_factors, dt_product_pair,
                                g_of_lambda, initial_class_map, sign_sequence)
 from qcluster.errors import TailNotVanishing
-from qcluster.seed import cluster_monomial, initial_seed
+from qcluster.seed import cluster_monomial, initial_seed, mutate_sequence, verify_commutation
 from qcluster.torus import SkewForm, is_positive
 
 from .corpus import all_sequences, principal_pair
@@ -74,6 +76,13 @@ def random_acyclic_cases(draw):
     return B, ks, lam
 
 
+def _assert_every_pair_commutes(s0, ks):
+    """mutate checks only the pairs each step creates; every pair of the
+    final seed must commute as its Lambda_M says all the same."""
+    s = mutate_sequence(s0, ks)
+    verify_commutation(s, combinations(range(s.m), 2))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(random_principal_cases())
 def test_random_principal_seeds_agree_on_both_routes(case):
@@ -85,7 +94,9 @@ def test_random_principal_seeds_agree_on_both_routes(case):
     lam_matrix, btilde = principal_pair(B)
     n = len(B)
     form = SkewForm(lam_matrix)
-    result = cluster_monomial(initial_seed(form, btilde, n), ks, lam)
+    s0 = initial_seed(form, btilde, n)
+    _assert_every_pair_commutes(s0, ks)
+    result = cluster_monomial(s0, ks, lam)
     bound = tuple(max(gamma[j] for gamma in result.f_coefficients) + TAIL_MARGIN
                   for j in range(n))
     factors = dt_factors(form, btilde, ks, bound)
@@ -204,6 +215,7 @@ def test_frozen_base_changes_agree_and_count(case):
     report = {}
     assert cmd_expand(spec, [], report)
     assert report["two_route"] == "AGREE" and report["positive"] and report["lefschetz"]
+    _assert_every_pair_commutes(spec.seed, ks)
     result = cluster_monomial(spec.seed, ks, lam)
     assert specialize_v1(result.element) == commutative_cluster_monomial(btilde, ks, lam)
     if sum(max(gamma[j] for gamma in result.f_coefficients) for j in range(2)) <= 6:

@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -85,10 +87,10 @@ def test_compatibility_and_commutation_preserved():
             while ks and ks[-1] == k:
                 k = rng.randrange(1, s.n + 1)
             ks.append(k)
-        # mutate() itself verifies compatibility + full commutation
+        # mutate() itself checks compatibility and the pairs it creates
         cur = mutate_sequence(s, ks)
         check_compatible(cur.btilde, cur.lam, cur.n)
-        verify_commutation(cur)
+        verify_commutation(cur, combinations(range(cur.m), 2))
 
 
 def test_cluster_monomial_examples():
@@ -155,9 +157,13 @@ def _kronecker_12():
     return mutate_sequence(corpus_seed("kronecker_principal"), (1, 2))
 
 
+def _all_pairs(s):
+    return combinations(range(s.m), 2)
+
+
 def test_verify_commutation_catches_a_wrong_lambda_entry():
     s = _kronecker_12()
-    verify_commutation(s)
+    verify_commutation(s, _all_pairs(s))
     for i in range(s.m):
         for j in range(i + 1, s.m):
             lam = [list(r) for r in s.lam.entries]
@@ -165,7 +171,7 @@ def test_verify_commutation_catches_a_wrong_lambda_entry():
             lam[j][i] -= 1
             bad = QuantumSeed(s.m, s.n, SkewForm(lam), s.btilde, s.vars, s.initial_form)
             with pytest.raises(InconsistentLattice):
-                verify_commutation(bad)
+                verify_commutation(bad, _all_pairs(bad))
 
 
 def test_verify_commutation_catches_swapped_vars():
@@ -179,7 +185,7 @@ def test_verify_commutation_catches_swapped_vars():
             vars[i], vars[j] = vars[j], vars[i]
             bad = QuantumSeed(s.m, s.n, s.lam, s.btilde, vars, s.initial_form)
             with pytest.raises(InconsistentLattice):
-                verify_commutation(bad)
+                verify_commutation(bad, _all_pairs(bad))
             swapped += 1
     assert swapped >= 2
 
@@ -208,30 +214,68 @@ def test_verify_commutation_names_the_first_wrong_pair():
         lam[j][i] -= 1
     bad = QuantumSeed(s.m, s.n, SkewForm(lam), s.btilde, s.vars, s.initial_form)
     with pytest.raises(InconsistentLattice, match=r"vars\[1\], vars\[4\]"):
-        verify_commutation(bad)
+        verify_commutation(bad, _all_pairs(bad))
 
 
 def test_checked_mutation_verifies_every_pair_at_every_step(monkeypatch):
+    """Each mutation checks the m - 1 pairs it creates, each holding the
+    mutated index, once; the rest are the input seed's, checked before."""
     import qcluster.seed as seed_mod
-    import qcluster.torus as torus_mod
 
-    checked, pairs = [], []
-    verify, commutes = seed_mod.verify_commutation, torus_mod._commutes
+    pairs, commutes = [], seed_mod.commutes
 
-    def counting_verify(s):
-        checked.append(s)
-        verify(s)
+    def counting_commutes(a, b, k):
+        pairs.append((a, b))
+        return commutes(a, b, k)
 
-    def counting_commutes(*args):
-        pairs.append(args)
-        return commutes(*args)
+    monkeypatch.setattr(seed_mod, "commutes", counting_commutes)
+    ks = (1, 2, 1)
+    cur = corpus_seed("kronecker_principal")
+    m = cur.m
+    for step, k in enumerate(ks):
+        cur = mutate(cur, k)
+        new = pairs[step * (m - 1):]
+        assert len(new) == m - 1
+        assert all(cur.vars[k - 1] is a or cur.vars[k - 1] is b for a, b in new)
+    assert len(pairs) == 3 * (m - 1)
 
-    monkeypatch.setattr(seed_mod, "verify_commutation", counting_verify)
-    monkeypatch.setattr(torus_mod, "_commutes", counting_commutes)
+
+def test_mutate_checks_the_new_pairs_against_a_wrong_lambda_row():
+    """Lambda_M' off by one in one entry of row k fails on the new pairs alone,
+    naming exactly that pair."""
     s0 = corpus_seed("kronecker_principal")
-    s = mutate_sequence(s0, (1, 2, 1))
-    assert len(checked) == 3 and checked[-1] is s
-    assert len(pairs) == 3 * s.m * (s.m - 1) // 2
+    for k in (1, 2):
+        s = mutate(s0, k)
+        new = [tuple(sorted((i, k - 1))) for i in range(s.m) if i != k - 1]
+        verify_commutation(s, new)
+        for i, j in new:
+            lam = [list(r) for r in s.lam.entries]
+            lam[i][j] += 1
+            lam[j][i] -= 1
+            bad = QuantumSeed(s.m, s.n, SkewForm(lam), s.btilde, s.vars, s.initial_form)
+            with pytest.raises(InconsistentLattice,
+                               match=rf"vars\[{i + 1}\], vars\[{j + 1}\] "):
+                verify_commutation(bad, new)
+
+
+def test_mutate_catches_a_quotient_with_one_extra_term(monkeypatch):
+    """A division that returns one term too many gives a variable that does
+    not q-commute as Lambda_M' says: mutate names a pair that holds k."""
+    import qcluster.seed as seed_mod
+
+    real = seed_mod.divide_power_sum
+
+    def one_term_more(form, chains, d):
+        q = real(form, chains, d)
+        return q + TorusElement.monomial(form, (5,) * form.dim)
+
+    monkeypatch.setattr(seed_mod, "divide_power_sum", one_term_more)
+    s0 = corpus_seed("kronecker_principal")
+    for k in (1, 2):
+        with pytest.raises(InconsistentLattice) as exc:
+            mutate(s0, k)
+        named = re.search(r"vars\[(\d+)\], vars\[(\d+)\]", str(exc.value)).groups()
+        assert str(k) in named
 
 
 # --- the packed exchange quotient against the longhand oracle ---
@@ -318,7 +362,7 @@ def test_each_covector_is_computed_once_per_variable_term(monkeypatch):
     """Over a checked sequence, SkewForm.apply runs once per term of each cluster
     variable, initial or new, plus a fixed number of times per mutation (the n
     rows of check_compatible, the two exchange twists and the row of Lambda');
-    so no covector comes from first_noncommuting, the power chains or the
+    so no covector comes from the commutation check, the power chains or the
     division."""
     ks = (1, 2, 1, 2, 1, 2, 1, 2)
     s0 = corpus_seed("kronecker_principal")

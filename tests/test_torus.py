@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from qcluster.errors import DimensionMismatch, NotDivisible
 from qcluster.qlaurent import QLaurent, pack_width
 from qcluster.seed import mutate_sequence
-from qcluster.torus import (SkewForm, TorusElement, _l1, exact_right_divide,
-                            first_noncommuting, is_positive, power_product)
+from qcluster.torus import (SkewForm, TorusElement, _l1, commutes, exact_right_divide,
+                            is_positive, power_product)
 
 from .corpus import corpus_seed
 from .oracles import (cadd, cmul, specialize_v1, torus_divide_longhand,
@@ -271,7 +271,34 @@ def commutation_cases(draw):
 def test_q_commute_matches_products(case):
     a, b, k = case
     want = torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
-    assert (first_noncommuting([a, b], [[0, k], [-k, 0]]) is None) == want
+    assert commutes(a, b, k) == want
+
+
+def test_commutes_packs_each_pair_at_its_own_width(monkeypatch):
+    """A four-term cluster variable against a one-term frozen one: the pair is
+    packed at the width of 2 L1(a) L1(b), narrower than 2 top^2 for the
+    seed's largest L1, and the answer matches the products for the seed's
+    k = 2 Lambda_M(2, 4) (q-commuting) and for k + 2 (not)."""
+    import qcluster.torus as torus_mod
+
+    s = mutate_sequence(corpus_seed("kronecker_principal"), (1, 2))
+    a, b = s.vars[1], s.vars[3]
+    assert (len(a.terms), len(b.terms)) == (4, 1)
+    widths, product_into = [], torus_mod._product_into
+
+    def spy(acc, left, right, bits, mirror=None):
+        widths.append(bits)
+        product_into(acc, left, right, bits, mirror)
+
+    monkeypatch.setattr(torus_mod, "_product_into", spy)
+    k = 2 * s.lam.entries[1][3]
+    for shift, want in ((k, True), (k + 2, False)):
+        assert (torus_mul_pairwise(a, b)
+                == torus_mul_pairwise(b, a).scale(QLaurent.monomial(shift))) == want
+        assert commutes(a, b, shift) == want
+    top = max(map(_l1, s.vars))
+    assert widths == [pack_width(2 * _l1(a) * _l1(b))] * 2
+    assert widths[0] < pack_width(2 * top * top)
 
 
 # Wide coefficients: up to +-2^64 on v-degrees -6..6, plus fixed coefficients
@@ -314,7 +341,7 @@ def test_wide_q_commute_matches_products(pair, k, power):
     if power:       # a commutes with a scaled a * a at k = 0
         b, k = torus_mul_pairwise(a, a).scale(QLaurent.monomial(k)), 0
     want = torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
-    assert (first_noncommuting([a, b], [[0, k], [-k, 0]]) is None) == want
+    assert commutes(a, b, k) == want
     if power:
         assert want
 
