@@ -5,7 +5,10 @@ map M_j -> M_i, stored as a Mat of shape dims[i] x dims[j], and the word
 (s_1, ..., s_r) acts by mats[s_r] * ... * mats[s_1].  The in/out assignment
 for the mutation triangle lives in one place, `_triangle_maps`; the QP side
 of a mutation is a `quiver.MutationStep`, shared by every representation of
-one QP.
+one QP.  Each module map is written once, in place: the triangle's maps, the
+reversed arrows' maps and a direct sum's block diagonals are built from rows
+of the maps they come from, padded with zeros, so an empty arrow list or a
+zero dimension is an empty row or slice, never a zero block.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, RelationViolation
-from .linalg import Echelon, Mat, column_echelon, hstack, vstack
+from .linalg import Echelon, Mat, column_echelon
 from .quiver import MutationStep, QPData, cyclic_derivative, mutation_step
 
 
@@ -46,10 +49,9 @@ def negative_simple(qp: QPData, j: int) -> DecRep:
 
 def word_action(rep: DecRep, word) -> Mat:
     """Action of a path word: M_{target} -> M_{source}, first letter first."""
-    q = rep.qp.quiver
-    _, tgt = q.word_endpoints(word)
-    mat = Mat.identity(rep.dim_at(tgt))
-    for letter in word:
+    rep.qp.quiver.word_endpoints(word)
+    mat = rep.mats[word[0]]
+    for letter in word[1:]:
         mat = rep.mats[letter] * mat
     return mat
 
@@ -88,32 +90,28 @@ def _triangle_maps(rep: DecRep, step: MutationStep):
     """(alpha, beta, gamma) and the summand dimensions at vertex step.k.
 
     M_in = sum over arrows b: k->j of M_j, M_out = sum over arrows a: i->k
-    of M_i.  alpha: M_in -> M_k collects the actions of the b's, beta:
-    M_k -> M_out the actions of the a's (right-module convention); gamma's
-    (a, b) block is the action of d_{[ba]} W_2 with composites expanded.
+    of M_i.  alpha: M_in -> M_k lays the b's maps side by side, beta:
+    M_k -> M_out stacks the a's maps (right-module convention); gamma's
+    (b, a) block is the action of d_{[ba]} W_2 with composites expanded,
+    zero where that derivative is.  Each map is written row by row, so an
+    empty arrow list or a zero dimension gives an empty row or no rows.
     """
     outgoing, incoming = step.outgoing, step.incoming
+    mats = rep.mats
     dk = rep.dim_at(step.k)
     in_dims = [rep.dim_at(b.target) for b in outgoing]
     out_dims = [rep.dim_at(a.source) for a in incoming]
+    d_in, d_out = sum(in_dims), sum(out_dims)
 
-    alpha = hstack([rep.mats[b.id] for b in outgoing]) if outgoing else Mat.zero(dk, 0)
-    beta = vstack([rep.mats[a.id] for a in incoming]) if incoming else Mat.zero(0, dk)
-
-    blocks = []
-    for b in outgoing:
-        row = []
-        for a in incoming:
-            act = combination_action(rep, step.gamma_words[(b.id, a.id)])
-            if act is None:
-                act = Mat.zero(rep.dim_at(b.target), rep.dim_at(a.source))
-            row.append(act)
-        blocks.append(row)
-    if outgoing and incoming:
-        gamma = vstack([hstack(r) for r in blocks])
-    else:
-        gamma = Mat.zero(sum(in_dims), sum(out_dims))
-    return alpha, beta, gamma, in_dims, out_dims
+    alpha = Mat(dk, d_in, [[x for b in outgoing for x in mats[b.id].a[i]] for i in range(dk)])
+    beta = Mat(d_out, dk, [r for a in incoming for r in mats[a.id].a])
+    gamma_rows = []
+    for b, d in zip(outgoing, in_dims):
+        acts = [combination_action(rep, step.gamma_words[(b.id, a.id)]) for a in incoming]
+        for i in range(d):
+            gamma_rows.append([x for act, w in zip(acts, out_dims)
+                               for x in (act.a[i] if act else (0,) * w)])
+    return alpha, beta, Mat(d_in, d_out, gamma_rows), in_dims, out_dims
 
 
 def mutate_rep(rep: DecRep, step: MutationStep) -> DecRep:
@@ -157,12 +155,11 @@ def mutate_rep(rep: DecRep, step: MutationStep) -> DecRep:
     # alpha-bar: M_out -> M_k-bar, rows [ker g/im b | im g | 0 | 0]; the
     # ker g/im b rows are the c1 coordinates of each unit vector
     unit_coords = [out_ech.reduce({i: 1})[1] for i in range(d_out)]
-    rows_c1 = Mat(n1, d_out, [[u.get(n, 0) for u in unit_coords] for n in c1])
-    alpha_bar = vstack([rows_c1, coords_gamma, Mat.zero(n3, d_out), Mat.zero(vk, d_out)])
-
+    alpha_bar = ([[u.get(n, 0) for u in unit_coords] for n in c1] + list(coords_gamma.a)
+                 + [(0,) * d_out] * (n3 + vk))
     # beta-bar: M_k-bar -> M_in, columns [0 | incl(im g) | incl(c3) | 0]
-    beta_bar = hstack([Mat.zero(d_in, n1), Mat.from_columns(im_gamma, d_in),
-                       Mat.from_columns(c3, d_in), Mat.zero(d_in, vk)])
+    beta_bar = [(0,) * n1 + tuple(v[i] for v in im_gamma) + tuple(v[i] for v in c3)
+                + (0,) * vk for i in range(d_in)]
 
     dims_new = list(rep.dims)
     dims_new[k - 1] = dk_new
@@ -177,12 +174,11 @@ def mutate_rep(rep: DecRep, step: MutationStep) -> DecRep:
         mats_new[cid] = rep.mats[aid] * rep.mats[bid]
     off = 0
     for a, d in zip(step.incoming, out_dims):
-        cols = [alpha_bar.column(off + j) for j in range(d)]
-        mats_new[step.rev[a.id]] = Mat.from_columns(cols, dk_new) if d else Mat.zero(dk_new, 0)
+        mats_new[step.rev[a.id]] = Mat(dk_new, d, [r[off:off + d] for r in alpha_bar])
         off += d
     off = 0
     for b, d in zip(step.outgoing, in_dims):
-        mats_new[step.rev[b.id]] = Mat(d, dk_new, [beta_bar.a[off + i] for i in range(d)])
+        mats_new[step.rev[b.id]] = Mat(d, dk_new, beta_bar[off:off + d])
         off += d
 
     out = DecRep(step.pre, tuple(dims_new), mats_new, tuple(vdims_new))
@@ -265,7 +261,10 @@ def direct_sum(reps: list[DecRep]) -> DecRep:
     mats = {}
     for aid in qp.quiver.arrows:
         blocks = [r.mats[aid] for r in reps]
-        mats[aid] = vstack([hstack([blk if j == i else Mat.zero(row.rows, blk.cols)
-                                    for j, blk in enumerate(blocks)])
-                            for i, row in enumerate(blocks)])
+        width = sum(blk.cols for blk in blocks)
+        rows, left = [], 0
+        for blk in blocks:
+            rows.extend((0,) * left + r + (0,) * (width - left - blk.cols) for r in blk.a)
+            left += blk.cols
+        mats[aid] = Mat(len(rows), width, rows)
     return DecRep(qp, dims, mats, vdims)

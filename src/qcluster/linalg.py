@@ -1,12 +1,13 @@
 """Minimal exact linear algebra over the rationals.
 
-Matrices carry explicit shapes so zero-dimensional spaces behave.  One rule
-holds for every exact rational stored here and in `quiver` and `decorated`:
-it is an int when it is integral and a fractions.Fraction only when it is
-not (`exact`).  Every division goes through Fraction, so no value is ever a
-float.  Vectors are column tuples.  Every span, basis, kernel and coordinate
-question goes through one incremental `Echelon`, and so does the Serre
-polynomial fit in `grassmannian`.  `rref` stays as a target the bench
+Matrices carry explicit shapes so zero-dimensional spaces behave.  There is
+no block assembly here: `decorated` writes each block's rows in place.  One
+rule holds for every exact rational stored here and in `quiver` and
+`decorated`: it is an int when it is integral and a fractions.Fraction only
+when it is not (`exact`).  Every division goes through Fraction, so no value
+is ever a float.  Vectors are column tuples.  Every span, basis, kernel and
+coordinate question goes through one incremental `Echelon`, and so does the
+Serre polynomial fit in `grassmannian`.  `rref` stays as a target the bench
 tracer names and as the tests' reference row reduction.
 """
 
@@ -92,26 +93,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {[list(r) for r in self.a]})"
-
-
-def hstack(mats: list[Mat]) -> Mat:
-    rows = mats[0].rows if mats else 0
-    assert all(m.rows == rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    off = 0
-    for m in mats:
-        for i in range(rows):
-            out[i][off:off + m.cols] = m.a[i]
-        off += m.cols
-    return Mat(rows, cols, out)
-
-
-def vstack(mats: list[Mat]) -> Mat:
-    cols = mats[0].cols if mats else 0
-    assert all(m.cols == cols for m in mats)
-    entries = [list(r) for m in mats for r in m.a]
-    return Mat(len(entries), cols, entries)
 
 
 def rref(mat: Mat):

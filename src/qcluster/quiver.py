@@ -1,6 +1,6 @@
 """Quivers, truncated formal potentials, cyclic derivatives, DWZ mutation.
 
-Words are tuples of arrow ids; a word (s_1, ..., s_r) is a path when
+Words are nonempty tuples of arrow ids; a word (s_1, ..., s_r) is a path when
 source(s_l) = target(s_{l+1}), i.e. the rightmost letter is traversed first
 (function-composition order, matching the right-module action).  Cyclic
 words are stored in their lexicographically minimal rotation.  Potentials
@@ -8,7 +8,8 @@ carry rational coefficients, ints when integral (`linalg.exact`), and are
 truncated at a configurable degree cap.
 DWZ mutation at k is one `mutation_step`: premutation and reduction, with
 the bookkeeping a representation needs to follow it; `mutate_qp` keeps only
-the reduced QP.
+the reduced QP.  Potentials have no arithmetic: the premutation's W_1 + W_2
+is built as one `Potential`, its two term sets being disjoint.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class Quiver:
 
     def word_endpoints(self, word):
         """(source, target) of a path word; raises if not composable."""
+        if not word:
+            raise QClusterError("the empty word is not a path")
         arrows = self.arrows
         unknown = next((x for x in word if x not in arrows), None)
         if unknown is not None:
@@ -130,21 +133,6 @@ class Potential:
             w = canonical_rotation(tuple(w))
             out[w] = out.get(w, 0) + c
         self.terms = {w: exact(c) for w, c in out.items() if c != 0}
-
-    def __add__(self, other: "Potential") -> "Potential":
-        """The sum at the smaller cap; both operands' words are canonical already."""
-        res = Potential(min(self.degree_cap, other.degree_cap))
-        cap = res.degree_cap
-        out = {w: c for w, c in self.terms.items() if len(w) <= cap}
-        for w, c in other.terms.items():
-            if len(w) <= cap:
-                s = exact(out.get(w, 0) + c)
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        res.terms = out
-        return res
 
     def __eq__(self, other):
         return isinstance(other, Potential) and self.terms == other.terms
@@ -293,7 +281,11 @@ def mutation_step(qp: QPData, k: int) -> MutationStep:
         w2_word = _replace_passages(w, out_ids, in_ids, comp)
         w2[w2_word] = w2.get(w2_word, 0) + c
     w2 = Potential(cap, w2)
-    pre = QPData(Quiver(q.m, arrows), Potential(cap, w1) + w2)
+    # W1 + W2: every W1 word holds a reversed arrow and no W2 word does, so
+    # the two term sets are disjoint, and W2's words are canonical already
+    pot = Potential(cap, w1)
+    pot.terms.update(w2.terms)
+    pre = QPData(Quiver(q.m, arrows), pot)
     reduced, trail = reduce_with_trail(pre)
     return MutationStep(qp, k, pre, rev, comp, outgoing, incoming, w2, reduced, trail)
 

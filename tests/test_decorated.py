@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from qcluster.decorated import (DecRep, check_jacobi, direct_sum, h1_aggregate,
                                 mutate_rep, negative_simple, word_action)
-from qcluster.errors import RelationViolation
+from qcluster.errors import QClusterError, RelationViolation
 from qcluster.grassmannian import gr_count, to_fq
 from qcluster.linalg import Mat
 from qcluster.quiver import (Arrow, Potential, QPData, Quiver, from_btilde, mutate_qp_sequence,
@@ -97,6 +97,28 @@ def test_involution_dims_vdims():
             assert twice.vdims == rep.vdims
 
 
+def test_mutation_at_k_keeps_the_decoration_at_k_apart():
+    """mu_2 of M + (0, e_2) against mu_2 M + mu_2 (0, e_2), with V_2 != 0 at
+    the vertex mutated.  M is S_2 plus the module on vertices 1 and 3 where c
+    acts by 1, so gamma = c != 0 and the path through the new vertex 2 acts
+    as gamma does.  Only when alpha-bar's rows and beta-bar's columns give
+    the decoration the same coordinates do the path ranks agree."""
+    qp = triangle_qp()
+    zero = Mat(1, 1, [[0]])
+    m = DecRep(qp, (1, 1, 1), {"a": zero, "b": zero, "c": Mat(1, 1, [[1]])}, (0, 0, 0))
+    both = mutate_at(direct_sum([m, negative_simple(qp, 2)]), 2)
+    check_jacobi(both)
+    assert both.dims == (1, 2, 1) and both.vdims == (0, 1, 0)
+    apart = direct_sum([mutate_at(m, 2), mutate_at(negative_simple(qp, 2), 2)])
+    assert (apart.dims, apart.vdims) == (both.dims, both.vdims)
+    q = both.qp.quiver
+    paths = [(x,) for x in q.arrows] + [(x, y) for x in q.arrows for y in q.arrows
+                                        if q.arrows[x].source == q.arrows[y].target]
+    assert any(len(w) == 2 for w in paths)
+    for w in paths:
+        assert rank(word_action(both, w)) == rank(word_action(apart, w)), w
+
+
 def test_h1_examples():
     qp = a2_qp()
     assert h1(qp, (), (1, 0)).dims == (0, 0)
@@ -168,11 +190,43 @@ def test_word_action_composition():
     assert word_action(rep, ("c", "b")).a == ((0,),)
 
 
+def test_the_empty_word_is_not_a_path():
+    rep = negative_simple(triangle_qp(), 1)
+    q = rep.qp.quiver
+    for call in (q.word_endpoints, q.is_cyclic_word, lambda w: word_action(rep, w)):
+        with pytest.raises(QClusterError, match="empty word is not a path"):
+            call(())
+
+
 def test_direct_sum_dims():
+    """dims and vdims add up, and every arrow acts by the summands' block
+    diagonal.  The summands include zero-width and zero-height blocks and an
+    all-zero summand (0, e_2), between blocks with entries."""
     qp = a2_qp()
     s1 = mutate_at(negative_simple(qp, 1), 1)
     tot = direct_sum([s1, s1, negative_simple(s1.qp, 2)])
     assert tot.dims == (2, 0) and tot.vdims == (0, 1)
+
+    qp = QPData(Quiver(2, [Arrow("a", 1, 2)]), Potential(12))
+    one = DecRep(qp, (1, 1), {"a": Mat(1, 1, [[1]])}, (0, 0))
+    two = DecRep(qp, (2, 1), {"a": Mat(2, 1, [[2], [3]])}, (0, 0))
+    at_1 = DecRep(qp, (1, 0), {"a": Mat(1, 0, [[]])}, (0, 0))
+    at_2 = DecRep(qp, (0, 1), {"a": Mat(0, 1, [])}, (0, 0))
+    reps = [one, at_1, two, negative_simple(qp, 2), at_2, one]
+    tot = direct_sum(reps)
+    assert tot.dims == (5, 4) and tot.vdims == (0, 1)
+    check_jacobi(tot)
+    for aid, mat in tot.mats.items():
+        entries = [[0] * mat.cols for _ in range(mat.rows)]
+        top = left = 0
+        for r in reps:
+            block = r.mats[aid]
+            for i, row in enumerate(block.a):
+                entries[top + i][left:left + block.cols] = row
+            top, left = top + block.rows, left + block.cols
+        assert (top, left) == (mat.rows, mat.cols)
+        assert mat == Mat(top, left, entries)
+    assert tot.mats["a"].a[2:4] == ((0, 2, 0, 0), (0, 3, 0, 0))
 
 
 def test_dump_is_deterministic():

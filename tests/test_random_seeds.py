@@ -1,7 +1,7 @@
 """Random seeds through both expand routes and count.
 
 The corpus has five hand-picked seeds; here hypothesis draws a skew B with
-n <= 3 and |entries| <= 2, a short mutation sequence and a unit or all-ones
+n <= 4 and |entries| <= 2, a short mutation sequence and a unit or all-ones
 lam, and checks the mutation route against the DT route, positivity, the
 commutative q -> 1 oracle and the commutation of every pair of the final
 seed.  The factor-by-factor conjugation must equal the dense product at any
@@ -32,7 +32,7 @@ from .oracles import (class_map_by_solve, commutative_cluster_monomial, dense_co
                       specialize_v1)
 
 # Longer sequences on wild rank-3 seeds take seconds each on the DT route.
-MAX_KS = {1: 1, 2: 4, 3: 3}
+MAX_KS = {1: 1, 2: 4, 3: 3, 4: 2}
 
 
 def draw_ks(draw, n):
@@ -45,7 +45,7 @@ def draw_ks(draw, n):
 
 @st.composite
 def random_principal_cases(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     B = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -62,7 +62,7 @@ def random_principal_cases(draw):
 def random_acyclic_cases(draw):
     """An acyclic B: every arrow points forward in a random vertex order.
     lam is a unit or all-ones vector on the mutable vertices."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     order = draw(st.permutations(range(n)))
     B = [[0] * n for _ in range(n)]
     for a in range(n):
