@@ -17,12 +17,11 @@ for ks in [(1,), (1, 2), (1, 2, 1, 2, 1)]:
 
 print()
 print("## the quantum pentagon identity, exact to cone depth 12")
-form = SkewForm([[0, -1], [1, 0]])
-bt = [[0, -1], [1, 0]]
+K = SkewForm([[0, -1], [1, 0]])  # the cone form on Z^2: w1 w2 = v^{-1} w12
 bound = (12, 12)
-E1 = pochhammer(form, bt, bound, (1, 0), +1)
-E2 = pochhammer(form, bt, bound, (0, 1), +1)
-E12 = pochhammer(form, bt, bound, (1, 1), +1)
+E1 = pochhammer(K, bound, (1, 0), +1)
+E2 = pochhammer(K, bound, (0, 1), +1)
+E12 = pochhammer(K, bound, (1, 1), +1)
 print("E(w1) E(w2) == E(w2) E(w12) E(w1):",
       factorization_check(E1 * E2, [E2, E12, E1]))
 

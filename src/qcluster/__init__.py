@@ -10,7 +10,7 @@ live in tests/oracles.py.
 """
 
 from .decorated import DecRep, h1_aggregate, mutate_rep, negative_simple
-from .dtseries import (ConeSeries, SignSeqResult, conjugate, dt_factors,
+from .dtseries import (ConeSeries, SignSeqResult, cone_form, conjugate, dt_factors,
                        dt_product_pair, factorization_check, g_of_lambda,
                        initial_class_map, pochhammer, sign_sequence)
 from .grassmannian import (FqRep, coefficient_crosscheck, gr_count, serre_interpolate,
@@ -33,7 +33,7 @@ __all__ = [
     "cyclic_derivative", "mutation_step", "reduce_with_trail", "mutate_qp",
     "mutate_qp_sequence", "euler_form",
     "DecRep", "negative_simple", "mutate_rep", "h1_aggregate",
-    "SignSeqResult", "ConeSeries", "sign_sequence", "pochhammer", "dt_factors",
+    "SignSeqResult", "ConeSeries", "cone_form", "sign_sequence", "pochhammer", "dt_factors",
     "dt_product_pair", "conjugate",
     "factorization_check", "g_of_lambda", "initial_class_map",
     "FqRep", "to_fq", "gr_count", "serre_interpolate",

@@ -274,7 +274,7 @@ def cmd_count(spec: SessionSpec, out: list[str], report: dict) -> bool:
 
 
 def cmd_identity_check(out: list[str], report: dict, depth: int) -> bool:
-    """Pentagon / factorization suite on the rank-2 exchange data."""
+    """Pentagon / factorization suite under rank-2 cone forms K on Z^2."""
     if depth < 1:
         raise QClusterError(f"--cone-bound must be at least 1, got {depth}")
     ok = True
@@ -289,31 +289,28 @@ def cmd_identity_check(out: list[str], report: dict, depth: int) -> bool:
     bound = (depth, depth)
     # arrow 1->2 orientation: E(w1)E(w2) = E(w2)E(w12)E(w1)
     form_a = SkewForm([[0, -1], [1, 0]])
-    bt_a = [[0, -1], [1, 0]]
-    e1 = pochhammer(form_a, bt_a, bound, (1, 0), +1)
-    e2 = pochhammer(form_a, bt_a, bound, (0, 1), +1)
-    e12 = pochhammer(form_a, bt_a, bound, (1, 1), +1)
+    e1 = pochhammer(form_a, bound, (1, 0), +1)
+    e2 = pochhammer(form_a, bound, (0, 1), +1)
+    e12 = pochhammer(form_a, bound, (1, 1), +1)
     record(f"pentagon depth {depth}", factorization_check(e1 * e2, [e2, e12, e1]))
     # mirrored orientation
     form_b = SkewForm([[0, 1], [-1, 0]])
-    bt_b = [[0, 1], [-1, 0]]
-    f1 = pochhammer(form_b, bt_b, bound, (1, 0), +1)
-    f2 = pochhammer(form_b, bt_b, bound, (0, 1), +1)
-    f12 = pochhammer(form_b, bt_b, bound, (1, 1), +1)
+    f1 = pochhammer(form_b, bound, (1, 0), +1)
+    f2 = pochhammer(form_b, bound, (0, 1), +1)
+    f12 = pochhammer(form_b, bound, (1, 1), +1)
     record(f"pentagon (mirror) depth {depth}",
            factorization_check(f2 * f1, [f1, f12, f2]))
     # inverse-product identities
-    minus = pochhammer(form_a, bt_a, bound, (1, 0), -1)
+    minus = pochhammer(form_a, bound, (1, 0), -1)
     record("pochhammer inverse", factorization_check(
-        ConeSeries.unit(form_a, bt_a, bound), [e1, minus]))
-    # commuting classes on a 2x2 zero form (factors commute)
+        ConeSeries.unit(form_a, bound), [e1, minus]))
+    # commuting classes under the zero form (factors commute)
     form_c = SkewForm([[0, 0], [0, 0]])
-    bt_c = [[1, 0], [0, 1]]
-    g1 = pochhammer(form_c, bt_c, bound, (1, 0), +1)
-    g2 = pochhammer(form_c, bt_c, bound, (0, 1), +1)
+    g1 = pochhammer(form_c, bound, (1, 0), +1)
+    g2 = pochhammer(form_c, bound, (0, 1), +1)
     record("commuting classes", factorization_check(g1 * g2, [g2, g1]))
     record("trivial split", factorization_check(
-        e1, [e1, ConeSeries.unit(form_a, bt_a, bound)]))
+        e1, [e1, ConeSeries.unit(form_a, bound)]))
     report["checks"] = checks
     return ok
 

@@ -3,17 +3,19 @@
 Every tropical datum of a mutation sequence (c-vector signs and classes,
 the C-matrix, the g-vectors) comes from one walk of [B~ ; I_n].
 
-The wall-crossing series live in a completed sublattice of the ambient
-torus: a ConeSeries is  sum_{gamma >= 0, gamma <= bound}  c_gamma(v) *
-X^{base + B~ gamma}, with c_gamma exact PochhammerFraction coefficients.
-All commutation factors come from the ambient skew form through the
-embedding w_gamma -> X^{B~ gamma}; no separate Euler-form bookkeeping is
-needed (the compatible pair already encodes it).
+The wall-crossing series live in the quantum torus of the charge lattice
+Z^n: a ConeSeries is  sum_{gamma >= 0, gamma <= bound}  c_gamma(v) w_gamma,
+with c_gamma exact PochhammerFraction coefficients and
+w_a w_b = v^{K(a, b)} w_{a+b}.  The cone form K = B~^T Lambda B~
+(`cone_form`) is the ambient form read through w_gamma -> X^{B~ gamma}; it
+needs no compatibility, and on a compatible pair it is the exchange matrix.
+Only `conjugate` reads B~, g and Lambda: it keeps A X^g A^{-1} as S X^g, S a
+cone series, and writes each term as an ambient monomial at the end.
 
 A product of series groups its term pairs by output degree, and equality
 the degrees where the two series write their coefficients differently, and
 hands them to qlaurent.product_sums in one call (packing, width rule and
-cancellation there).  Each series computes its exponents and covectors once.
+cancellation there).  Each series computes its covectors once.
 """
 
 from __future__ import annotations
@@ -94,80 +96,70 @@ def g_of_lambda(btilde, ks, lam):
     return tuple(sum(lam[j] * g[j][t] for j in range(m)) for t in range(m))
 
 
+def cone_form(form: SkewForm, btilde) -> SkewForm:
+    """K = B~^T Lambda B~ on Z^n, so K(a, b) = Lambda(B~ a, B~ b).
+
+    Exact on any pair; on a compatible one (B~^T Lambda = [I 0]) it is the
+    exchange matrix B, the upper n x n block of B~.
+    """
+    cols = list(zip(*btilde))
+    return SkewForm([[sum(map(mul, form.apply(a), b)) for b in cols] for a in cols])
+
+
 class ConeSeries:
-    """A truncated element of the completed motivic torus inside T_Lambda."""
+    """A truncated element of the completed quantum torus of Z^n under K."""
 
-    __slots__ = ("form", "base", "btilde", "bound", "coeffs", "_rows")
+    __slots__ = ("form", "bound", "coeffs", "_rows")
 
-    def __init__(self, form: SkewForm, btilde, bound, base=None, coeffs=None):
+    def __init__(self, form: SkewForm, bound, coeffs=None):
         self.form = form
-        self.btilde = tuple(tuple(r) for r in btilde)
         self.bound = tuple(bound)
-        self.base = tuple(base) if base is not None else (0,) * form.dim
         self.coeffs = {}
         for gamma, c in (coeffs or {}).items():
             if not c.is_zero() and all(g <= b for g, b in zip(gamma, self.bound)):
                 self.coeffs[tuple(gamma)] = c
         self._rows = None
 
-    @property
-    def n(self) -> int:
-        return len(self.bound)
-
     @staticmethod
-    def unit(form, btilde, bound) -> "ConeSeries":
-        n = len(bound)
-        return ConeSeries(form, btilde, bound,
-                          coeffs={(0,) * n: _ONE})
-
-    def embed(self, gamma):
-        """B~ gamma as an ambient exponent vector."""
-        m = self.form.dim
-        return tuple(sum(self.btilde[i][j] * gamma[j] for j in range(self.n))
-                     for i in range(m))
-
-    def exponent_of(self, gamma):
-        return tuple(b + e for b, e in zip(self.base, self.embed(gamma)))
+    def unit(form, bound) -> "ConeSeries":
+        return ConeSeries(form, bound, {(0,) * len(bound): _ONE})
 
     def rows(self):
-        """(gamma, exponent, covector Lambda(exponent, .), coefficient) per term.
+        """(gamma, covector K(gamma, .), coefficient) per term.
 
         Computed on first use and kept: a series is immutable.
         """
         if self._rows is None:
-            self._rows = [(g, e, self.form.apply(e), c) for g, c in self.coeffs.items()
-                          for e in (self.exponent_of(g),)]
+            self._rows = [(g, self.form.apply(g), c) for g, c in self.coeffs.items()]
         return self._rows
 
     def _compat(self, other: "ConeSeries"):
-        if (self.form != other.form or self.btilde != other.btilde
-                or self.bound != other.bound):
+        if self.form != other.form or self.bound != other.bound:
             raise DimensionMismatch("cone series live in different completions")
 
     def __mul__(self, other: "ConeSeries") -> "ConeSeries":
         """The truncated product; each output coefficient is cancelled once.
 
-        X^{e1} X^{e2} = v^{Lambda(e1, e2)} X^{e1+e2}, so the term of a pair
-        (g1, g2) is c1 c2 v^{Lambda(e1, e2)} at g1 + g2; with each series'
-        exponents and covectors Lambda(e1, .) at hand, a pair's twist is one
-        dot product.  qlaurent.product_sums sums every output's pairs on
-        packed numerators and cancels it once.
+        w_{g1} w_{g2} = v^{K(g1, g2)} w_{g1+g2}, so the term of a pair is
+        c1 c2 v^{K(g1, g2)} at g1 + g2; with the left series' covectors
+        K(g1, .) at hand, a pair's twist is one dot product.
+        qlaurent.product_sums sums every output's pairs on packed numerators
+        and cancels it once.
         """
         self._compat(other)
         bound = self.bound
         right = other.rows()
         outputs: dict[tuple, list] = {}
-        for g1, _, cov, c1 in self.rows():
-            for g2, e2, _, c2 in right:
+        for g1, cov, c1 in self.rows():
+            for g2, _, c2 in right:
                 g = tuple(map(add, g1, g2))
                 if any(map(gt, g, bound)):
                     continue
-                outputs.setdefault(g, []).append((c1, c2, sum(map(mul, cov, e2))))
-        base = tuple(map(add, self.base, other.base))
-        return ConeSeries(self.form, self.btilde, bound, base, product_sums(outputs))
+                outputs.setdefault(g, []).append((c1, c2, sum(map(mul, cov, g2))))
+        return ConeSeries(self.form, bound, product_sums(outputs))
 
     def __eq__(self, other):
-        """Equal bases and, at every degree of either series, equal coefficients.
+        """At every degree of either series, equal coefficients.
 
         The rule of PochhammerFraction ==: two coefficients written with the
         same (num, den) are equal with no arithmetic.  Every other degree,
@@ -177,8 +169,6 @@ class ConeSeries:
         if not isinstance(other, ConeSeries):
             return NotImplemented
         self._compat(other)
-        if self.base != other.base:
-            return False
         diffs: dict[tuple, list] = {}
         for g in self.coeffs.keys() | other.coeffs.keys():
             a, b = self.coeffs.get(g, _ZERO), other.coeffs.get(g, _ZERO)
@@ -188,7 +178,7 @@ class ConeSeries:
 
     def __repr__(self):
         body = ", ".join(f"{g}: {c!r}" for g, c in sorted(self.coeffs.items()))
-        return f"ConeSeries(base={self.base}, {{{body}}})"
+        return f"ConeSeries({{{body}}})"
 
 
 def _pochhammer_coefficients(depth: int, sign: int):
@@ -209,29 +199,30 @@ def _pochhammer_coefficients(depth: int, sign: int):
     return out
 
 
-def pochhammer(form: SkewForm, btilde, bound, cls, sign: int) -> ConeSeries:
-    """The truncated expansion of (-T^{1/2} w_cls; T)_infty^{sign}."""
+def pochhammer(form: SkewForm, bound, cls, sign: int) -> ConeSeries:
+    """The truncated expansion of (-T^{1/2} w_cls; T)_infty^{sign} under the cone form."""
     if not any(cls):
         raise BoundTooSmall("pochhammer requires a nonzero class")
     depth = min(b // c for c, b in zip(cls, bound) if c)
     coeffs = {}
     for nn, c in enumerate(_pochhammer_coefficients(depth, sign)):
         coeffs[tuple(nn * x for x in cls)] = c
-    return ConeSeries(form, btilde, bound, None, coeffs)
+    return ConeSeries(form, bound, coeffs)
 
 
 def dt_factors(form: SkewForm, btilde, ks, bound):
     """The ordered pairs (E_i, E_i^{-1}) with A = E_1 E_2 ... E_r.
 
     E_i is the Pochhammer series of the i-th tracked class, with the
-    exponent of the i-th sign; its inverse has the opposite exponent.
+    exponent of the i-th sign; its inverse has the opposite exponent.  All
+    live under cone_form(form, btilde).
     """
     res = sign_sequence(btilde, ks)
+    cone = cone_form(form, btilde)
     pairs = []
     for sign, cls in zip(res.signs, res.s_classes):
         e = +1 if sign == "+" else -1
-        pairs.append((pochhammer(form, btilde, bound, cls, e),
-                      pochhammer(form, btilde, bound, cls, -e)))
+        pairs.append((pochhammer(cone, bound, cls, e), pochhammer(cone, bound, cls, -e)))
     return tuple(pairs)
 
 
@@ -241,8 +232,7 @@ def dt_product_pair(form: SkewForm, btilde, ks, bound):
     No route calls it (conjugate takes the factors one at a time); the tests
     use it, and bench/tracer.py traces it by name.
     """
-    fwd = ConeSeries.unit(form, btilde, bound)
-    inv = ConeSeries.unit(form, btilde, bound)
+    fwd = inv = ConeSeries.unit(cone_form(form, btilde), bound)
     for factor, factor_inv in dt_factors(form, btilde, ks, bound):
         fwd = fwd * factor
         inv = factor_inv * inv
@@ -253,8 +243,12 @@ def conjugate(form: SkewForm, btilde, factors, g, bound) -> TorusElement:
     """A X^g A^{-1} in the truncated torus, returned as a finite element.
 
     `factors` are the pairs (E_i, E_i^{-1}) of A = E_1 ... E_r, as dt_factors
-    returns them.  X^g is conjugated one factor at a time, innermost first:
-    T <- E_i T E_i^{-1} for i = r, ..., 1.  Truncation at the bound is a
+    returns them.  The one place the ambient torus enters: w_gamma stands for
+    X^{B~ gamma}, so with r_j = Lambda(B~ e_j, g), X^g w_gamma = sigma(w_gamma)
+    X^g for sigma(w_gamma) = v^{-2 r.gamma} w_gamma.  The conjugate is kept as
+    S X^g, one factor at a time, innermost first:  S <- E_i S sigma(E_i^{-1})
+    for i = r, ..., 1, and each term c_gamma w_gamma X^g is written as
+    c_gamma v^{r.gamma} X^{g + B~ gamma}.  Truncation at the bound is a
     quotient by an ideal of the cone ring, so every coefficient within the
     bound equals that of the dense product (A X^g) A^{-1}.  Raises
     TailNotVanishing unless every coefficient within TAIL_MARGIN of the bound
@@ -264,10 +258,12 @@ def conjugate(form: SkewForm, btilde, factors, g, bound) -> TorusElement:
         raise TailNotVanishing(
             f"cone bound {tuple(bound)} is below the safety margin {TAIL_MARGIN}",
             suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
-    total = ConeSeries(form, btilde, bound, g,
-                       {(0,) * len(bound): _ONE})
+    r = [form.pair(col, g) for col in zip(*btilde)]
+    total = ConeSeries.unit(cone_form(form, btilde), bound)
     for factor, factor_inv in reversed(factors):
-        total = factor * total * factor_inv
+        sigma = {gamma: PochhammerFraction.of(c.num.shift(-2 * sum(map(mul, r, gamma))), c.den)
+                 for gamma, c in factor_inv.coeffs.items()}
+        total = factor * total * ConeSeries(factor_inv.form, factor_inv.bound, sigma)
     safe = tuple(b - TAIL_MARGIN for b in bound)
     terms = {}
     for gamma, c in total.coeffs.items():
@@ -279,7 +275,8 @@ def conjugate(form: SkewForm, btilde, factors, g, bound) -> TorusElement:
             raise TailNotVanishing(
                 f"coefficient at {gamma} kept a series denominator",
                 suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
-        terms[total.exponent_of(gamma)] = c.as_laurent()
+        exponent = tuple(x + sum(map(mul, row, gamma)) for x, row in zip(g, btilde))
+        terms[exponent] = c.as_laurent().shift(sum(map(mul, r, gamma)))
     return TorusElement(form, terms)
 
 
@@ -311,5 +308,5 @@ def factorization_check(lhs: ConeSeries, rhs_factors) -> bool:
     compared with the unit series.
     """
     factors = list(rhs_factors)
-    prod = reduce(mul, factors) if factors else ConeSeries.unit(lhs.form, lhs.btilde, lhs.bound)
+    prod = reduce(mul, factors) if factors else ConeSeries.unit(lhs.form, lhs.bound)
     return lhs == prod

@@ -37,16 +37,8 @@ class Mat:
             self.a = tuple(tuple(map(exact, r)) for r in entries)
 
     @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
         return Mat(rows, cols)
-
-    @staticmethod
-    def from_columns(cols: list[tuple], dim: int) -> "Mat":
-        return Mat(dim, len(cols), [[c[i] for c in cols] for i in range(dim)])
 
     def column(self, j: int) -> tuple:
         return tuple(self.a[i][j] for i in range(self.rows))
@@ -185,8 +177,8 @@ def column_echelon(mat: Mat):
     independent of the ones before them.  `kernel` is a basis of ker mat,
     one vector per other column j: e_j minus its combination of basis
     columns, the kernel read off the RREF.  `coords` is the len(basis) x
-    cols Mat with from_columns(basis) * coords = mat.  A combination index
-    is a column index.
+    cols Mat with B * coords = mat, where B has the columns of `basis`.  A
+    combination index is a column index.
     """
     ech = Echelon()
     basis, kernel, coords, place = [], [], [], {}

@@ -8,10 +8,12 @@ the package, which test_grassmannian checks on its own.  The table-driven
 count enumerates every vertex through the package's per-arrow subspace
 tables, which `gr_count` reads between enumerated vertices and the per-tuple
 count checks.  The F-decomposition rebuild uses the package's torus
-arithmetic, which test_torus checks on its own, and the pairwise cone
-product reads only the series' coefficients, exponents and skew form.  The
-dense conjugation multiplies whole series with the package's cone product,
-which the pairwise product checks.  The torus product and division here
+arithmetic, which test_torus checks on its own.  The cone products here
+read the series' coefficients only, and take every twist from the ambient
+skew form at the exponents b + B~ gamma, never from the cone form.  The
+pairwise one adds one term pair at a time; the dense conjugation and the
+framed series sum each output with the package's `product_sums`, which
+test_qlaurent checks on its own.  The torus product and division here
 work one term pair at a time in QLaurent arithmetic, apart from the torus
 product kernel.  The per-summand H^1 mutates every summand copy on its own
 and puts the copies together here.
@@ -51,6 +53,20 @@ def rational_rref(rows, ncols):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows[:len(pivots)], pivots
+
+
+def identity(n):
+    """The n x n identity as a package Mat."""
+    from qcluster.linalg import Mat
+
+    return Mat(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def from_columns(cols, dim):
+    """The dim x len(cols) package Mat with these columns."""
+    from qcluster.linalg import Mat
+
+    return Mat(dim, len(cols), [[c[i] for c in cols] for i in range(dim)])
 
 
 def rank(mat):
@@ -256,15 +272,16 @@ def fraction_sum_by_division(parts):
     return cancel_by_division(QLaurent(total), den)
 
 
-def cone_mul_by_division(a, b):
+def cone_mul_by_division(form, btilde, a, b):
     """a * b for two ConeSeries as {cone degree: (num, den)} of the nonzero outputs.
 
-    The terms c1 c2 v^{Lambda(e1, e2)} of each output are collected with
-    their product denominators and summed by fraction_sum_by_division.
+    The terms c1 c2 v^{Lambda(B~ g1, B~ g2)} of each output, twisted in the
+    ambient torus, are collected with their product denominators and summed
+    by fraction_sum_by_division.
     """
     parts = {}
     for g1, c1 in a.coeffs.items():
-        e1 = a.exponent_of(g1)
+        e1 = embed(btilde, g1)
         for g2, c2 in b.coeffs.items():
             g = tuple(x + y for x, y in zip(g1, g2))
             if any(x > bd for x, bd in zip(g, a.bound)):
@@ -272,7 +289,7 @@ def cone_mul_by_division(a, b):
             den = {k: c1.den.get(k, 0) + c2.den.get(k, 0)
                    for k in c1.den.keys() | c2.den.keys()}
             parts.setdefault(g, []).append(
-                ((c1.num * c2.num).shift(a.form.pair(e1, b.exponent_of(g2))), den))
+                ((c1.num * c2.num).shift(form.pair(e1, embed(btilde, g2))), den))
     out = {g: fraction_sum_by_division(terms) for g, terms in parts.items()}
     return {g: (num, den) for g, (num, den) in out.items() if not num.is_zero()}
 
@@ -794,23 +811,29 @@ def expand_f_decomposition(result, s0):
 
 # --- truncated DT series ---
 
-def cone_mul_pairwise(a, b):
+def embed(btilde, gamma, base=None):
+    """The ambient exponent base + B~ gamma of the cone degree gamma."""
+    base = base or (0,) * len(btilde)
+    return tuple(x + sum(r * y for r, y in zip(row, gamma)) for x, row in zip(base, btilde))
+
+
+def cone_mul_pairwise(form, btilde, a, b):
     """a * b for two ConeSeries, one (g1, g2) pair at a time.
 
-    Each pair's term c1 c2 v^{Lambda(e1, e2)}, with the twist read off the
-    full skew form, is added to its output coefficient on its own.
+    Each pair's term c1 c2 v^{Lambda(B~ g1, B~ g2)}, with the twist read off
+    the ambient skew form, is added to its output coefficient on its own.
     Fractions stay raw ({exponent: int} numerator, {k: multiplicity}
     denominator), multiplied and cross-multiplied without any cancelling.
     Returns {cone degree: (num, den)} for the nonzero coefficients.
     """
     out = {}
     for g1, c1 in a.coeffs.items():
-        e1 = a.exponent_of(g1)
+        e1 = embed(btilde, g1)
         for g2, c2 in b.coeffs.items():
             g = tuple(x + y for x, y in zip(g1, g2))
             if any(x > bd for x, bd in zip(g, a.bound)):
                 continue
-            tw = a.form.pair(e1, b.exponent_of(g2))
+            tw = form.pair(e1, embed(btilde, g2))
             num = {e + tw: c for e, c in lmul(c1.num.terms, c2.num.terms).items()}
             den = {k: c1.den.get(k, 0) + c2.den.get(k, 0)
                    for k in c1.den.keys() | c2.den.keys()}
@@ -823,14 +846,36 @@ def cone_mul_pairwise(a, b):
     return {g: (num, den) for g, (num, den) in out.items() if num}
 
 
-def dense_conjugate(series, g, bound, inverse):
+def ambient_product(form, btilde, left, right, bound):
+    """(X^{b1} sum c1 w_g1)(X^{b2} sum c2 w_g2) in the ambient torus.
+
+    `left` and `right` are (base, {cone degree: PochhammerFraction}); w_g is
+    X^{B~ g}, so a pair's twist is Lambda(b1 + B~ g1, b2 + B~ g2).  Returns
+    (b1 + b2, {g: coefficient}) with the degrees beyond the bound dropped.
+    """
+    from qcluster.qlaurent import product_sums
+
+    (b1, left), (b2, right) = left, right
+    outputs = {}
+    for g1, c1 in left.items():
+        e1 = embed(btilde, g1, b1)
+        for g2, c2 in right.items():
+            g = tuple(x + y for x, y in zip(g1, g2))
+            if all(x <= bd for x, bd in zip(g, bound)):
+                outputs.setdefault(g, []).append(
+                    (c1, c2, form.pair(e1, embed(btilde, g2, b2))))
+    coeffs = {g: c for g, c in product_sums(outputs).items() if not c.is_zero()}
+    return tuple(x + y for x, y in zip(b1, b2)), coeffs
+
+
+def dense_conjugate(form, btilde, series, g, bound, inverse):
     """(A X^g) A^{-1} from the whole series A and its inverse, as a TorusElement.
 
-    The dense product the factor-by-factor conjugate replaces, with the same
-    margin and tail checks, each raising TailNotVanishing with the same
-    suggested bound.
+    The dense product the factor-by-factor conjugate replaces, worked in the
+    ambient torus, with the same margin and tail checks, each raising
+    TailNotVanishing with the same suggested bound.
     """
-    from qcluster.dtseries import TAIL_MARGIN, ConeSeries
+    from qcluster.dtseries import TAIL_MARGIN
     from qcluster.errors import TailNotVanishing
     from qcluster.qlaurent import PochhammerFraction, QLaurent
     from qcluster.torus import TorusElement
@@ -838,16 +883,17 @@ def dense_conjugate(series, g, bound, inverse):
     if any(b < TAIL_MARGIN for b in bound):
         raise TailNotVanishing("cone bound below the safety margin",
                                suggested_bound=tuple(max(b, TAIL_MARGIN + 1) for b in bound))
-    xg = ConeSeries(series.form, series.btilde, series.bound, g,
-                    {(0,) * series.n: PochhammerFraction(QLaurent.one())})
-    total = series * xg * inverse
+    zero = (0,) * form.dim
+    xg = (tuple(g), {(0,) * len(bound): PochhammerFraction(QLaurent.one())})
+    total = ambient_product(form, btilde, (zero, series.coeffs), xg, series.bound)
+    base, coeffs = ambient_product(form, btilde, total, (zero, inverse.coeffs), series.bound)
     terms = {}
-    for gamma, c in total.coeffs.items():
+    for gamma, c in coeffs.items():
         if any(x > b - TAIL_MARGIN for x, b in zip(gamma, bound)) or not c.is_laurent():
             raise TailNotVanishing(f"tail coefficient at {gamma}",
                                    suggested_bound=tuple(b + TAIL_MARGIN for b in bound))
-        terms[total.exponent_of(gamma)] = c.as_laurent()
-    return TorusElement(series.form, terms)
+        terms[embed(btilde, gamma, base)] = c.as_laurent()
+    return TorusElement(form, terms)
 
 
 class CommutationMismatch(QClusterError):
@@ -876,14 +922,15 @@ def lemma52_step(form, btilde, x_cls, y, eps):
     return y + y * x
 
 
-def framed_extract(series, lam, bound, inverse):
+def framed_extract(form, btilde, series, lam, bound, inverse):
     """The framed series A^{sfr} with A w_{(0,1)} A^{-1} = w_{(0,1)} A^{sfr}.
 
     Works in the extended lattice Z^n x Z with the framing pairing
     chi((0,1),(gamma,0)) = -sum_i lam_i gamma_i; only framing degree one is
     ever needed, so the extension stays implicit in the v-powers: the framed
     series is A, its coefficient at gamma twisted by v^{-2 lam.gamma}, times
-    A^{-1} (`inverse`, as dt_product_pair returns it).
+    A^{-1} (`inverse`, as dt_product_pair returns it), multiplied in the
+    ambient torus.
     """
     from qcluster.dtseries import ConeSeries
     from qcluster.qlaurent import PochhammerFraction
@@ -892,9 +939,10 @@ def framed_extract(series, lam, bound, inverse):
     for g, c in series.coeffs.items():
         shift = -2 * sum(l * x for l, x in zip(lam, g))
         twisted[g] = PochhammerFraction.of(c.num.shift(shift), c.den)
-    product = ConeSeries(series.form, series.btilde, series.bound, None,
-                         twisted) * inverse
-    return ConeSeries(series.form, series.btilde, bound, None, product.coeffs)
+    zero = (0,) * form.dim
+    _, coeffs = ambient_product(form, btilde, (zero, twisted), (zero, inverse.coeffs),
+                                series.bound)
+    return ConeSeries(series.form, bound, coeffs)
 
 
 # --- decorated representations ---

@@ -7,7 +7,7 @@ tolerance is exact (these are symbolic identities and integer counts).
 import pytest
 
 from qcluster.decorated import h1_aggregate, mutate_rep, negative_simple
-from qcluster.dtseries import (conjugate, dt_factors, factorization_check,
+from qcluster.dtseries import (cone_form, conjugate, dt_factors, factorization_check,
                                g_of_lambda, initial_class_map, pochhammer,
                                sign_sequence)
 from qcluster.errors import SignAmbiguous
@@ -139,16 +139,18 @@ def test_criterion_4_pentagon():
     form = SkewForm([[0, -1], [1, 0]])
     bt = [[0, -1], [1, 0]]
     bound = (12, 12)
-    e1 = pochhammer(form, bt, bound, (1, 0), +1)
-    e2 = pochhammer(form, bt, bound, (0, 1), +1)
-    e12 = pochhammer(form, bt, bound, (1, 1), +1)
+    cone = cone_form(form, bt)
+    e1 = pochhammer(cone, bound, (1, 0), +1)
+    e2 = pochhammer(cone, bound, (0, 1), +1)
+    e12 = pochhammer(cone, bound, (1, 1), +1)
     assert factorization_check(e1 * e2, [e2, e12, e1])
     # mirrored orientation on the canonical A2 data
     form_m = SkewForm([[0, 1], [-1, 0]])
     bt_m = [[0, 1], [-1, 0]]
-    f1 = pochhammer(form_m, bt_m, bound, (1, 0), +1)
-    f2 = pochhammer(form_m, bt_m, bound, (0, 1), +1)
-    f12 = pochhammer(form_m, bt_m, bound, (1, 1), +1)
+    cone_m = cone_form(form_m, bt_m)
+    f1 = pochhammer(cone_m, bound, (1, 0), +1)
+    f2 = pochhammer(cone_m, bound, (0, 1), +1)
+    f12 = pochhammer(cone_m, bound, (1, 1), +1)
     assert factorization_check(f2 * f1, [f1, f12, f2])
     print("ACCEPTANCE 4 (pentagon identity, cone depth 12): PASS")
 
@@ -157,7 +159,7 @@ def test_criterion_5_pochhammer_series():
     """+ series coefficient at n = 2 equals T^2/((1-T)(1-T^2)) to 12 terms."""
     form = SkewForm([[0, 1], [-1, 0]])
     bt = [[0, 1], [-1, 0]]
-    plus = pochhammer(form, bt, (12, 12), (1, 0), +1)
+    plus = pochhammer(cone_form(form, bt), (12, 12), (1, 0), +1)
     frac = plus.coeffs[(2, 0)]
     oracle = expand_t_power_quotient(2, [1, 2], 12)
     # clear the stored denominator against the truncated oracle series

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster import dtseries
-from qcluster.dtseries import (TAIL_MARGIN, ConeSeries, conjugate, dt_factors,
+from qcluster.dtseries import (TAIL_MARGIN, ConeSeries, cone_form, conjugate, dt_factors,
                                dt_product_pair, factorization_check, g_of_lambda,
                                initial_class_map, pochhammer, sign_sequence)
 from qcluster.errors import DimensionMismatch, TailNotVanishing
@@ -15,12 +15,13 @@ from qcluster.seed import cluster_monomial
 from qcluster.torus import SkewForm, TorusElement
 
 from .corpus import CORPUS_NAMES, all_sequences, corpus_data, corpus_seed
-from .oracles import (CommutationMismatch, cone_mul_by_division, cone_mul_pairwise,
+from .oracles import (CommutationMismatch, cone_mul_by_division, cone_mul_pairwise, embed,
                       expand_t_power_quotient, fraction_is_laurent, fractions_equal,
                       framed_extract, lemma52_step)
 
 L2 = SkewForm([[0, 1], [-1, 0]])
 B2 = [[0, 1], [-1, 0]]
+K2 = cone_form(L2, B2)
 
 
 def test_sign_sequence_examples():
@@ -49,17 +50,17 @@ def test_sign_sequence_first_sign_plus_everywhere():
 
 def test_pochhammer_constant_term_and_inverse():
     bound = (8, 8)
-    plus = pochhammer(L2, B2, bound, (1, 0), +1)
-    minus = pochhammer(L2, B2, bound, (1, 0), -1)
+    plus = pochhammer(K2, bound, (1, 0), +1)
+    minus = pochhammer(K2, bound, (1, 0), -1)
     z = (0, 0)
     assert plus.coeffs[z].as_laurent().is_one()
     assert minus.coeffs[z].as_laurent().is_one()
-    assert factorization_check(ConeSeries.unit(L2, B2, bound), [plus, minus])
+    assert factorization_check(ConeSeries.unit(K2, bound), [plus, minus])
 
 
 def test_pochhammer_n2_coefficient_against_series_oracle():
     # coefficient of w_{2 cls} in the + series is T^2/((1-T)(1-T^2))
-    plus = pochhammer(L2, B2, (12, 12), (1, 0), +1)
+    plus = pochhammer(K2, (12, 12), (1, 0), +1)
     frac = plus.coeffs[(2, 0)]
     oracle = expand_t_power_quotient(2, [1, 2], 12)
     # multiply oracle series by the stored denominator and compare numerators
@@ -77,17 +78,17 @@ def test_pochhammer_n2_coefficient_against_series_oracle():
 
 def test_dt_product_single_and_empty():
     bound = (6, 6)
-    unit = ConeSeries.unit(L2, B2, bound)
+    unit = ConeSeries.unit(K2, bound)
     assert dt_product_pair(L2, B2, (), bound)[0] == unit
     single = dt_product_pair(L2, B2, (1,), bound)[0]
-    assert single == pochhammer(L2, B2, bound, (1, 0), +1)
+    assert single == pochhammer(K2, bound, (1, 0), +1)
     fwd, inv = dt_product_pair(L2, B2, (1, 2), bound)
     assert fwd * inv == unit
 
 
 def test_conjugate_identity_series():
     bound = (4, 4)
-    one = ConeSeries.unit(L2, B2, bound)
+    one = ConeSeries.unit(K2, bound)
     out = conjugate(L2, B2, [(one, one)], (2, -1), bound)
     assert out == TorusElement.monomial(L2, (2, -1))
 
@@ -103,7 +104,7 @@ def test_conjugate_a2_matches_mutation():
 
 def test_conjugate_tail_not_vanishing_on_tiny_bound():
     with pytest.raises(TailNotVanishing) as exc:
-        one = ConeSeries.unit(L2, B2, (0, 0))
+        one = ConeSeries.unit(K2, (0, 0))
         conjugate(L2, B2, [(one, one)], (1, 0), (0, 0))
     assert exc.value.suggested_bound is not None
 
@@ -112,10 +113,9 @@ def test_conjugate_rejects_a_coefficient_that_kept_a_series_denominator():
     """A factor whose only coefficient is 1/(1 - T) leaves that denominator
     on X^g: the result would not be a Laurent polynomial."""
     bound = (TAIL_MARGIN + 2,) * 2
-    series = ConeSeries(L2, B2, bound,
-                        coeffs={(0, 0): PochhammerFraction(QLaurent.monomial(0), {1: 1})})
+    series = ConeSeries(K2, bound, {(0, 0): PochhammerFraction(QLaurent.monomial(0), {1: 1})})
     with pytest.raises(TailNotVanishing) as exc:
-        conjugate(L2, B2, [(series, ConeSeries.unit(L2, B2, bound))], (1, 0), bound)
+        conjugate(L2, B2, [(series, ConeSeries.unit(K2, bound))], (1, 0), bound)
     assert str(exc.value) == "coefficient at (0, 0) kept a series denominator"
     assert exc.value.suggested_bound == (2 * TAIL_MARGIN + 2,) * 2
 
@@ -155,8 +155,8 @@ def test_lemma52_plus_exponent_against_minus_factor():
     assert L2.pair((0, -1), y_exp) == 1
     y = TorusElement.monomial(L2, y_exp)
     fast = lemma52_step(L2, B2, (1, 0), y, +1)
-    minus = pochhammer(L2, B2, bound, (1, 0), -1)
-    plus = pochhammer(L2, B2, bound, (1, 0), +1)
+    minus = pochhammer(K2, bound, (1, 0), -1)
+    plus = pochhammer(K2, bound, (1, 0), +1)
     slow = conjugate(L2, B2, [(minus, plus)], y_exp, bound)
     assert fast == slow
     assert fast == y + y * TorusElement.monomial(L2, (0, -1), QLaurent.monomial(1))
@@ -176,8 +176,8 @@ def test_lemma52_oracle_agrees_with_conjugate_on_the_corpus():
         for i in range(n):
             x = tuple(int(t == i) for t in range(n))
             bx = tuple(row[i] for row in bt)
-            plus = pochhammer(form, bt, bound, x, +1)
-            minus = pochhammer(form, bt, bound, x, -1)
+            plus = pochhammer(cone_form(form, bt), bound, x, +1)
+            minus = pochhammer(cone_form(form, bt), bound, x, -1)
             by_eps = {1: [], -1: []}
             for y in itertools.product((-1, 0, 1), repeat=m):
                 by_eps.get(form.pair(bx, y), []).append(y)
@@ -193,10 +193,10 @@ def test_lemma52_oracle_agrees_with_conjugate_on_the_corpus():
 
 def test_framed_extract_trivial_cases():
     bound = (4, 4)
-    one = ConeSeries.unit(L2, B2, bound)
-    assert framed_extract(one, (1, 0), bound, one) == one
+    one = ConeSeries.unit(K2, bound)
+    assert framed_extract(L2, B2, one, (1, 0), bound, one) == one
     series, inv = dt_product_pair(L2, B2, (1,), bound)
-    assert framed_extract(series, (0, 0), bound, inv) == one
+    assert framed_extract(L2, B2, series, (0, 0), bound, inv) == one
 
 
 def test_framed_extract_matches_f_polynomial():
@@ -204,7 +204,7 @@ def test_framed_extract_matches_f_polynomial():
     r = cluster_monomial(s0, (1,), (1, 0))
     bound = (4, 4)
     series, inv = dt_product_pair(L2, B2, (1,), bound)
-    sfr = framed_extract(series, (1, 0), bound, inv)
+    sfr = framed_extract(L2, B2, series, (1, 0), bound, inv)
     for gamma, coeff in r.f_coefficients.items():
         assert sfr.coeffs[gamma].as_laurent() == coeff
     for gamma, c in sfr.coeffs.items():
@@ -219,7 +219,7 @@ def test_framed_extract_coefficients_land_in_z_t():
     bound = (5, 5)
     for ks, lam in [((1,), (1, 0)), ((1, 2), (0, 1)), ((1, 2, 1), (1, 0))]:
         series, inv = dt_product_pair(L2, B2, ks, bound)
-        sfr = framed_extract(series, lam, bound, inv)
+        sfr = framed_extract(L2, B2, series, lam, bound, inv)
         to_qr = initial_class_map(B2, ks)
         qp = QPData(from_btilde(B2, 2), Potential(12))
         for k in ks:
@@ -238,9 +238,10 @@ def test_factorization_pentagon():
     form = SkewForm([[0, -1], [1, 0]])
     bt = [[0, -1], [1, 0]]
     bound = (7, 7)
-    e1 = pochhammer(form, bt, bound, (1, 0), +1)
-    e2 = pochhammer(form, bt, bound, (0, 1), +1)
-    e12 = pochhammer(form, bt, bound, (1, 1), +1)
+    cone = cone_form(form, bt)
+    e1 = pochhammer(cone, bound, (1, 0), +1)
+    e2 = pochhammer(cone, bound, (0, 1), +1)
+    e12 = pochhammer(cone, bound, (1, 1), +1)
     assert factorization_check(e1 * e2, [e2, e12, e1])
     # wrong grouping must fail
     assert not factorization_check(e2 * e1, [e2, e12, e1])
@@ -248,12 +249,11 @@ def test_factorization_pentagon():
 
 def test_factorization_trivial_and_commuting():
     bound = (5, 5)
-    e1 = pochhammer(L2, B2, bound, (1, 0), +1)
-    assert factorization_check(e1, [e1, ConeSeries.unit(L2, B2, bound)])
+    e1 = pochhammer(K2, bound, (1, 0), +1)
+    assert factorization_check(e1, [e1, ConeSeries.unit(K2, bound)])
     zero_form = SkewForm([[0, 0], [0, 0]])
-    ident = [[1, 0], [0, 1]]
-    g1 = pochhammer(zero_form, ident, bound, (1, 0), +1)
-    g2 = pochhammer(zero_form, ident, bound, (0, 1), +1)
+    g1 = pochhammer(zero_form, bound, (1, 0), +1)
+    g2 = pochhammer(zero_form, bound, (0, 1), +1)
     assert factorization_check(g1 * g2, [g2, g1])
 
 
@@ -308,16 +308,35 @@ def test_sign_ambiguous_unreachable_on_corpus():
             sign_sequence(bt, ks)  # must not raise SignAmbiguous
 
 
+def draw_skew_form(draw, m):
+    """A random skew form on Z^m with entries in -2..2."""
+    upper = {(i, j): draw(st.integers(-2, 2)) for i in range(m) for j in range(i + 1, m)}
+    return SkewForm([[upper[i, j] if i < j else -upper[j, i] if j < i else 0
+                      for j in range(m)] for i in range(m)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_cone_form_pulls_the_ambient_form_back_on_any_pair(data):
+    """K(a, b) = Lambda(B~ a, B~ b) for a random skew Lambda on Z^m, any m x n
+    B~ and any a, b in Z^n: cone_form assumes no compatibility."""
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    form = draw_skew_form(data.draw, m)
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    btilde = data.draw(st.lists(row, min_size=m, max_size=m))
+    a, b = data.draw(row), data.draw(row)
+    assert cone_form(form, btilde).pair(a, b) == form.pair(embed(btilde, a), embed(btilde, b))
+
+
 @st.composite
 def cone_pairs(draw):
-    """Two rank-2 ConeSeries in one completion: a random skew form on Z^m,
-    a random m x 2 btilde and bound <= 3, random bases, and coefficients
-    whose numerators carry some of their (1 - T^k) factors, so some cancel."""
+    """(form, btilde, a, b): a random skew form on Z^m, a random m x 2
+    btilde and two rank-2 ConeSeries under their cone form with bound <= 3,
+    and coefficients whose numerators carry some of their (1 - T^k)
+    factors, so some cancel."""
     m = draw(st.integers(2, 4))
     small = st.integers(-2, 2)
-    upper = {(i, j): draw(small) for i in range(m) for j in range(i + 1, m)}
-    form = SkewForm([[upper[i, j] if i < j else -upper[j, i] if j < i else 0
-                      for j in range(m)] for i in range(m)])
+    form = draw_skew_form(draw, m)
     btilde = [[draw(small) for _ in range(2)] for _ in range(m)]
     bound = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
     degrees = st.tuples(st.integers(0, bound[0]), st.integers(0, bound[1]))
@@ -333,48 +352,47 @@ def cone_pairs(draw):
         return PochhammerFraction(num, den)
 
     def series():
-        base = tuple(draw(small) for _ in range(m))
         keys = draw(st.lists(degrees, max_size=5, unique=True))
-        return ConeSeries(form, btilde, bound, base, {g: coefficient() for g in keys})
+        return ConeSeries(cone_form(form, btilde), bound, {g: coefficient() for g in keys})
 
-    return series(), series()
+    return form, btilde, series(), series()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cone_pairs())
 def test_cone_mul_matches_pairwise_products(pair):
-    a, b = pair
+    form, btilde, a, b = pair
     got = (a * b).coeffs
-    want = cone_mul_pairwise(a, b)
+    want = cone_mul_pairwise(form, btilde, a, b)
     assert set(got) == set(want)
     for g, (num, den) in want.items():
         assert fractions_equal(got[g].num.terms, got[g].den, num, den)
         assert got[g].is_laurent() == fraction_is_laurent(num, den)
     # and each output holds exactly the (num, den) the division oracle cancels to
+    by_division = cone_mul_by_division(form, btilde, a, b)
     assert ({g: (c.num.terms, c.den) for g, c in got.items()}
-            == {g: (num.terms, den) for g, (num, den) in cone_mul_by_division(a, b).items()})
+            == {g: (num.terms, den) for g, (num, den) in by_division.items()})
 
 
-def test_series_equality_reads_every_coefficient_the_base_and_the_degrees():
+def test_series_equality_reads_every_coefficient_and_the_degrees():
     """ConeSeries == sums self - other in one product_sums call over the
-    union of the degrees: one differing coefficient, the base or a nonzero
-    term at a degree of one side only makes it False, and a zero
-    coefficient at a degree of one side only does not."""
+    union of the degrees: one differing coefficient or a nonzero term at a
+    degree of one side only makes it False, and a zero coefficient at a
+    degree of one side only does not."""
     bound = (4, 4)
-    a = pochhammer(L2, B2, bound, (1, 1), +1) * pochhammer(L2, B2, bound, (1, 0), -1)
-    assert a == ConeSeries(L2, B2, bound, a.base, dict(a.coeffs))
+    a = pochhammer(K2, bound, (1, 1), +1) * pochhammer(K2, bound, (1, 0), -1)
+    assert a == ConeSeries(K2, bound, dict(a.coeffs))
     g = max(a.coeffs)
     extra = (0, 1)                      # every degree of a has g_1 >= g_2
     assert extra not in a.coeffs
     changed = dict(a.coeffs)
     changed[g] = changed[g] + PochhammerFraction(QLaurent.one())
     dropped = {h: c for h, c in a.coeffs.items() if h != g}
-    for other in (ConeSeries(L2, B2, bound, a.base, changed),
-                  ConeSeries(L2, B2, bound, (1, 0), dict(a.coeffs)),
-                  ConeSeries(L2, B2, bound, a.base, {**a.coeffs, extra: a.coeffs[g]}),
-                  ConeSeries(L2, B2, bound, a.base, dropped)):
+    for other in (ConeSeries(K2, bound, changed),
+                  ConeSeries(K2, bound, {**a.coeffs, extra: a.coeffs[g]}),
+                  ConeSeries(K2, bound, dropped)):
         assert a != other and other != a
-    padded = ConeSeries(L2, B2, bound, a.base, dict(a.coeffs))
+    padded = ConeSeries(K2, bound, dict(a.coeffs))
     padded.coeffs[extra] = PochhammerFraction.of(QLaurent(), {1: 1})
     assert a == padded and padded == a
 
@@ -396,28 +414,28 @@ def test_series_equality_sums_only_the_degrees_written_differently(monkeypatch):
     one_form = PochhammerFraction(QLaurent.one(), {1: 1})
     assert (two_forms.num, two_forms.den) != (one_form.num, one_form.den)
     shared = {(0, 0): PochhammerFraction(QLaurent.one()), (2, 1): one_form}
-    a = ConeSeries(L2, B2, bound, None, {**shared, (1, 0): two_forms})
-    b = ConeSeries(L2, B2, bound, None, {**shared, (1, 0): one_form})
+    a = ConeSeries(K2, bound, {**shared, (1, 0): two_forms})
+    b = ConeSeries(K2, bound, {**shared, (1, 0): one_form})
     assert a == b and b == a
     assert len(parts) == 4                   # two parts per comparison, at (1, 0)
-    series = pochhammer(L2, B2, bound, (1, 1), +1) * pochhammer(L2, B2, bound, (1, 0), -1)
+    series = pochhammer(K2, bound, (1, 1), +1) * pochhammer(K2, bound, (1, 0), -1)
     parts.clear()
-    assert series == ConeSeries(L2, B2, bound, series.base, dict(series.coeffs))
+    assert series == ConeSeries(K2, bound, dict(series.coeffs))
     assert series == series and not parts
 
 
 def test_factorization_check_edge_cases():
     bound = (4, 4)
-    unit = ConeSeries.unit(L2, B2, bound)
-    e1 = pochhammer(L2, B2, bound, (1, 0), +1)
-    e2 = pochhammer(L2, B2, bound, (0, 1), +1)
+    unit = ConeSeries.unit(K2, bound)
+    e1 = pochhammer(K2, bound, (1, 0), +1)
+    e2 = pochhammer(K2, bound, (0, 1), +1)
     assert factorization_check(unit, [])
     assert not factorization_check(e1, [])
     assert factorization_check(e1, [e1]) and factorization_check(e1, iter([e1]))
     assert not factorization_check(e1, [e2])
-    other_bound = pochhammer(L2, B2, (4, 5), (1, 0), +1)
-    other_btilde = pochhammer(L2, [[0, 2], [-1, 0]], bound, (1, 0), +1)
-    for other in (other_bound, other_btilde):
+    other_bound = pochhammer(K2, (4, 5), (1, 0), +1)
+    other_form = pochhammer(cone_form(L2, [[0, 2], [-1, 0]]), bound, (1, 0), +1)
+    for other in (other_bound, other_form):
         for rhs in ([other], [e1, other], [other, e1]):
             with pytest.raises(DimensionMismatch):
                 factorization_check(e1, rhs)

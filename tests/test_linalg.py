@@ -12,7 +12,7 @@ from qcluster.dtseries import initial_class_map, sign_sequence
 from qcluster.linalg import Echelon, Mat, column_echelon, rref
 
 from .corpus import CORPUS_NAMES, all_sequences, corpus_data
-from .oracles import rank
+from .oracles import from_columns, identity, rank
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -23,7 +23,7 @@ def mats(rows, cols):
 
 
 def columns_rank(cols, dim):
-    return rank(Mat.from_columns(cols, dim))
+    return rank(from_columns(cols, dim))
 
 
 def rref_kernel(mat):
@@ -77,7 +77,7 @@ def test_column_coordinates_are_exact_and_reject_targets_outside_the_span(mp):
     a, _, c = mp
     target = a * c
     ech, basis, _, coords = column_echelon(a)
-    assert Mat.from_columns(basis, a.rows) * coords == a
+    assert from_columns(basis, a.rows) * coords == a
     for j in range(target.cols):
         # combinations are keyed by column index
         residual, comb = ech.reduce(dict(enumerate(target.column(j))))
@@ -114,8 +114,8 @@ def test_unit_coordinates_times_the_basis_give_the_identity(mp):
     basis = [n for n, v in enumerate(vectors) if ech.add(dict(enumerate(v))) is None]
     coords = [ech.reduce({i: 1})[1] for i in range(a.rows)]
     inverse = Mat(a.rows, a.rows, [[comb.get(n, 0) for comb in coords] for n in basis])
-    assert Mat.from_columns([vectors[n] for n in basis], a.rows) * inverse \
-        == Mat.identity(a.rows)
+    assert from_columns([vectors[n] for n in basis], a.rows) * inverse \
+        == identity(a.rows)
 
 
 def test_initial_class_map_inverts_the_c_matrix():

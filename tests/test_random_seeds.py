@@ -5,7 +5,9 @@ n <= 4 and |entries| <= 2, a short mutation sequence and a unit or all-ones
 lam, and checks the mutation route against the DT route, positivity, the
 commutative q -> 1 oracle and the commutation of every pair of the final
 seed.  The factor-by-factor conjugation must equal the dense product at any
-cone bound, too small ones included.  For an acyclic B with a small H^1,
+cone bound, too small ones included, and at any g on a frozen base change
+and on an incompatible pair.  On every compatible pair drawn here the cone
+form B~^T Lambda B~ is the exchange matrix.  For an acyclic B with a small H^1,
 every `count` row must match in hard mode.  Pairs beyond principal
 coefficients, two with a central frozen row and frozen base changes of
 rank-2 principal pairs, go through the same checks.  On both
@@ -14,22 +16,23 @@ and the Q_r class map agrees with a rational solve of C gamma = -delta.
 """
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcluster.cli import SessionSpec, cmd_count, cmd_expand, main
-from qcluster.dtseries import (TAIL_MARGIN, conjugate, dt_factors, dt_product_pair,
-                               g_of_lambda, initial_class_map, sign_sequence)
+from qcluster.dtseries import (TAIL_MARGIN, ConeSeries, cone_form, conjugate, dt_factors,
+                               dt_product_pair, g_of_lambda, initial_class_map,
+                               sign_sequence)
 from qcluster.errors import TailNotVanishing
 from qcluster.seed import cluster_monomial, initial_seed, mutate_sequence, verify_commutation
 from qcluster.torus import SkewForm, is_positive
 
 from .corpus import all_sequences, principal_pair
-from .oracles import (class_map_by_solve, commutative_cluster_monomial, dense_conjugate,
-                      specialize_v1)
+from .oracles import (ambient_product, class_map_by_solve, commutative_cluster_monomial,
+                      dense_conjugate, specialize_v1)
 
 # Longer sequences on wild rank-3 seeds take seconds each on the DT route.
 MAX_KS = {1: 1, 2: 4, 3: 3, 4: 2}
@@ -128,7 +131,7 @@ def test_factor_by_factor_conjugate_matches_dense_product(case, data):
     series, inverse = dt_product_pair(form, btilde, ks, bound)
     factors = dt_factors(form, btilde, ks, bound)
     assert _outcome(lambda: conjugate(form, btilde, factors, g, bound)) \
-        == _outcome(lambda: dense_conjugate(series, g, bound, inverse))
+        == _outcome(lambda: dense_conjugate(form, btilde, series, g, bound, inverse))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -152,9 +155,10 @@ def test_random_acyclic_seeds_count_in_hard_mode(case):
 # --- compatible pairs beyond principal coefficients ---
 
 CENTRAL_LAMBDA = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
+CENTRAL_BTILDES = ([[0, 1], [-1, 0], [1, 1]], [[0, 1], [-1, 0], [2, -1]])
 
 
-@pytest.mark.parametrize("btilde", [[[0, 1], [-1, 0], [1, 1]], [[0, 1], [-1, 0], [2, -1]]])
+@pytest.mark.parametrize("btilde", CENTRAL_BTILDES)
 def test_central_frozen_row_agrees_and_counts(btilde, tmp_path, capsys):
     """The frozen row's Lambda row is zero, so B~^T Lambda = [I 0] whatever its
     B~ entries.  Every ks of length <= 4 and three lam: `expand --route both`
@@ -183,25 +187,31 @@ def _mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-@st.composite
-def frozen_base_changes(draw):
-    """(lambda, btilde, ks, lam): a rank-2 principal pair (Lambda, [B; I])
+def frozen_base_change(b, x, u):
+    """(lambda, btilde): the rank-2 principal pair (Lambda, [B; I]) of b
     moved by P = [[I, 0], [X, U]], U unimodular, to (P^-T Lambda P^-1, P B~).
     That pair is compatible again, since the first block row of
     P^-1 = [[I, 0], [-U^-1 X, U^-1]] is [I 0]."""
-    b = draw(st.integers(-2, 2))
     lam_matrix, btilde = principal_pair([[0, b], [-b, 0]])
-    x = [[draw(st.integers(-1, 1)) for _ in range(2)] for _ in range(2)]
-    (u11, u12), (u21, u22) = u = draw(st.sampled_from(UNIMODULAR))
+    (u11, u12), (u21, u22) = u
     det = u11 * u22 - u12 * u21
     u_inv = [[det * u22, -det * u12], [-det * u21, det * u11]]
     w = [[-z for z in row] for row in _mat_mul(u_inv, x)]
     p = [[1, 0, 0, 0], [0, 1, 0, 0], x[0] + u[0], x[1] + u[1]]
     p_inv = [[1, 0, 0, 0], [0, 1, 0, 0], w[0] + u_inv[0], w[1] + u_inv[1]]
     lam_matrix = _mat_mul(_mat_mul([list(r) for r in zip(*p_inv)], lam_matrix), p_inv)
+    return lam_matrix, _mat_mul(p, btilde)
+
+
+@st.composite
+def frozen_base_changes(draw):
+    """(lambda, btilde, ks, lam) over a random frozen_base_change."""
+    b = draw(st.integers(-2, 2))
+    x = [[draw(st.integers(-1, 1)) for _ in range(2)] for _ in range(2)]
+    lam_matrix, btilde = frozen_base_change(b, x, draw(st.sampled_from(UNIMODULAR)))
     unit = st.integers(0, 3).map(lambda i: tuple(int(t == i) for t in range(4)))
     lam = draw(st.one_of(st.just((1,) * 4), unit))
-    return lam_matrix, _mat_mul(p, btilde), draw_ks(draw, 2), lam
+    return lam_matrix, btilde, draw_ks(draw, 2), lam
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -253,3 +263,60 @@ def test_tropical_duality_on_random_principal_pairs(case):
 def test_tropical_duality_on_frozen_base_changes(case):
     _, btilde, ks, _ = case
     _assert_tropical_duality(btilde, ks)
+
+
+# --- the cone form and conjugate's one ambient step ---
+
+def _assert_cone_form_is_the_exchange_matrix(lam_matrix, btilde):
+    n = len(btilde[0])
+    assert cone_form(SkewForm(lam_matrix), btilde).entries == tuple(map(tuple, btilde[:n]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_principal_cases(), frozen_base_changes())
+def test_cone_form_is_the_exchange_matrix_on_compatible_pairs(principal, base_change):
+    """B~^T Lambda = [I 0] gives B~^T Lambda B~ = B, the upper n x n block of B~."""
+    _assert_cone_form_is_the_exchange_matrix(*principal_pair(principal[0]))
+    _assert_cone_form_is_the_exchange_matrix(*base_change[:2])
+    for btilde in CENTRAL_BTILDES:
+        _assert_cone_form_is_the_exchange_matrix(CENTRAL_LAMBDA, btilde)
+
+
+# B~^T Lambda = [[1, 0, -2], [0, -1, 0]], and the cone form is -B, not B.
+INCOMPATIBLE_PAIR = ([[0, 1, 0], [-1, 0, 2], [0, -2, 0]], [[0, 1], [-1, 0], [0, 1]])
+
+
+def _ambient_ordered_product(form, btilde, series, bound):
+    """The product of the series, left to right, worked in the ambient torus."""
+    zero = (0,) * form.dim
+    total = (zero, series[0].coeffs)
+    for factor in series[1:]:
+        total = ambient_product(form, btilde, total, (zero, factor.coeffs), bound)
+    return ConeSeries(series[0].form, bound, total[1])
+
+
+@pytest.mark.parametrize("lam_matrix, btilde",
+                         [frozen_base_change(1, [[1, -1], [0, 1]], [[2, 1], [1, 1]]),
+                          INCOMPATIBLE_PAIR], ids=["frozen_base_change", "incompatible"])
+def test_conjugate_matches_dense_product_at_any_g(lam_matrix, btilde):
+    """Every ks of length >= 1 and <= 3 and every g with mutable part in
+    {-1, 1}^2 and frozen entries in {0, 1}, at bound (4, 4): conjugate, which
+    twists by r_j = Lambda(B~ e_j, g) in the cone torus, and the dense
+    product, with A and A^{-1} multiplied out in the ambient torus too,
+    return the same element or raise alike.  Some of the elements have
+    r != 0 and more than one term."""
+    form = SkewForm(lam_matrix)
+    bound = (4, 4)
+    twisted = 0
+    for ks in all_sequences(2, 3)[1:]:
+        factors = dt_factors(form, btilde, ks, bound)
+        series = _ambient_ordered_product(form, btilde, [f for f, _ in factors], bound)
+        inverse = _ambient_ordered_product(form, btilde, [f for _, f in factors][::-1], bound)
+        for g in product((-1, 1), (1, -1), *[(0, 1)] * (len(btilde) - 2)):
+            got = _outcome(lambda: conjugate(form, btilde, factors, g, bound))
+            assert got == _outcome(lambda: dense_conjugate(form, btilde, series, g, bound,
+                                                           inverse)), (ks, g)
+            if (got[0] == "element" and len(got[1].terms) > 1
+                    and any(form.pair(col, g) for col in zip(*btilde))):
+                twisted += 1
+    assert twisted > 0
