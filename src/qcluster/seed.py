@@ -7,7 +7,9 @@ the new variable is produced by one exact right division of the two-monomial
 numerator by the old variable (only the sum is guaranteed Laurent); the two
 monomials go into the division as packed power chains, never built as
 elements.  The check after it runs `torus.commutes` on the m - 1 pairs that
-hold the new variable, each packed at its own width.
+hold the new variable: a pair whose term pairs all cancel against their
+mirrors (in a consistent seed, every pair with a one-term side) is decided
+on covectors, and every other pair is packed at its own width.
 """
 
 from __future__ import annotations
@@ -133,9 +135,11 @@ def _matrix_mutation(btilde, m, n, k):
 def mutate(s: QuantumSeed, k: int) -> QuantumSeed:
     """Seed mutation at direction k (1-based, k <= n), checked: the new pair
     is compatible and the m - 1 pairs holding the new variable commute as
-    Lambda_M' says.  Every other pair is s's own, so from initial_seed every
-    pair of every seed is checked once; a bad pair of a hand-built s that
-    the mutation leaves alone is not reported."""
+    Lambda_M' says, each decided exactly by `commutes` (on covectors when
+    every term pair cancels, else packed at its own width).  Every other
+    pair is s's own, so from initial_seed every pair of every seed is
+    checked once; a bad pair of a hand-built s that the mutation leaves
+    alone is not reported."""
     if not 1 <= k <= s.n:
         raise DimensionMismatch(f"mutation direction {k} out of range 1..{s.n}")
     btilde_new = _matrix_mutation([list(r) for r in s.btilde], s.m, s.n, k)

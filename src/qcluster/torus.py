@@ -9,19 +9,25 @@ The product, the q-commutation test, ordered power products and the division
 all run one kernel on coefficients packed as in qlaurent (packing and width
 rule there), so a term pair costs one integer multiply.  The kernel's right
 operand brings its covectors, and a pair's twist is
-Lambda(e1, e2) = -Lambda(e2, .) . e1.  An element computes its L1 and its
-per-term covectors on first use and keeps them, so a cluster variable that
-no mutation changes is covectored once per sequence; it is packed afresh at
-each width a call needs.
+Lambda(e1, e2) = -Lambda(e2, .) . e1.  An element computes its L1 and max|.|
+(in one pass) and its per-term covectors on first use and keeps them, so a
+cluster variable that no mutation changes is covectored once per sequence; it
+is packed afresh at each width a call needs.  The q-commutation test reads
+every pair's twist off the covectors before it packs anything: a pair whose
+mirror cancels it term by term packs nothing.
 
-Digit bounds, with L1 over all integer coefficients: L1(a) L1(b) for a * b,
-twice that for each commuted pair a, b, and the product of the L1(a)^k for an
-ordered power product of the a^k.  A division's remainder digits are at most
-B + L1(quotient so far) L1(d), for a bound B >= L1(n): the sum of the
-chains' product bounds, as the numerator, a sum of power products, is added
-straight into the remainder (`divide_power_sum`; `exact_right_divide` is the
-one chain n^1, so B = L1(n)).  The remainder starts at the width of
-2 B L1(d) and is repacked at twice the bound when the bound outgrows it.
+Digit bounds, with L1 and max|.| over all integer coefficients.  A digit of a
+product sums one digit of each factor but one, whose digit the others fix,
+so it is at most max|f_i| times the product of the other L1(f_j).  That
+gives min(L1(a) max|b|, max|a| L1(b)) for a * b, twice that for each
+commuted pair a, b, and the best i for an ordered power product of the a^k;
+only the product is read back, so its partial products need no bound.  A
+division's remainder digits are at most B + L1(quotient so far) max|d|, for
+a bound B on the digits of n: the sum of the chains' product bounds, as the
+numerator, a sum of power products, is added straight into the remainder
+(`divide_power_sum`; `exact_right_divide` is the one chain n^1, so
+B = max|n|).  The remainder starts at the width of 2 B max|d| and is
+repacked at twice the bound when the bound outgrows it.
 Each leading term comes from a lazy heap keyed by graded lex: a monomial
 order, so the leading exponent strictly descends.
 
@@ -70,8 +76,15 @@ class SkewForm:
         return sum(map(mul, self.apply(e), f))
 
     def apply(self, e) -> tuple[int, ...]:
-        """The covector Lambda(e, .) as a row: (Lambda e)_j = sum_i e_i L_ij = -L_j . e."""
-        return tuple([-sum(map(mul, row, e)) for row in self.entries])
+        """The covector Lambda(e, .) = sum_i e_i (row i of L): the sum of the rows
+        that e's nonzero entries select, so a basis exponent is one row lookup."""
+        out = None
+        for x, row in zip(e, self.entries):
+            if x:
+                if x != 1:
+                    row = tuple([x * y for y in row])
+                out = row if out is None else tuple(map(add, out, row))
+        return (0,) * self.dim if out is None else out
 
     def __eq__(self, other):
         return isinstance(other, SkewForm) and self.entries == other.entries
@@ -88,11 +101,11 @@ def grlex_key(e):
 class TorusElement:
     """A finite sum  sum_e c_e(v) X^e  in the torus attached to a SkewForm."""
 
-    __slots__ = ("form", "terms", "_norm", "_rows")
+    __slots__ = ("form", "terms", "_norm", "_top", "_rows")
 
     def __init__(self, form: SkewForm, terms=None):
         self.form = form
-        self._norm = self._rows = None
+        self._norm = self._top = self._rows = None
         clean = {}
         for e, c in (terms or {}).items():
             if not c.is_zero():
@@ -197,11 +210,18 @@ class TorusElement:
         return f"TorusElement({self.render()})"
 
 
-def _l1(a: TorusElement) -> int:
-    """The sum of the absolute values of all integer coefficients of a, kept on a."""
+def _norms(a: TorusElement) -> tuple[int, int]:
+    """(L1(a), max|a|) over all integer coefficients of a, read in one pass and kept on a."""
     if a._norm is None:
-        a._norm = sum(map(qlaurent._l1, a.terms.values()))
-    return a._norm
+        l1 = top = 0
+        for c in a.terms.values():
+            for z in c.terms.values():
+                z = abs(z)
+                l1 += z
+                if z > top:
+                    top = z
+        a._norm, a._top = l1, top
+    return a._norm, a._top
 
 
 def _operand(a: TorusElement, bits: int) -> list:
@@ -251,9 +271,22 @@ def _element(form: SkewForm, packed: dict, bits: int) -> TorusElement:
 
 
 def commutes(a: TorusElement, b: TorusElement, k: int) -> bool:
-    """True iff a b = v^k b a: one mirrored pass, packed at this pair's own width."""
+    """True iff a b = v^k b a.
+
+    A term pair of a and b with twist tw meets its mirror in v^k b a at the
+    same degree when 2 tw = k, and then cancels on its own (the rule by which
+    `_product_into` skips it).  So the twists are read off b's covectors
+    first, and when every pair cancels nothing is packed.  Otherwise one
+    mirrored pass runs at this pair's own width: every digit of a b, and of
+    b a, is at most min(L1(a) max|b|, max|a| L1(b)), so twice that bounds
+    their difference.
+    """
     a._check(b)
-    bits = pack_width(2 * _l1(a) * _l1(b))
+    rows = b.covectors().values()
+    if all(2 * sum(map(mul, row, e1)) + k == 0 for e1 in a.terms for row in rows):
+        return True
+    (l1a, topa), (l1b, topb) = _norms(a), _norms(b)
+    bits = pack_width(2 * min(l1a * topb, topa * l1b))
     acc: dict = {}
     _product_into(acc, [(e, lo, x) for e, _, lo, x in _operand(a, bits)],
                   _operand(b, bits), bits, mirror=k)
@@ -272,8 +305,20 @@ def _chain(form: SkewForm, factors, shift: int, bits: int) -> dict:
 
 
 def _chain_bound(factors) -> int:
-    """The product of the L1(a)^k: it bounds every digit of every partial product."""
-    return prod(_l1(a) ** k for a, k in factors)
+    """A bound on every digit of the ordered product of the a^k over (a, k) in factors.
+
+    Take the chain f_1 ... f_K of the nonzero powers.  Once the digits
+    that every factor but f_i brings to an output digit are fixed, at most
+    one digit of f_i lands there, so each digit of the product is at most
+    max|f_i| times the product of the other L1(f_j); this takes the best i.
+    The partial products need no bound: packing is evaluation at v = 2^bits,
+    a ring homomorphism, so only the digits that are read back must fit.
+    """
+    live = [(_norms(a), k) for a, k in factors if k]
+    whole = prod(l1 ** k for (l1, _), k in live)
+    if not whole:
+        return 0
+    return min((whole // l1 * top for (l1, top), _ in live), default=1)
 
 
 def power_product(form: SkewForm, factors, shift: int = 0) -> TorusElement:
@@ -304,10 +349,11 @@ def divide_power_sum(form: SkewForm, chains, d: TorusElement) -> TorusElement:
     """The q with q * d = sum of v^shift prod a^k over (factors, shift) in chains.
 
     Each chain is added, packed, into one remainder that `_divide` then runs
-    on; B is the sum of the chains' bounds.
+    on; B is the sum of the chains' bounds, and the remainder starts at the
+    width of 2 B max|d|.
     """
     bound = sum(_chain_bound(factors) for factors, _ in chains)
-    bits = pack_width(2 * bound * _l1(d))
+    bits = pack_width(2 * bound * _norms(d)[1])
     rem: dict = {}
     for factors, shift in chains:
         for e, (lo, x) in _chain(form, factors, shift, bits).items():
@@ -321,7 +367,7 @@ def _heap_key(e):
 
 
 def _divide(rem: dict, d: TorusElement, bits: int, bound: int) -> TorusElement:
-    """The q with q * d = n, n packed as rem (no zeros) at bits, bound >= L1(n).
+    """The q with q * d = n, n packed as rem (no zeros) at bits, bound >= max|n|.
 
     The quotient term that cancels the leading remainder term c X^er is
     cq X^eq, eq = er - ed, with cq = v^{Lambda(ed, eq)} c / cd.  When cd is
@@ -329,8 +375,9 @@ def _divide(rem: dict, d: TorusElement, bits: int, bound: int) -> TorusElement:
     (lo + Lambda(ed, eq) - a, s x): no divide_exact, and its digits are
     remainder digits, so no width changes.  When d is that one term, every
     term of n divides on its own and the quotient is one pass over rem.
-    Every remainder digit is at most bound + L1(quotient so far) L1(d); when
-    that outgrows the width, the remainder is repacked at twice it.
+    Every remainder digit is at most bound + L1(quotient so far) max|d|, as
+    each digit of the quotient so far meets at most one digit of d there;
+    when that outgrows the width, the remainder is repacked at twice it.
     """
     form = d.form
     quot = TorusElement(form)
@@ -349,7 +396,7 @@ def _divide(rem: dict, d: TorusElement, bits: int, bound: int) -> TorusElement:
     if any(l > h for l, h in box):
         raise NotDivisible("quotient exponent box is empty",
                            remainder=_element(form, rem, bits))
-    l1d, l1q = _l1(d), 0
+    topd, l1q = _norms(d)[1], 0
     right = _operand(d, bits)
     heap = [_heap_key(e) for e in rem]
     heapify(heap)
@@ -374,7 +421,7 @@ def _divide(rem: dict, d: TorusElement, bits: int, bound: int) -> TorusElement:
                                    remainder=_element(form, rem, bits))
         quot.terms[eq] = cq
         l1q += qlaurent._l1(cq)
-        need = bound + l1q * l1d
+        need = bound + l1q * topd
         wider = pack_width(need) > bits
         if wider:
             wide = pack_width(2 * need)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qcluster.errors import DimensionMismatch, NotDivisible
 from qcluster.qlaurent import QLaurent, pack_width
 from qcluster.seed import mutate_sequence
-from qcluster.torus import (SkewForm, TorusElement, _l1, commutes, exact_right_divide,
+from qcluster.torus import (SkewForm, TorusElement, _norms, commutes, exact_right_divide,
                             is_positive, power_product)
 
 from .corpus import corpus_seed
@@ -274,16 +274,10 @@ def test_q_commute_matches_products(case):
     assert commutes(a, b, k) == want
 
 
-def test_commutes_packs_each_pair_at_its_own_width(monkeypatch):
-    """A four-term cluster variable against a one-term frozen one: the pair is
-    packed at the width of 2 L1(a) L1(b), narrower than 2 top^2 for the
-    seed's largest L1, and the answer matches the products for the seed's
-    k = 2 Lambda_M(2, 4) (q-commuting) and for k + 2 (not)."""
+def _spy_widths(monkeypatch):
+    """The packing width of every call to the product kernel, in order."""
     import qcluster.torus as torus_mod
 
-    s = mutate_sequence(corpus_seed("kronecker_principal"), (1, 2))
-    a, b = s.vars[1], s.vars[3]
-    assert (len(a.terms), len(b.terms)) == (4, 1)
     widths, product_into = [], torus_mod._product_into
 
     def spy(acc, left, right, bits, mirror=None):
@@ -291,14 +285,142 @@ def test_commutes_packs_each_pair_at_its_own_width(monkeypatch):
         product_into(acc, left, right, bits, mirror)
 
     monkeypatch.setattr(torus_mod, "_product_into", spy)
+    return widths
+
+
+def _q_commute(a, b, k):
+    return torus_mul_pairwise(a, b) == torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
+
+
+def test_commutes_decides_a_pair_that_cancels_term_by_term_without_packing(monkeypatch):
+    """A four-term cluster variable against a one-term frozen one: at the
+    seed's k = 2 Lambda_M(2, 4) every term pair cancels against its mirror,
+    so the answer is read off the covectors with no pack and no product; at
+    k + 2 the pair reaches the packed product and does not q-commute."""
+    import qcluster.torus as torus_mod
+
+    s = mutate_sequence(corpus_seed("kronecker_principal"), (1, 2))
+    a, b = s.vars[1], s.vars[3]
+    assert (len(a.terms), len(b.terms)) == (4, 1)
+    widths, packs, pack = _spy_widths(monkeypatch), [], torus_mod.pack
+
+    def pack_spy(c, bits):
+        packs.append(bits)
+        return pack(c, bits)
+
+    monkeypatch.setattr(torus_mod, "pack", pack_spy)
     k = 2 * s.lam.entries[1][3]
+    assert k != 0 and _q_commute(a, b, k)
+    assert commutes(a, b, k)
+    assert widths == packs == []
+    assert not _q_commute(a, b, k + 2)
+    assert not commutes(a, b, k + 2)
+    assert widths and packs
+
+
+def test_commutes_reads_the_sign_of_k():
+    """X^e1 X^e2 = v^2 X^e2 X^e1: the pair q-commutes at k = 2, where each
+    term pair cancels against its mirror, and not at k = -2."""
+    assert commutes(E1, E2, 2) and not commutes(E1, E2, -2)
+
+
+def test_commutes_packs_a_pair_at_its_own_width(monkeypatch):
+    """Two cluster variables of two and four terms: the pair is packed at the
+    width of 2 min(L1(a) max|b|, max|a| L1(b)), narrower than 2 L1(a) L1(b)
+    and wider than 2 max|a| max|b|, and the answer matches the products for
+    the seed's k = 2 Lambda_M(1, 2) (q-commuting) and for k + 2 (not)."""
+    s = mutate_sequence(corpus_seed("kronecker_principal"), (1, 2))
+    a, b = s.vars[0], s.vars[1]
+    assert (len(a.terms), len(b.terms)) == (2, 4)
+    widths = _spy_widths(monkeypatch)
+    k = 2 * s.lam.entries[0][1]
     for shift, want in ((k, True), (k + 2, False)):
-        assert (torus_mul_pairwise(a, b)
-                == torus_mul_pairwise(b, a).scale(QLaurent.monomial(shift))) == want
+        assert _q_commute(a, b, shift) == want
         assert commutes(a, b, shift) == want
-    top = max(map(_l1, s.vars))
-    assert widths == [pack_width(2 * _l1(a) * _l1(b))] * 2
-    assert widths[0] < pack_width(2 * top * top)
+    (l1a, topa), (l1b, topb) = _norms(a), _norms(b)
+    width = pack_width(2 * min(l1a * topb, topa * l1b))
+    assert widths == [width] * 2
+    assert pack_width(2 * topa * topb) < width < pack_width(2 * l1a * l1b)
+
+
+# Each bound at its limit: an input with an output digit equal to the bound.
+# P = 1 + v + ... + v^(L-1) has L1 = L and max 1; M P(v^-1) has max M.
+LIMIT_L, LIMIT_M = 8, 2**20
+
+
+def _poly(degrees, c=1):
+    return QLaurent(dict.fromkeys(degrees, c))
+
+
+def _top_digit(a):
+    return max(abs(z) for co in a.terms.values() for z in co.terms.values())
+
+
+def test_product_reaches_its_bound(monkeypatch):
+    """sum_i X^(i,0) times M sum_j v^-j X^(-j,1) under Lambda(e, f) = e1 f2 - e2 f1:
+    the pairs i = j all land on X^(0,1) at degree 0, a digit of L M, the
+    bound min(L1(a) max|b|, max|a| L1(b))."""
+    L, M = LIMIT_L, LIMIT_M
+    a = TorusElement(L2, {(i, 0): QLaurent.one() for i in range(L)})
+    b = TorusElement(L2, {(-j, 1): QLaurent.monomial(-j, M) for j in range(L)})
+    widths = _spy_widths(monkeypatch)
+    got = a * b
+    assert got == torus_mul_pairwise(a, b)
+    (l1a, topa), (l1b, topb) = _norms(a), _norms(b)
+    assert _top_digit(got) == L * M == min(l1a * topb, topa * l1b)
+    assert widths == [pack_width(L * M)] * 2
+
+
+def test_power_chain_reaches_its_bound(monkeypatch):
+    """P^2 times M (1 + v^-1 + ... + v^-(2L-2)): its digit at degree 0 is
+    M L^2, the chain bound L1(P)^2 max|b| with the most factors taken by L1."""
+    L, M = LIMIT_L, LIMIT_M
+    a = ONE1.scale(_poly(range(L)))
+    b = ONE1.scale(_poly(range(0, -2 * L + 1, -1), M))
+    widths = _spy_widths(monkeypatch)
+    got = power_product(L1, [(a, 2), (b, 1)], 1)
+    want = torus_mul_pairwise(torus_mul_pairwise(a, a), b).scale(QLaurent.monomial(1))
+    assert got == want
+    assert _top_digit(got) == L * L * M == _norms(a)[0] ** 2 * _norms(b)[1]
+    assert widths == [pack_width(L * L * M)] * 3
+
+
+def test_division_remainder_reaches_its_bound(monkeypatch):
+    """(B X + B) / (X - 1): the first quotient term is B, which leaves the
+    remainder 2 B, the bound B + L1(q) max|d| at that step, at the start
+    width 2 B max|d| = 2 B; then the next quotient exponent leaves the box."""
+    B = 3 * LIMIT_M
+    n = TorusElement(L1, {(1,): QLaurent({0: B}), (0,): QLaurent({0: B})})
+    d = X1 - ONE1
+    widths = _spy_widths(monkeypatch)
+    with pytest.raises(NotDivisible) as got:
+        exact_right_divide(n, d)
+    with pytest.raises(NotDivisible) as want:
+        torus_divide_longhand(n, d)
+    assert str(got.value) == str(want.value) == "leading term not cancellable"
+    assert got.value.remainder == want.value.remainder
+    assert _top_digit(got.value.remainder) == 2 * B == B + B * _norms(d)[1]
+    assert widths == [pack_width(2 * B)] * 2      # the chain n^1, one quotient step
+
+
+def test_commuted_pair_reaches_its_bound(monkeypatch):
+    """a = P X^e1 and b = M (P(v^-1) - v^s P(v^-1)) X^e2 with s = 2L - 1:
+    P times b's coefficient has digit L M at degree 0 and -L M at s, so at
+    k = 2 Lambda(e1, e2) - s the two meet in a b - v^k b a as a digit of
+    2 L M, twice min(L1(a) max|b|, max|a| L1(b))."""
+    L, M = LIMIT_L, LIMIT_M
+    s = 2 * L - 1
+    a = TorusElement.monomial(L2, (1, 0), _poly(range(L)))
+    b = TorusElement.monomial(L2, (0, 1), QLaurent({**{-i: M for i in range(L)},
+                                                    **{s - i: -M for i in range(L)}}))
+    k = 2 * L2.pair((1, 0), (0, 1)) - s
+    diff = torus_mul_pairwise(a, b) - torus_mul_pairwise(b, a).scale(QLaurent.monomial(k))
+    (l1a, topa), (l1b, topb) = _norms(a), _norms(b)
+    bound = 2 * min(l1a * topb, topa * l1b)
+    assert _top_digit(diff) == 2 * L * M == bound
+    widths = _spy_widths(monkeypatch)
+    assert not commutes(a, b, k)
+    assert widths == [pack_width(bound)]
 
 
 # Wide coefficients: up to +-2^64 on v-degrees -6..6, plus fixed coefficients
@@ -312,13 +434,23 @@ WIDE_COEFFS = st.one_of(
     st.dictionaries(st.integers(-6, 6), WIDE_INTS, min_size=1, max_size=4).map(QLaurent),
     MIXED_SIGNS)
 WIDE_TERMS = {m: st.dictionaries(EXPONENTS[m], WIDE_COEFFS, max_size=3) for m in range(1, 5)}
+# Many unit digits and one large coefficient: L1 far above max|.| on the unit
+# side, where the widths that max|.| gives are narrowest.
+UNIT_COEFFS = st.dictionaries(st.integers(-6, 6), st.sampled_from([-1, 1]),
+                              min_size=3, max_size=8).map(QLaurent)
+UNIT_RICH = {m: st.builds(lambda units, e, c: {**units, e: QLaurent({0: c})},
+                          st.dictionaries(EXPONENTS[m], UNIT_COEFFS, min_size=1, max_size=6),
+                          EXPONENTS[m], WIDE_INTS)
+             for m in range(1, 5)}
 
 
 @st.composite
 def wide_pairs(draw):
+    """Two elements over a random form, each with up to three wide terms or
+    with many unit digits and one large coefficient."""
     form = skew_form(draw)
-    return (TorusElement(form, draw(WIDE_TERMS[form.dim])),
-            TorusElement(form, draw(WIDE_TERMS[form.dim])))
+    terms = st.one_of(WIDE_TERMS[form.dim], UNIT_RICH[form.dim])
+    return TorusElement(form, draw(terms)), TorusElement(form, draw(terms))
 
 
 WIDE_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -370,15 +502,15 @@ def test_wide_divide_matches_longhand_oracle(pair, exact):
 
 def _check_widening(n, d):
     a = torus_divide_longhand(n, d)
-    first = pack_width(2 * _l1(n) * _l1(d))
+    first = pack_width(2 * _norms(n)[1] * _norms(d)[1])
     assert max(abs(z) for co in a.terms.values() for z in co.terms.values()) >= 2**(first - 1)
     assert exact_right_divide(n, d) == a
     assert torus_mul_pairwise(a, d) == n
 
 
 def test_divide_widens_when_the_quotient_outgrows_the_remainder():
-    # (1 - X^40)^3 / (1 - X)^3 = (1 + X + ... + X^39)^3: L1(n) = L1(d) = 8 L1(c)
-    # set the first width, and the quotient's coefficients (up to 1200 c),
+    # (1 - X^40)^3 / (1 - X)^3 = (1 + X + ... + X^39)^3: max|n| = 3 max|c| and
+    # max|d| = 3 set the first width, and the quotient's coefficients (up to 1200 c),
     # hence the remainder's digits next to them, outgrow it.  d's leading
     # coefficient is -1, a unit.
     c = QLaurent({0: 2**64, 1: -1})
